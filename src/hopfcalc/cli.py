@@ -37,7 +37,6 @@ from .graphmodel import (
     WhiteVertex,
     black_vertices,
     graph_counts,
-    validate_graph,
 )
 from .hopflink import (
     FiberDescriptor,
@@ -49,8 +48,6 @@ from .hopflink import (
 )
 from .invariants import (
     ProductFactor,
-    assemble_cup_form,
-    cup_form_for_graph,
     invariant_report,
     product_phi_bound,
 )
@@ -132,6 +129,9 @@ def _parse_vertex(value: Any, n: int, k: int, theta: int, locus: str):
             link = HopfLinkSpec(form, n=n, k=k, theta=theta)
         except (SymmetryError, ValueError) as exc:
             raise SpecFileError(f"{locus}.matrix: {exc}") from exc
+        det = form.det()
+        if det not in (1, -1):
+            raise SpecFileError(f"{locus}.matrix: determinant {det}, decoration must be unimodular")
         return BlackVertex(link)
     if color == "white":
         _expect_keys(value, {"color", "fiber"}, {"color", "fiber"}, locus)
@@ -225,7 +225,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
         )
         edges = tuple(_parse_edge(e, f"{locus}.edges[{i}]") for i, e in enumerate(eraw))
         graph = DecoratedGraph(vertices, edges)
-        report = validate_graph(graph)
+        report = graph.validation
         if not report.ok:
             first = report.first
             raise SpecFileError(f"{locus}.{first.locus}: {first.message}")
@@ -300,10 +300,6 @@ def _link_section(spec: SpecFile) -> list[dict]:
             classification: Optional[dict] = (
                 {"p": klass.p, "q": klass.q} if klass.p is not None else None
             )
-            try:
-                linking: Optional[list[list[int]]] = derived_linking_matrix(link).to_rows()
-            except NotUnimodularError:
-                linking = None
             out.append(
                 {
                     "graph": g_idx,
@@ -317,7 +313,7 @@ def _link_section(spec: SpecFile) -> list[dict]:
                     "parity": klass.parity,
                     "definiteness": klass.definiteness,
                     "classification": classification,
-                    "linking_matrix": linking,
+                    "linking_matrix": derived_linking_matrix(link).to_rows(),
                     "notes": list(adm.notes),
                 }
             )
@@ -330,15 +326,7 @@ def _oracle_section(spec: SpecFile) -> dict:
     for g_idx, graph in enumerate(spec.graphs):
         for v_idx, v in black_vertices(graph):
             form = v.link.form
-            try:
-                lk = derived_linking_matrix(form)
-            except NotUnimodularError as exc:
-                checks.append(
-                    {"graph": g_idx, "vertex": v_idx, "component": None, "group": None,
-                     "match": False, "error": str(exc)}
-                )
-                all_match = False
-                continue
+            lk = derived_linking_matrix(form)
             for s in range(form.dim + 1):
                 result = presentation_oracle(form, s)
                 column = tuple(lk.at(j, s) for j in range(form.dim + 1))
@@ -369,10 +357,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
         }
 
     report = invariant_report(list(spec.graphs), spec.n, spec.k, spec.assume_cobounding)
-    if spec.k == 0:
-        cup = assemble_cup_form(list(spec.graphs))
-    else:
-        cup, _ = cup_form_for_graph(spec.graphs[0])
+    cup = report.cup_form
     doc: dict[str, Any] = {
         "kind": "graphs",
         "spec": spec_to_data(spec),
@@ -485,14 +470,17 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(spec: SpecFile, fmt: str = "text", oracle: bool = False) -> str:
-    """Render the report document; output is byte-deterministic per input."""
-    doc = build_report(spec, oracle=oracle)
+def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if fmt == "text":
         return _render_text(doc)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def emit_report(spec: SpecFile, fmt: str = "text", oracle: bool = False) -> str:
+    """Render the report document; output is byte-deterministic per input."""
+    return _render(build_report(spec, oracle=oracle), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +501,7 @@ def _load_matrix_file(path: str) -> IntMatrix:
 def _cmd_report(args) -> int:
     spec = parse_spec(args.spec)
     doc = build_report(spec, oracle=args.oracle)
-    if args.format == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(_render_text(doc))
+    sys.stdout.write(_render(doc, args.format))
     if args.oracle and not doc.get("oracle", {}).get("all_match", True):
         raise OracleMismatchError("presentation oracle mismatch; see report")
     return 0

@@ -10,9 +10,6 @@ symmetric matrices computed by two independent algorithms.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -163,61 +160,6 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable dense rational matrix.  Fraction keeps entries in lowest terms."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError("entry count mismatch")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RatMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Fraction] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionError("ragged rows")
-            flat.extend(Fraction(x) for x in r)
-        return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
-    def from_int(cls, a: IntMatrix) -> "RatMatrix":
-        return cls(a.rows, a.cols, tuple(Fraction(x) for x in a.entries))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("shape mismatch in multiplication")
-        flat = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                flat.append(sum((self.at(i, t) * other.at(t, j) for t in range(self.cols)), Fraction(0)))
-        return RatMatrix(self.rows, other.cols, tuple(flat))
-
-    def scaled_integer(self) -> tuple[IntMatrix, int]:
-        """Smallest positive integer multiple with integer entries, and the scale."""
-        scale = 1
-        for x in self.entries:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
-        flat = tuple(int(x * scale) for x in self.entries)
-        return IntMatrix(self.rows, self.cols, flat), scale
-
-
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
@@ -311,64 +253,12 @@ def is_unimodular(a: IntMatrix) -> bool:
 # Smith normal form
 
 
-def _snf_cache_dir() -> str | None:
-    return os.environ.get("HOPFCALC_CACHE")
-
-
-def _snf_cache_path(a: IntMatrix) -> str | None:
-    base = _snf_cache_dir()
-    if not base:
-        return None
-    blob = json.dumps([a.rows, a.cols, list(a.entries)], separators=(",", ":")).encode()
-    return os.path.join(base, "snf-" + hashlib.sha256(blob).hexdigest() + ".json")
-
-
-def _snf_cache_load(a: IntMatrix) -> SmithForm | None:
-    path = _snf_cache_path(a)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        form = SmithForm(
-            u=IntMatrix.from_rows(data["u"]),
-            d=IntMatrix.from_rows(data["d"]),
-            v=IntMatrix.from_rows(data["v"]),
-        )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    # a stale or corrupted entry must never poison a result
-    if form.u @ a @ form.v != form.d:
-        return None
-    return form
-
-
-def _snf_cache_store(a: IntMatrix, form: SmithForm) -> None:
-    path = _snf_cache_path(a)
-    if not path:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"u": form.u.to_rows(), "d": form.d.to_rows(), "v": form.v.to_rows()}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
 def smith_normal_form(a: IntMatrix) -> SmithForm:
     """Smith normal form with transforms: U @ A @ V = D.
 
     Pivot selection: smallest nonzero absolute value, ties broken by row-major
-    position, so output is deterministic for a fixed input.  With the
-    HOPFCALC_CACHE environment variable set to a directory, results are
-    memoized on disk (and re-verified on load).
+    position, so output is deterministic for a fixed input.
     """
-    cached = _snf_cache_load(a)
-    if cached is not None:
-        return cached
-
     m, n = a.rows, a.cols
     d = a.to_rows()
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -458,11 +348,9 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
             for t2 in range(m):
                 u[i][t2] = -u[i][t2]
 
-    form = SmithForm(u=IntMatrix.from_rows(u) if m else IntMatrix(0, 0, ()),
+    return SmithForm(u=IntMatrix.from_rows(u) if m else IntMatrix(0, 0, ()),
                      d=IntMatrix.from_rows(d) if m else IntMatrix(0, n, ()),
                      v=IntMatrix.from_rows(v) if n else IntMatrix(n, n, ()))
-    _snf_cache_store(a, form)
-    return form
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

@@ -12,15 +12,18 @@ invariant-based equivalence decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .exactlinalg import (
     DimensionError,
+    Inertia,
     IntMatrix,
     SymmetryError,
     congruence_apply,
     det_bareiss,
     inertia,
+    inverse_unimodular,
 )
 
 
@@ -53,7 +56,11 @@ H_MATRIX = IntMatrix.from_rows([[0, 1], [1, 0]])
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Square integer matrix with symmetry sign epsilon in {+1, -1}."""
+    """Square integer matrix with symmetry sign epsilon in {+1, -1}.
+
+    The form is immutable, so its determinant, inertia and integer inverse
+    are computed the first time they are asked for and kept.
+    """
 
     matrix: IntMatrix
     epsilon: int
@@ -82,8 +89,22 @@ class BilinearForm:
     def is_symmetric(self) -> bool:
         return self.epsilon == 1
 
-    def det(self) -> int:
+    @cached_property
+    def _det(self) -> int:
         return det_bareiss(self.matrix)
+
+    @cached_property
+    def inertia(self) -> Inertia:
+        """Inertia of a symmetric form, from both algorithms of ``exactlinalg.inertia``."""
+        return inertia(self.matrix)
+
+    @cached_property
+    def inverse(self) -> IntMatrix:
+        """Verified integer inverse; raises NotUnimodularError unless det = +-1."""
+        return inverse_unimodular(self.matrix)
+
+    def det(self) -> int:
+        return self._det
 
     def is_unimodular(self) -> bool:
         return self.det() in (1, -1)
@@ -135,7 +156,7 @@ def form_type(f: BilinearForm) -> FormClass:
     if f.epsilon == -1:
         definiteness = "degenerate" if f.det() == 0 else "indefinite"
         return FormClass(parity, definiteness, uni)
-    ine = inertia(f.matrix)
+    ine = f.inertia
     if ine.n_zero > 0:
         definiteness = "degenerate"
     elif ine.n_minus == 0:
@@ -170,7 +191,7 @@ def classify_indefinite(f: BilinearForm) -> tuple[int, int]:
         raise ClassificationError("classification applies to symmetric forms only")
     if not f.is_even():
         raise ClassificationError("classification applies to even forms only")
-    ine = inertia(f.matrix)
+    ine = f.inertia
     if ine.n_zero > 0:
         raise ClassificationError("form is degenerate")
     if ine.n_plus == 0 or ine.n_minus == 0:
@@ -270,7 +291,7 @@ def decide_equivalent(f: BilinearForm, g: BilinearForm) -> str:
         return INEQUIVALENT
     if f.is_even() != g.is_even():
         return INEQUIVALENT
-    fi, gi = inertia(f.matrix), inertia(g.matrix)
+    fi, gi = f.inertia, g.inertia
     if fi != gi:
         return INEQUIVALENT
     both_indef = fi.n_plus > 0 and fi.n_minus > 0 and fi.n_zero == 0

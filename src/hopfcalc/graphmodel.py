@@ -12,13 +12,13 @@ fiber when its Betti numbers are determined by the decoration data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
     _from_betti_map,
-    _from_betti_pairs,
     is_cylinder,
     is_disk,
     project_link_descriptor,
@@ -63,6 +63,11 @@ class Edge:
 class DecoratedGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """``validate_graph`` of this graph, run once and kept."""
+        return validate_graph(self)
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,7 @@ def validate_graph(graph: DecoratedGraph) -> ValidationReport:
 
 
 def require_valid(graph: DecoratedGraph) -> None:
-    report = validate_graph(graph)
+    report = graph.validation
     if not report.ok:
         first = report.first
         raise GraphValidationError(f"{first.locus}: {first.message}")
@@ -266,7 +271,7 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
                         "by Betti data alone"
                     )
         g = counts.g
-        out = _from_betti_map({0: 1, 1: g, n - 1: g, n: 1}, n, 0)
+        out = _from_betti_map({0: 1, 1: g, n - 1: g, n: 1}.items(), n, 0)
     else:
         out = _projected_fiber(graph, n, k)
 
@@ -301,7 +306,7 @@ def _projected_fiber(graph: DecoratedGraph, n: int, k: int) -> FiberDescriptor:
         if d1 != d2:
             raise UnsupportedShapeError("the two projected decorations must have equal size")
         # doubled piece: connected sum of d copies of S^{n-1} x S^{k+1}
-        return _from_betti_pairs([(0, 1), (k + 1, d1), (n - 1, d1), (n + k, 1)], n + k, 0)
+        return _from_betti_map([(0, 1), (k + 1, d1), (n - 1, d1), (n + k, 1)], n + k, 0)
     if len(blacks) == 1 and len(whites) == 1:
         d = blacks[0][1].link.d
         if whites[0][1].fiber != projection_filler(n, k, d):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .exactlinalg import IntMatrix, inverse_unimodular, smith_normal_form
+from .exactlinalg import IntMatrix, smith_normal_form
 from .forms import BilinearForm
 
 
@@ -54,15 +54,8 @@ def _alternating_sum(betti) -> int:
     return sum(b if i % 2 == 0 else -b for i, b in enumerate(betti))
 
 
-def _from_betti_map(bmap: dict[int, int], dim: int, boundary: int) -> FiberDescriptor:
-    betti = [0] * (dim + 1)
-    for idx, b in bmap.items():
-        betti[idx] += b
-    return FiberDescriptor.from_betti(betti, boundary)
-
-
-def _from_betti_pairs(pairs, dim: int, boundary: int) -> FiberDescriptor:
-    """Like _from_betti_map but coincident indices accumulate additively."""
+def _from_betti_map(pairs, dim: int, boundary: int) -> FiberDescriptor:
+    """Descriptor from (index, count) pairs; counts at the same index add up."""
     betti = [0] * (dim + 1)
     for idx, b in pairs:
         betti[idx] += b
@@ -72,21 +65,21 @@ def _from_betti_pairs(pairs, dim: int, boundary: int) -> FiberDescriptor:
 def sphere(dim: int) -> FiberDescriptor:
     if dim < 1:
         raise ValueError("sphere of dimension >= 1")
-    return _from_betti_map({0: 1, dim: 1}, dim, 0)
+    return _from_betti_map({0: 1, dim: 1}.items(), dim, 0)
 
 
 def disk(dim: int) -> FiberDescriptor:
-    return _from_betti_map({0: 1}, dim, 1)
+    return _from_betti_map({0: 1}.items(), dim, 1)
 
 
 def cylinder(dim: int) -> FiberDescriptor:
     """S^{dim-1} x [0, 1]: the trivial connector with two boundary spheres."""
-    return _from_betti_map({0: 1, dim - 1: 1}, dim, 2)
+    return _from_betti_map({0: 1, dim - 1: 1}.items(), dim, 2)
 
 
 def holed_disk(dim: int, holes: int) -> FiberDescriptor:
     """A dim-disk with ``holes`` open sub-disks removed."""
-    return _from_betti_map({0: 1, dim - 1: holes}, dim, holes + 1)
+    return _from_betti_map({0: 1, dim - 1: holes}.items(), dim, holes + 1)
 
 
 def projection_filler(n: int, k: int, d: int) -> FiberDescriptor:
@@ -98,7 +91,7 @@ def projection_filler(n: int, k: int, d: int) -> FiberDescriptor:
     """
     if k < 1 or d < 1:
         raise ValueError("need k >= 1 and d >= 1")
-    return _from_betti_map({0: 1, k: d}, n + k, 1)
+    return _from_betti_map({0: 1, k: d}.items(), n + k, 1)
 
 
 def is_disk(f: FiberDescriptor) -> bool:
@@ -171,7 +164,7 @@ def derived_linking_matrix(link: LinkLike) -> IntMatrix:
     the preferred component.  Every row sums to zero.
     """
     a = _as_form(link)
-    inv = inverse_unimodular(a.matrix)  # raises NotUnimodularError otherwise
+    inv = a.inverse  # raises NotUnimodularError otherwise
     d = a.dim
     eps = a.epsilon
     out = [[0] * (d + 1) for _ in range(d + 1)]
@@ -379,12 +372,10 @@ def project_link_descriptor(link: HopfLinkSpec) -> tuple[FiberDescriptor, FiberD
     n, k, d = link.n, link.k, link.d
     if k == 0:
         fiber = holed_disk(n, d)
-        link_desc = _from_betti_map({0: d + 1, n - 1: d + 1}, n - 1, 0)
+        link_desc = _from_betti_map({0: d + 1, n - 1: d + 1}.items(), n - 1, 0)
         return fiber, link_desc
-    fiber = _from_betti_map({0: 1, n - 1: d}, n + k, 1)
-    link_desc = _from_betti_pairs(
-        [(0, 1), (k, d), (n - 1, d), (n + k - 1, 1)], n + k - 1, 0
-    )
+    fiber = _from_betti_map({0: 1, n - 1: d}.items(), n + k, 1)
+    link_desc = _from_betti_map([(0, 1), (k, d), (n - 1, d), (n + k - 1, 1)], n + k - 1, 0)
     return fiber, link_desc
 
 
@@ -396,7 +387,7 @@ def _torus_times_sphere(k: int, n: int) -> FiberDescriptor:
         c = math.comb(k, j)
         bmap[j] = bmap.get(j, 0) + c
         bmap[j + n - 1] = bmap.get(j + n - 1, 0) + c
-    return _from_betti_map(bmap, dim, 0)
+    return _from_betti_map(bmap.items(), dim, 0)
 
 
 def spin_link_descriptor(
@@ -425,5 +416,5 @@ def spin_link_descriptor(
     for j in range(k + 1):
         idx = n + k - 1 - j
         bmap[idx] = bmap.get(idx, 0) + d * math.comb(k, j)
-    fiber = _from_betti_map(bmap, n + k, d + 1)
+    fiber = _from_betti_map(bmap.items(), n + k, d + 1)
     return fiber, tuple(components)

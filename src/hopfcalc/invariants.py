@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactlinalg import (
-    Inertia,
-    IntMatrix,
-    inertia,
-    inverse_unimodular,
-    nullspace_rational,
-)
+from .exactlinalg import Inertia, IntMatrix, nullspace_rational
 from .forms import BilinearForm
 from .graphmodel import (
     BlackVertex,
@@ -33,7 +27,6 @@ from .graphmodel import (
     graph_counts,
     graph_dimensions,
     require_valid,
-    validate_graph,
 )
 from .hopflink import (
     FiberDescriptor,
@@ -116,25 +109,32 @@ def assemble_cup_form_k(
     """
     if v_link.k < 1:
         raise UnsupportedShapeError("projected cup form applies to k >= 1 specs")
-    inv_v = inverse_unimodular(v_link.form.matrix)
+    inv_v = v_link.form.inverse
     if isinstance(w, HopfLinkSpec):
         if w.k != v_link.k or w.n != v_link.n:
             raise UnsupportedShapeError("the two projected specs must share (n, k)")
         if w.d != v_link.d:
             raise UnsupportedShapeError("the two projected decorations must have equal size")
-        inv_w = inverse_unimodular(w.form.matrix)
-        return BilinearForm(inv_v + inv_w, v_link.form.epsilon)
+        return BilinearForm(inv_v + w.form.inverse, v_link.form.epsilon)
     if isinstance(w, FiberDescriptor):
         return BilinearForm(inv_v, v_link.form.epsilon)
     raise UnsupportedShapeError("second vertex must be a link spec or a fiber descriptor")
 
 
-def cup_form_for_graph(graph: DecoratedGraph) -> tuple[BilinearForm, tuple[str, ...]]:
-    """Dispatch a single graph to the right cup-form assembly; returns notes."""
-    require_valid(graph)
-    n, k = graph_dimensions(graph)
+def cup_form_for_family(
+    graphs: Sequence[DecoratedGraph], k: int
+) -> tuple[BilinearForm, tuple[str, ...]]:
+    """Dispatch a graph family to the right cup-form assembly; returns notes.
+
+    Unprojected (k = 0) families use the edge-indexed form; a projected
+    family must be a single graph of one of the two supported shapes.
+    """
     if k == 0:
-        return assemble_cup_form([graph]), ()
+        return assemble_cup_form(graphs), ()
+    if len(graphs) != 1:
+        raise UnsupportedShapeError("projected families support a single graph")
+    graph = graphs[0]
+    require_valid(graph)
     blacks = black_vertices(graph)
     whites = [(i, v) for i, v in enumerate(graph.vertices) if isinstance(v, WhiteVertex)]
     note = (
@@ -164,7 +164,7 @@ def analyze_cup_form(f: BilinearForm) -> CupFormAnalysis:
     """
     kernel = nullspace_rational(f.matrix)
     if f.epsilon == 1:
-        ine = inertia(f.matrix)
+        ine = f.inertia
         return CupFormAnalysis(ine, ine.sigma, kernel, len(kernel))
     return CupFormAnalysis(None, 0, kernel, len(kernel))
 
@@ -277,7 +277,7 @@ def detect_canonical_family(
     if len(graphs) != 1:
         return None
     graph = graphs[0]
-    if not validate_graph(graph).ok:
+    if not graph.validation.ok:
         return None
     blacks = black_vertices(graph)
     if len(blacks) != 1:
@@ -349,12 +349,7 @@ def _family_sigma(graphs: Sequence[DecoratedGraph], n: int, k: int) -> Optional[
     if n % 2 == 1:
         return 0  # skew convention
     try:
-        if k == 0:
-            form = assemble_cup_form(graphs)
-        elif len(graphs) == 1:
-            form, _ = cup_form_for_graph(graphs[0])
-        else:
-            return None
+        form, _ = cup_form_for_family(graphs, k)
     except UnsupportedShapeError:
         return None
     return analyze_cup_form(form).sigma
@@ -420,6 +415,7 @@ def product_phi_bound(factors: Sequence[ProductFactor], target: str = "S3") -> P
 
 @dataclass(frozen=True)
 class InvariantReport:
+    cup_form: BilinearForm
     chi: int
     inertia: Optional[Inertia]
     sigma: int
@@ -450,18 +446,16 @@ def invariant_report(
     k: int,
     assume_cobounding: bool,
 ) -> InvariantReport:
-    """Full invariant pipeline for a validated graph family."""
+    """Full invariant pipeline for a validated graph family.
+
+    The report keeps the cup form it analyzed, so callers need not assemble
+    it again.
+    """
     for graph in graphs:
         require_valid(graph)
 
-    notes: list[str] = []
-    if k == 0:
-        form = assemble_cup_form(graphs)
-    else:
-        if len(graphs) != 1:
-            raise UnsupportedShapeError("projected families support a single graph")
-        form, form_notes = cup_form_for_graph(graphs[0])
-        notes.extend(form_notes)
+    form, form_notes = cup_form_for_family(graphs, k)
+    notes = list(form_notes)
     analysis = analyze_cup_form(form)
 
     chi = euler_characteristic(graphs, n, k)
@@ -512,6 +506,7 @@ def invariant_report(
     )
 
     return InvariantReport(
+        cup_form=form,
         chi=chi,
         inertia=analysis.inertia,
         sigma=analysis.sigma,

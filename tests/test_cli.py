@@ -189,6 +189,26 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.count("pass") == 3
 
+    def test_non_unimodular_decoration_exit_one(self, tmp_path, capsys):
+        disk = {"color": "white", "fiber": {"betti": [1, 0, 0, 0, 0], "boundary_components": 1}}
+        data = {
+            "n": 4,
+            "k": 0,
+            "graphs": [
+                {
+                    "vertices": [{"color": "black", "matrix": [[0, 2], [2, 0]]}] + [disk] * 3,
+                    "edges": [{"u": 0, "v": c + 1, "u_comp": c, "v_comp": 0} for c in range(3)],
+                }
+            ],
+        }
+        path = tmp_path / "det4.json"
+        path.write_text(json.dumps(data))
+        for command in ("oracle", "report"):
+            assert main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "graphs[0].vertices[0].matrix: determinant -4" in err
+            assert "unimodular" in err
+
     def test_oracle_mismatch_exit_two(self, monkeypatch, capsys):
         import hopfcalc.cli as cli_mod
 
