@@ -2,25 +2,22 @@
 
 Parses JSON spec files describing decorated graphs (or product factor
 lists), runs the invariant pipeline, and emits deterministic text or JSON
-reports.  Exit codes: 0 report produced, 1 invalid spec, 2 internal
-invariant violation (an oracle or self-check mismatch, which must never be
-silently absorbed).
+reports.  Exit codes: 0 report produced, 1 invalid input (any
+``ValueError``, raised with a locus), 2 internal invariant violation
+(``AlgorithmMismatchError``: an oracle or self-check mismatch, which must
+never be silently absorbed).
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Collection, Optional, Sequence
 
-from .exactlinalg import (
-    AlgorithmMismatchError,
-    IntMatrix,
-    NotUnimodularError,
-    SymmetryError,
-)
+from .exactlinalg import AlgorithmMismatchError, IntMatrix
 from .forms import (
     BilinearForm,
     ClassificationError,
@@ -32,8 +29,6 @@ from .graphmodel import (
     BlackVertex,
     DecoratedGraph,
     Edge,
-    GraphValidationError,
-    UnsupportedShapeError,
     WhiteVertex,
     black_vertices,
     graph_counts,
@@ -58,10 +53,6 @@ class SpecFileError(ValueError):
     """Invalid spec file; carries a field locus in the message."""
 
 
-class OracleMismatchError(RuntimeError):
-    """The presentation oracle contradicted the derived linking matrix."""
-
-
 # ---------------------------------------------------------------------------
 # spec files
 
@@ -74,11 +65,26 @@ class SpecFile:
     assume_cobounding: bool
     graphs: tuple[DecoratedGraph, ...]
     factors: tuple[ProductFactor, ...]
+    # deep copy of the validated input document, theta and assume_cobounding filled in
+    data: dict = field(repr=False)
 
 
-def _expect_keys(obj: dict, allowed: set[str], required: set[str], locus: str) -> None:
+def _load_json(path: str) -> Any:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecFileError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _expect_keys(obj: Any, required: Sequence[str], locus: str, optional: Collection[str] = ()) -> None:
+    """``obj`` must be an object of listed fields; the first missing ``required`` one is named."""
+    if not isinstance(obj, dict):
+        raise SpecFileError(f"{locus}: expected an object")
     for key in obj:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise SpecFileError(f"{locus}: unknown field {key!r}")
     for key in required:
         if key not in obj:
@@ -101,10 +107,27 @@ def _parse_matrix(value: Any, locus: str) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+def _check_dimensions(n: int, k: int, theta: int, prefix: str) -> None:
+    """The n, k and theta rule for every link; ``prefix`` leads each locus."""
+    if n < 3:
+        raise SpecFileError(f"{prefix}n: n >= 3 required, got {n}")
+    if k < 0 or n - k < 2:
+        raise SpecFileError(f"{prefix}k: need 0 <= k <= n - 2, got {k}")
+    if theta < 1:
+        raise SpecFileError(f"{prefix}theta: positive integer required")
+
+
+def _parse_link(value: Any, n: int, k: int, theta: int, locus: str) -> HopfLinkSpec:
+    """Link decorated by the matrix ``value``; n, k and theta passed ``_check_dimensions``."""
+    matrix = _parse_matrix(value, locus)
+    try:
+        return HopfLinkSpec(BilinearForm(matrix, (-1) ** n), n=n, k=k, theta=theta)
+    except ValueError as exc:
+        raise SpecFileError(f"{locus}: {exc}") from exc
+
+
 def _parse_fiber(value: Any, locus: str) -> FiberDescriptor:
-    if not isinstance(value, dict):
-        raise SpecFileError(f"{locus}: expected an object")
-    _expect_keys(value, {"betti", "boundary_components"}, {"betti", "boundary_components"}, locus)
+    _expect_keys(value, ("betti", "boundary_components"), locus)
     betti = value["betti"]
     if not isinstance(betti, list) or not betti:
         raise SpecFileError(f"{locus}.betti: expected a nonempty array of integers")
@@ -121,31 +144,23 @@ def _parse_vertex(value: Any, n: int, k: int, theta: int, locus: str):
         raise SpecFileError(f"{locus}: expected an object")
     color = value.get("color")
     if color == "black":
-        _expect_keys(value, {"color", "matrix"}, {"color", "matrix"}, locus)
-        matrix = _parse_matrix(value["matrix"], f"{locus}.matrix")
-        eps = (-1) ** n
-        try:
-            form = BilinearForm(matrix, eps)
-            link = HopfLinkSpec(form, n=n, k=k, theta=theta)
-        except (SymmetryError, ValueError) as exc:
-            raise SpecFileError(f"{locus}.matrix: {exc}") from exc
-        det = form.det()
+        _expect_keys(value, ("color", "matrix"), locus)
+        link = _parse_link(value["matrix"], n, k, theta, f"{locus}.matrix")
+        det = link.form.det()
         if det not in (1, -1):
             raise SpecFileError(f"{locus}.matrix: determinant {det}, decoration must be unimodular")
         return BlackVertex(link)
     if color == "white":
-        _expect_keys(value, {"color", "fiber"}, {"color", "fiber"}, locus)
+        _expect_keys(value, ("color", "fiber"), locus)
         return WhiteVertex(_parse_fiber(value["fiber"], f"{locus}.fiber"))
     raise SpecFileError(f"{locus}.color: expected 'black' or 'white', got {color!r}")
 
 
 def _parse_edge(value: Any, locus: str) -> Edge:
-    if not isinstance(value, dict):
-        raise SpecFileError(f"{locus}: expected an object")
-    _expect_keys(value, {"u", "v", "u_comp", "v_comp", "twist"}, {"u", "v", "u_comp", "v_comp"}, locus)
+    _expect_keys(value, ("u", "v", "u_comp", "v_comp"), locus, optional=("twist",))
     twist = value.get("twist")
-    if twist is not None and not isinstance(twist, str):
-        raise SpecFileError(f"{locus}.twist: expected a string")
+    if "twist" in value and not isinstance(twist, str):
+        raise SpecFileError(f"{locus}.twist: expected a string, got {twist!r}")
     return Edge(
         u=_expect_int(value["u"], f"{locus}.u"),
         v=_expect_int(value["v"], f"{locus}.v"),
@@ -160,20 +175,18 @@ def _parse_factor(value: Any, locus: str) -> ProductFactor:
         raise SpecFileError(f"{locus}: expected an object")
     kind = value.get("kind")
     if kind == "S4":
-        _expect_keys(value, {"kind"}, {"kind"}, locus)
+        _expect_keys(value, ("kind",), locus)
         return ProductFactor("S4")
     if kind == "connsum":
-        _expect_keys(value, {"kind", "r"}, {"kind", "r"}, locus)
+        _expect_keys(value, ("kind", "r"), locus)
         return ProductFactor("connsum", _expect_int(value["r"], f"{locus}.r"))
     raise SpecFileError(f"{locus}.kind: expected 'S4' or 'connsum', got {kind!r}")
 
 
 def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
     """Validate a decoded spec document; raises SpecFileError with a locus."""
-    if not isinstance(data, dict):
-        raise SpecFileError(f"{source}: top level must be an object")
     allowed = {"n", "k", "theta", "assume_cobounding", "graphs", "factors"}
-    _expect_keys(data, allowed, set(), source)
+    _expect_keys(data, (), source, optional=allowed)
 
     has_graphs = "graphs" in data
     has_factors = "factors" in data
@@ -188,23 +201,16 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             if key in data:
                 raise SpecFileError(f"{source}.{key}: not used with 'factors'")
         factors = tuple(_parse_factor(f, f"{source}.factors[{i}]") for i, f in enumerate(factors_raw))
-        return SpecFile(0, 0, 1, False, (), factors)
+        return SpecFile(0, 0, 1, False, (), factors, copy.deepcopy(data))
 
-    for key in ("n", "k"):
-        if key not in data:
-            raise SpecFileError(f"{source}: missing field {key!r}")
+    _expect_keys(data, ("n", "k"), source, optional=allowed)
     n = _expect_int(data["n"], f"{source}.n")
     k = _expect_int(data["k"], f"{source}.k")
     theta = _expect_int(data.get("theta", 1), f"{source}.theta")
     cobound = data.get("assume_cobounding", False)
     if not isinstance(cobound, bool):
         raise SpecFileError(f"{source}.assume_cobounding: expected a boolean")
-    if n < 3:
-        raise SpecFileError(f"{source}.n: n >= 3 required, got {n}")
-    if k < 0 or n - k < 2:
-        raise SpecFileError(f"{source}.k: need 0 <= k <= n - 2, got {k}")
-    if theta < 1:
-        raise SpecFileError(f"{source}.theta: positive integer required")
+    _check_dimensions(n, k, theta, f"{source}.")
 
     graphs_raw = data["graphs"]
     if not isinstance(graphs_raw, list) or not graphs_raw:
@@ -212,9 +218,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
     graphs = []
     for g_idx, graw in enumerate(graphs_raw):
         locus = f"{source}.graphs[{g_idx}]"
-        if not isinstance(graw, dict):
-            raise SpecFileError(f"{locus}: expected an object")
-        _expect_keys(graw, {"vertices", "edges"}, {"vertices", "edges"}, locus)
+        _expect_keys(graw, ("vertices", "edges"), locus)
         vraw, eraw = graw["vertices"], graw["edges"]
         if not isinstance(vraw, list) or not vraw:
             raise SpecFileError(f"{locus}.vertices: expected a nonempty array")
@@ -230,64 +234,35 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             first = report.first
             raise SpecFileError(f"{locus}.{first.locus}: {first.message}")
         graphs.append(graph)
-    return SpecFile(n, k, theta, cobound, tuple(graphs), ())
+    echo = {**copy.deepcopy(data), "theta": theta, "assume_cobounding": cobound}
+    return SpecFile(n, k, theta, cobound, tuple(graphs), (), echo)
 
 
 def parse_spec(path: str) -> SpecFile:
     """Parse and fully validate a spec file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_spec_data(data, source=path)
+    return parse_spec_data(_load_json(path), source=path)
 
 
 def spec_to_data(spec: SpecFile) -> dict:
     """Normalized JSON document for a spec (defaults made explicit)."""
-    if spec.factors:
-        return {
-            "factors": [
-                {"kind": f.kind} if f.kind == "S4" else {"kind": f.kind, "r": f.r}
-                for f in spec.factors
-            ]
-        }
-    graphs = []
-    for graph in spec.graphs:
-        vertices = []
-        for v in graph.vertices:
-            if isinstance(v, BlackVertex):
-                vertices.append({"color": "black", "matrix": v.link.form.matrix.to_rows()})
-            else:
-                vertices.append(
-                    {
-                        "color": "white",
-                        "fiber": {
-                            "betti": list(v.fiber.betti),
-                            "boundary_components": v.fiber.boundary_components,
-                        },
-                    }
-                )
-        edges = []
-        for e in graph.edges:
-            entry = {"u": e.u, "v": e.v, "u_comp": e.u_comp, "v_comp": e.v_comp}
-            if e.twist is not None:
-                entry["twist"] = e.twist
-            edges.append(entry)
-        graphs.append({"vertices": vertices, "edges": edges})
-    return {
-        "n": spec.n,
-        "k": spec.k,
-        "theta": spec.theta,
-        "assume_cobounding": spec.assume_cobounding,
-        "graphs": graphs,
-    }
+    return spec.data
 
 
 # ---------------------------------------------------------------------------
 # report assembly
+
+
+def _admissibility_fields(link: HopfLinkSpec) -> dict:
+    adm = admissibility_check(link)
+    return {
+        "size": link.d,
+        "determinant": adm.determinant,
+        "unimodular": adm.unimodular,
+        "skew_rank_even": adm.skew_rank_even,
+        "admissible": adm.admissible,
+        "directly_fibered": adm.directly_fibered,
+        "notes": list(adm.notes),
+    }
 
 
 def _link_section(spec: SpecFile) -> list[dict]:
@@ -295,7 +270,6 @@ def _link_section(spec: SpecFile) -> list[dict]:
     for g_idx, graph in enumerate(spec.graphs):
         for v_idx, v in black_vertices(graph):
             link = v.link
-            adm = admissibility_check(link)
             klass = classified_form_type(link.form)
             classification: Optional[dict] = (
                 {"p": klass.p, "q": klass.q} if klass.p is not None else None
@@ -304,17 +278,11 @@ def _link_section(spec: SpecFile) -> list[dict]:
                 {
                     "graph": g_idx,
                     "vertex": v_idx,
-                    "size": link.d,
-                    "determinant": adm.determinant,
-                    "unimodular": adm.unimodular,
-                    "skew_rank_even": adm.skew_rank_even,
-                    "admissible": adm.admissible,
-                    "directly_fibered": adm.directly_fibered,
+                    **_admissibility_fields(link),
                     "parity": klass.parity,
                     "definiteness": klass.definiteness,
                     "classification": classification,
                     "linking_matrix": derived_linking_matrix(link).to_rows(),
-                    "notes": list(adm.notes),
                 }
             )
     return out
@@ -342,6 +310,11 @@ def _oracle_section(spec: SpecFile) -> dict:
                 )
                 all_match = all_match and match
     return {"checks": checks, "all_match": all_match}
+
+
+def _require_match(section: dict) -> None:
+    if not section["all_match"]:
+        raise AlgorithmMismatchError("presentation oracle disagrees with the derived linking matrix")
 
 
 def build_report(spec: SpecFile, oracle: bool = False) -> dict:
@@ -462,19 +435,24 @@ def _render_text(doc: dict) -> str:
         push(f"  verdict: {verdict}")
     if "oracle" in doc:
         push(f"  oracle: all_match = {str(doc['oracle']['all_match']).lower()}")
-        for chk in doc["oracle"]["checks"]:
-            push(
-                f"    graph {chk['graph']} vertex {chk['vertex']} component {chk['component']}: "
-                f"group {chk['group']}, match = {str(chk['match']).lower()}"
-            )
+        lines.extend(_oracle_lines(doc["oracle"]["checks"], "    "))
     return "\n".join(lines) + "\n"
 
 
-def _render(doc: dict, fmt: str) -> str:
+def _oracle_lines(checks: list[dict], indent: str) -> list[str]:
+    return [
+        f"{indent}graph {chk['graph']} vertex {chk['vertex']} component {chk['component']}: "
+        f"group {chk['group']}, match = {str(chk['match']).lower()}"
+        for chk in checks
+    ]
+
+
+def _render(doc: dict, fmt: str, render_text: Callable[[dict], str] = _render_text) -> str:
+    """The one output step: ``doc`` as sorted, indented JSON or as text."""
     if fmt == "json":
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if fmt == "text":
-        return _render_text(doc)
+        return render_text(doc)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -487,61 +465,49 @@ def emit_report(spec: SpecFile, fmt: str = "text", oracle: bool = False) -> str:
 # subcommands
 
 
-def _load_matrix_file(path: str) -> IntMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return _parse_matrix(data, path)
-
-
 def _cmd_report(args) -> int:
     spec = parse_spec(args.spec)
     doc = build_report(spec, oracle=args.oracle)
     sys.stdout.write(_render(doc, args.format))
-    if args.oracle and not doc.get("oracle", {}).get("all_match", True):
-        raise OracleMismatchError("presentation oracle mismatch; see report")
+    if "oracle" in doc:
+        _require_match(doc["oracle"])
     return 0
+
+
+def _check_link_text(doc: dict) -> str:
+    return (
+        f"link check: size {doc['size']}, n = {doc['n']}, k = {doc['k']}\n"
+        f"  determinant = {doc['determinant']}\n"
+        f"  admissible = {str(doc['admissible']).lower()}\n"
+        f"  directly fibered = {str(doc['directly_fibered']).lower()}\n"
+        + "".join(f"  note: {note}\n" for note in doc["notes"])
+    )
 
 
 def _cmd_check_link(args) -> int:
-    matrix = _load_matrix_file(args.matrix)
-    eps = (-1) ** args.n
-    try:
-        form = BilinearForm(matrix, eps)
-        link = HopfLinkSpec(form, n=args.n, k=args.k, theta=args.theta)
-    except (SymmetryError, ValueError) as exc:
-        raise SpecFileError(f"{args.matrix}: {exc}") from exc
-    adm = admissibility_check(link)
-    doc = {
-        "n": args.n,
-        "k": args.k,
-        "size": link.d,
-        "determinant": adm.determinant,
-        "unimodular": adm.unimodular,
-        "skew_rank_even": adm.skew_rank_even,
-        "admissible": adm.admissible,
-        "directly_fibered": adm.directly_fibered,
-        "notes": list(adm.notes),
-    }
-    if args.format == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(
-            f"link check: size {doc['size']}, n = {doc['n']}, k = {doc['k']}\n"
-            f"  determinant = {doc['determinant']}\n"
-            f"  admissible = {str(doc['admissible']).lower()}\n"
-            f"  directly fibered = {str(doc['directly_fibered']).lower()}\n"
-            + "".join(f"  note: {note}\n" for note in doc["notes"])
-        )
+    _check_dimensions(args.n, args.k, args.theta, "--")
+    link = _parse_link(_load_json(args.matrix), args.n, args.k, args.theta, args.matrix)
+    doc = {"n": args.n, "k": args.k, **_admissibility_fields(link)}
+    sys.stdout.write(_render(doc, args.format, _check_link_text))
     return 0
 
 
+def _classify_text(doc: dict) -> str:
+    lines = [
+        f"form: size {doc['size']}, epsilon {doc['epsilon']}, det {doc['determinant']}",
+        f"  parity = {doc['parity']}, definiteness = {doc['definiteness']}, "
+        f"unimodular = {str(doc['unimodular']).lower()}",
+    ]
+    if doc["classification"]:
+        c = doc["classification"]
+        lines.append(f"  classification: (p, q) = ({c['p']}, {c['q']})")
+    else:
+        lines.append(f"  classification: not applicable ({doc['classification_note']})")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_classify(args) -> int:
-    matrix = _load_matrix_file(args.matrix)
+    matrix = _parse_matrix(_load_json(args.matrix), args.matrix)
     if matrix.is_symmetric():
         eps = 1
     elif matrix.is_skew_symmetric():
@@ -564,40 +530,25 @@ def _cmd_classify(args) -> int:
     except ClassificationError as exc:
         doc["classification"] = None
         doc["classification_note"] = str(exc)
-    if args.format == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        lines = [
-            f"form: size {doc['size']}, epsilon {doc['epsilon']}, det {doc['determinant']}",
-            f"  parity = {doc['parity']}, definiteness = {doc['definiteness']}, "
-            f"unimodular = {str(doc['unimodular']).lower()}",
-        ]
-        if doc["classification"]:
-            c = doc["classification"]
-            lines.append(f"  classification: (p, q) = ({c['p']}, {c['q']})")
-        else:
-            lines.append(f"  classification: not applicable ({doc['classification_note']})")
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(_render(doc, args.format, _classify_text))
     return 0
+
+
+def _oracle_text(section: dict) -> str:
+    lines = _oracle_lines(section["checks"], "")
+    lines.append(f"all_match = {str(section['all_match']).lower()}")
+    return "\n".join(lines) + "\n"
+
+
+def _no_links_text(section: dict) -> str:
+    return "oracle: no links to check in a product spec\n"
 
 
 def _cmd_oracle(args) -> int:
     spec = parse_spec(args.spec)
-    if spec.factors:
-        sys.stdout.write("oracle: no links to check in a product spec\n")
-        return 0
     section = _oracle_section(spec)
-    if args.format == "json":
-        sys.stdout.write(json.dumps(section, sort_keys=True, indent=2) + "\n")
-    else:
-        for chk in section["checks"]:
-            sys.stdout.write(
-                f"graph {chk['graph']} vertex {chk['vertex']} component {chk['component']}: "
-                f"group {chk['group']}, match = {str(chk['match']).lower()}\n"
-            )
-        sys.stdout.write(f"all_match = {str(section['all_match']).lower()}\n")
-    if not section["all_match"]:
-        raise OracleMismatchError("presentation oracle disagrees with the derived linking matrix")
+    sys.stdout.write(_render(section, args.format, _oracle_text if spec.graphs else _no_links_text))
+    _require_match(section)
     return 0
 
 
@@ -697,13 +648,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SpecFileError as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (GraphValidationError, UnsupportedShapeError, NotUnimodularError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OracleMismatchError, AlgorithmMismatchError) as exc:
+    except AlgorithmMismatchError as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
         return 2
 

@@ -51,19 +51,20 @@ class IntMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        for x in self.entries:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"integer entry required, got {x!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        """Matrix from a list of rows; every entry must be an ``int`` (not a ``bool``)."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         flat: list[int] = []
         for r in rows:
             if len(r) != ncols:
                 raise DimensionError("ragged rows")
-            flat.extend(int(x) for x in r)
+            flat.extend(r)
+        for x in flat:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"integer entry required, got {x!r}")
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
+from .exactlinalg import AlgorithmMismatchError
 from .hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
@@ -276,7 +277,7 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
         out = _projected_fiber(graph, n, k)
 
     if out.euler != chi:
-        raise AssertionError(
+        raise AlgorithmMismatchError(
             f"fiber self-check failed: glued Euler characteristic {chi} vs descriptor {out.euler}"
         )
     return out

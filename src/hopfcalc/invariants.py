@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactlinalg import Inertia, IntMatrix, nullspace_rational
+from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, nullspace_rational
 from .forms import BilinearForm
 from .graphmodel import (
     BlackVertex,
@@ -428,16 +428,17 @@ class InvariantReport:
     verdicts: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # the pipeline computed these fields; a contradiction is an internal fault
         if self.inertia is not None and self.sigma != self.inertia.sigma:
-            raise ValueError("sigma must match the inertia")
+            raise AlgorithmMismatchError("sigma must match the inertia")
         if self.kernel_dim != len(self.kernel_basis):
-            raise ValueError("kernel_dim must match the basis")
+            raise AlgorithmMismatchError("kernel_dim must match the basis")
         if (
             self.phi_lower is not None
             and self.phi_upper is not None
             and self.phi_lower > self.phi_upper
         ):
-            raise ValueError("phi bounds out of order")
+            raise AlgorithmMismatchError("phi bounds out of order")
 
 
 def invariant_report(

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hopfcalc
 from hopfcalc.cli import (
     SpecFileError,
     build_report,
@@ -171,6 +175,12 @@ class TestMain:
         out = capsys.readouterr().out
         assert "directly fibered = true" in out
 
+    def test_check_link_k_bound(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[[0, 1], [1, 0]]")
+        assert main(["check-link", "--matrix", str(path), "--n", "4", "--k", "3"]) == 1
+        assert "--k: need 0 <= k <= n - 2, got 3" in capsys.readouterr().err
+
     def test_check_link_wrong_symmetry(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text("[[0, 1], [1, 0]]")  # symmetric, but n = 3 needs skew
@@ -208,6 +218,40 @@ class TestMain:
             err = capsys.readouterr().err
             assert "graphs[0].vertices[0].matrix: determinant -4" in err
             assert "unimodular" in err
+
+    def test_null_twist_exit_one(self, tmp_path, capsys):
+        data = load(TREE)
+        data["graphs"][0]["edges"][0]["twist"] = None
+        path = tmp_path / "twist.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == 1
+        assert "graphs[0].edges[0].twist: expected a string" in capsys.readouterr().err
+
+    def test_missing_field_message_is_deterministic(self, tmp_path):
+        data = load(TREE)
+        del data["graphs"][0]["edges"][0]["u"], data["graphs"][0]["edges"][0]["v"]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(data))
+        src = os.path.dirname(os.path.dirname(hopfcalc.__file__))
+        errors = set()
+        for seed in range(6):  # set iteration order of str follows the hash seed
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-m", "hopfcalc.cli", "report", str(path)],
+                                  env=env, capture_output=True, text=True, check=False)
+            assert proc.returncode == 1
+            errors.add(proc.stderr)
+        assert len(errors) == 1 and "edges[0]: missing field 'u'" in errors.pop()
+
+    def test_oracle_json_on_product_spec(self, capsys):
+        assert main(["oracle", PRODUCTS, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"all_match": True, "checks": []}
+
+    def test_internal_fault_exit_two(self, monkeypatch, capsys):
+        import hopfcalc.graphmodel as graphmodel
+
+        monkeypatch.setattr(graphmodel, "_glue_piece_euler", lambda graph, e, n, k: 99)
+        assert main(["report", TREE]) == 2
+        assert "fiber self-check failed" in capsys.readouterr().err
 
     def test_oracle_mismatch_exit_two(self, monkeypatch, capsys):
         import hopfcalc.cli as cli_mod

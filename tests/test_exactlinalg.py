@@ -56,6 +56,13 @@ small_square = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+class TestIntMatrix:
+    @pytest.mark.parametrize("bad", [1.5, True, Fraction(1), "1"])
+    def test_from_rows_rejects_non_int_entries(self, bad):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[0, bad], [bad, 0]])
+
+
 class TestDeterminant:
     def test_identity(self):
         assert det_bareiss(IntMatrix.identity(3)) == 1

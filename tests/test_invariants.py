@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from hopfcalc.exactlinalg import Inertia, IntMatrix, inertia
+from hopfcalc.exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, inertia
 from hopfcalc.forms import (
     BilinearForm,
     H_MATRIX,
@@ -347,6 +348,11 @@ class TestInvariantReport:
         assert report.homology_ranks is not None and report.homology_ranks[4] == 12
         assert (report.phi_lower, report.phi_upper) == (1, 1)
         assert any("does not fiber over any sphere" in v for v in report.verdicts)
+
+    def test_inconsistent_report_is_internal_fault(self):
+        report = invariant_report([single_black_tree(HopfLinkSpec(J, n=3))], 3, 0, False)
+        with pytest.raises(AlgorithmMismatchError):
+            dataclasses.replace(report, kernel_dim=report.kernel_dim + 1)
 
     def test_without_cobounding_flag(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
