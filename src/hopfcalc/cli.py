@@ -11,7 +11,6 @@ never be silently absorbed).
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from dataclasses import dataclass, field
@@ -65,7 +64,7 @@ class SpecFile:
     assume_cobounding: bool
     graphs: tuple[DecoratedGraph, ...]
     factors: tuple[ProductFactor, ...]
-    # deep copy of the validated input document, theta and assume_cobounding filled in
+    # copy of the validated input document (a JSON round trip), theta and assume_cobounding filled in
     data: dict = field(repr=False)
 
 
@@ -201,7 +200,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             if key in data:
                 raise SpecFileError(f"{source}.{key}: not used with 'factors'")
         factors = tuple(_parse_factor(f, f"{source}.factors[{i}]") for i, f in enumerate(factors_raw))
-        return SpecFile(0, 0, 1, False, (), factors, copy.deepcopy(data))
+        return SpecFile(0, 0, 1, False, (), factors, json.loads(json.dumps(data)))
 
     _expect_keys(data, ("n", "k"), source, optional=allowed)
     n = _expect_int(data["n"], f"{source}.n")
@@ -234,7 +233,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             first = report.first
             raise SpecFileError(f"{locus}.{first.locus}: {first.message}")
         graphs.append(graph)
-    echo = {**copy.deepcopy(data), "theta": theta, "assume_cobounding": cobound}
+    echo = {**json.loads(json.dumps(data)), "theta": theta, "assume_cobounding": cobound}
     return SpecFile(n, k, theta, cobound, tuple(graphs), (), echo)
 
 

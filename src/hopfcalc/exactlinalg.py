@@ -3,8 +3,9 @@
 Every computation in this package is exact: entries are Python ints
 (arbitrary precision) or ``fractions.Fraction``.  No floating point enters
 anywhere.  The operations provided here are the substrate for everything
-else: determinants (Bareiss), Smith normal form with transforms, integer
-inverses of unimodular matrices, rational nullspaces, and the inertia of
+else: determinants, integer inverses of unimodular matrices and rational
+nullspaces, all read from one fraction-free Gauss-Jordan elimination; Smith
+normal form with transforms, for the presentation oracle; and the inertia of
 symmetric matrices computed by two independent algorithms.
 """
 
@@ -213,41 +214,108 @@ class SmithForm:
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# fraction-free elimination: determinant, inverse, kernel
+
+
+def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the rows ``m``, in place.
+
+    Bareiss (1968) elimination with the update applied to every non-pivot
+    row, above the pivot as well as below, so every division is exact.  At
+    the end each pivot row holds ``scale`` in its pivot column and every
+    other row holds 0 there: ``m / scale`` is the reduced row echelon form,
+    and ``scale`` is the last pivot.  Returns (pivot columns, scale, sign of
+    the row permutation).
+    """
+    pivots: list[int] = []
+    scale = sign = 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            sign = -sign
+        pivot_row = m[r]
+        p = pivot_row[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(x * p - f * y) // scale for x, y in zip(row, pivot_row)]
+        pivots.append(col)
+        scale = p
+    return pivots, scale, sign
 
 
 def det_bareiss(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not a.is_square:
         raise DimensionError("determinant of non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                # Bareiss: this division is exact
-                m[i][j] = (m[i][j] * pivot - mik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    pivots, scale, sign = _gauss_jordan(a.to_rows())
+    return sign * scale if len(pivots) == a.rows else 0
 
 
 def is_unimodular(a: IntMatrix) -> bool:
     return a.is_square and det_bareiss(a) in (1, -1)
+
+
+def inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Exact integer inverse of a matrix with determinant +-1, by elimination on [A | I]."""
+    if not a.is_square:
+        raise DimensionError("inverse of non-square matrix")
+    n = a.rows
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a.to_rows())]
+    pivots, scale, sign = _gauss_jordan(m)
+    det = sign * scale if pivots == list(range(n)) else 0
+    if det not in (1, -1):
+        raise NotUnimodularError(f"matrix has determinant {det}")
+    inv = IntMatrix.from_rows([[scale * x for x in row[n:]] for row in m])  # 1 / scale == scale
+    if a @ inv != IntMatrix.identity(n):
+        raise AlgorithmMismatchError("inverse verification failed")
+    return inv
+
+
+def nullspace_rational(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis of the right nullspace over Q, verified by one integer product.
+
+    Each basis vector is normalized so its first nonzero coordinate is 1;
+    vectors are ordered by their free column.  Use ``clear_denominators`` for
+    the primitive integer form of a vector.
+    """
+    m = a.to_rows()
+    pivots, scale, _ = _gauss_jordan(m)
+    basis = []
+    for free in (c for c in range(a.cols) if c not in pivots):
+        vec = [0] * a.cols
+        vec[free] = scale
+        for row, pc in zip(m, pivots):
+            vec[pc] = -row[free]
+        lead = next(x for x in vec if x)
+        basis.append(tuple(Fraction(x, lead) for x in vec))
+    ints = IntMatrix(len(basis), a.cols, tuple(x for v in basis for x in clear_denominators(v)))
+    if ints @ a.transpose() != IntMatrix.zeros(len(basis), a.rows):
+        raise AlgorithmMismatchError("kernel verification failed")
+    return tuple(basis)
+
+
+def clear_denominators(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """Primitive integer vector proportional to ``vec``, first nonzero entry positive."""
+    scale = 1
+    for x in vec:
+        scale = scale * x.denominator // _gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in vec]
+    g = 0
+    for x in ints:
+        g = _gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    for x in ints:
+        if x != 0:
+            if x < 0:
+                ints = [-y for y in ints]
+            break
+    return tuple(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -352,88 +420,6 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     return SmithForm(u=IntMatrix.from_rows(u) if m else IntMatrix(0, 0, ()),
                      d=IntMatrix.from_rows(d) if m else IntMatrix(0, n, ()),
                      v=IntMatrix.from_rows(v) if n else IntMatrix(n, n, ()))
-
-
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    if not a.is_square:
-        raise DimensionError("inverse of non-square matrix")
-    form = smith_normal_form(a)
-    if form.d != IntMatrix.identity(a.rows):
-        raise NotUnimodularError(
-            f"matrix has invariant factors {form.diagonal()}, determinant {det_bareiss(a)}"
-        )
-    inv = form.v @ form.u  # U A V = I  =>  A^{-1} = V U
-    if a @ inv != IntMatrix.identity(a.rows):
-        raise AlgorithmMismatchError("inverse verification failed")
-    return inv
-
-
-# ---------------------------------------------------------------------------
-# rational nullspace
-
-
-def nullspace_rational(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Basis of the right nullspace over Q.
-
-    Each basis vector is normalized so its first nonzero coordinate is 1;
-    vectors are ordered by their free column.  Use ``clear_denominators`` for
-    the primitive integer form of a vector.
-    """
-    m, n = a.rows, a.cols
-    r = [[Fraction(a.at(i, j)) for j in range(n)] for i in range(m)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for i in range(row, m):
-            if r[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        r[row], r[sel] = r[sel], r[row]
-        inv = r[row][col]
-        r[row] = [x / inv for x in r[row]]
-        for i in range(m):
-            if i != row and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -r[i][free]
-        lead = next(x for x in vec if x != 0)
-        basis.append(tuple(x / lead for x in vec))
-    return tuple(basis)
-
-
-def clear_denominators(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Primitive integer vector proportional to ``vec``, first nonzero entry positive."""
-    scale = 1
-    for x in vec:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
 
 
 # ---------------------------------------------------------------------------

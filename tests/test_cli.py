@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from hopfcalc.cli import (
     spec_to_data,
 )
 from hopfcalc.fixtures import fixture_names, fixture_path
+from hopfcalc.sampling import random_zero_diagonal_form
 
 TREE = fixture_path("tree_h.json")
 TREE_E8H = fixture_path("tree_e8h.json")
@@ -93,6 +95,15 @@ class TestParse:
         spec = parse_spec_data(data)
         assert spec.graphs[0].edges[0].twist == "half-turn"
         assert spec_to_data(spec)["graphs"][0]["edges"][0]["twist"] == "half-turn"
+
+    @pytest.mark.parametrize("path", [TREE, PRODUCTS])
+    def test_data_is_a_copy_of_the_input(self, path):
+        data = load(path)
+        spec = parse_spec_data(data)
+        before = json.dumps(spec.data)
+        data["graphs" if "graphs" in data else "factors"][0].clear()
+        data["n"] = 99
+        assert json.dumps(spec.data) == before
 
 
 class TestEmit:
@@ -241,6 +252,30 @@ class TestMain:
             assert proc.returncode == 1
             errors.add(proc.stderr)
         assert len(errors) == 1 and "edges[0]: missing field 'u'" in errors.pop()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_decoration_linking_matrix_matches_oracle(self, seed, tmp_path, capsys):
+        # the linking matrix comes from the elimination inverse, the oracle from Smith forms
+        epsilon, n = (1, 4) if seed % 2 == 0 else (-1, 3)
+        matrix = random_zero_diagonal_form(random.Random(seed), epsilon).matrix
+        disk = {"color": "white", "fiber": {"betti": [1] + [0] * n, "boundary_components": 1}}
+        comps = matrix.rows + 1
+        data = {
+            "n": n,
+            "k": 0,
+            "graphs": [
+                {
+                    "vertices": [{"color": "black", "matrix": matrix.to_rows()}] + [disk] * comps,
+                    "edges": [{"u": 0, "v": c + 1, "u_comp": c, "v_comp": 0} for c in range(comps)],
+                }
+            ],
+        }
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path), "--oracle", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["oracle"]["all_match"] is True
+        assert all(sum(row) == 0 for row in doc["links"][0]["linking_matrix"])
 
     def test_oracle_json_on_product_spec(self, capsys):
         assert main(["oracle", PRODUCTS, "--format", "json"]) == 0

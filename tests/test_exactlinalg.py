@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcalc import exactlinalg
 from hopfcalc.exactlinalg import (
     AlgorithmMismatchError,
     DimensionError,
@@ -54,6 +56,18 @@ small_square = st.integers(min_value=1, max_value=4).flatmap(
         max_size=n,
     )
 )
+
+any_shape = st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6)).flatmap(
+    lambda mn: st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=mn[1], max_size=mn[1]),
+        min_size=mn[0],
+        max_size=mn[0],
+    )
+)
+
+
+def _out_of_cpu_time(signum, frame):
+    raise TimeoutError("over the CPU-time budget")
 
 
 class TestIntMatrix:
@@ -154,6 +168,19 @@ class TestInverse:
             a = random_unimodular(rng, rng.randint(1, 7))
             assert a @ inverse_unimodular(a) == IntMatrix.identity(a.rows)
 
+    @pytest.mark.parametrize("p, q", [(3, 4), (4, 4)])
+    def test_zero_diagonal_model_within_cpu_budget(self, p, q):
+        # coefficient growth in the inverse shows here as minutes of CPU time
+        a = zero_diagonal_model(p, q).matrix
+        previous = signal.signal(signal.SIGPROF, _out_of_cpu_time)
+        signal.setitimer(signal.ITIMER_PROF, 5)
+        try:
+            inv = inverse_unimodular(a)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+        assert a @ inv == IntMatrix.identity(a.rows)
+
 
 class TestNullspace:
     def test_nonsingular_empty(self):
@@ -180,6 +207,31 @@ class TestNullspace:
         for _ in range(40):
             a = random_symmetric(rng, rng.randint(1, 7), bound=3)
             assert len(nullspace_rational(a)) == inertia(a).n_zero
+
+    @settings(deadline=None, max_examples=100)
+    @given(any_shape, st.booleans())
+    def test_any_shape_matches_smith_rank(self, rows, singular):
+        if singular and len(rows) > 1:
+            rows = rows[:-1] + [[-x for x in rows[0]]]
+        a = IntMatrix.from_rows(rows)
+        basis = nullspace_rational(a)
+        for vec in basis:
+            assert next(x for x in vec if x) == 1
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in rows)
+        assert len(basis) == a.cols - smith_normal_form(a).rank
+
+    def test_corrupted_elimination_is_caught(self, monkeypatch):
+        elimination = exactlinalg._gauss_jordan
+
+        def corrupted(m):
+            result = elimination(m)
+            m[0][-1] += 1
+            return result
+
+        monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
+        a = IntMatrix.from_rows([[2, -1, -1], [-1, 0, 1], [-1, 1, 0]])
+        with pytest.raises(AlgorithmMismatchError, match="kernel verification failed"):
+            nullspace_rational(a)
 
 
 class TestInertia:
