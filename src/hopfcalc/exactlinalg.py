@@ -6,13 +6,16 @@ anywhere.  The operations provided here are the substrate for everything
 else: determinants, integer inverses of unimodular matrices and rational
 nullspaces, all read from one fraction-free Gauss-Jordan elimination; Smith
 normal form with transforms, for the presentation oracle; and the inertia of
-symmetric matrices computed by two independent algorithms.
+symmetric matrices from a fraction-free symmetric elimination certified by a
+verified congruence.  The inertia from the characteristic polynomial is the
+independent check that ``selftest`` and the tests run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -119,13 +122,12 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, b = self.to_rows(), other.to_rows()
-        flat = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                flat.append(sum(ai[t] * b[t][j] for t in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
+        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
+        return IntMatrix(
+            self.rows,
+            other.cols,
+            tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in cols),
+        )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -482,71 +484,93 @@ def inertia_charpoly(a: IntMatrix) -> Inertia:
     return Inertia(n_plus, n_minus, n_zero)
 
 
-def inertia_ldlt(a: IntMatrix) -> Inertia:
-    """Inertia via exact symmetric elimination with pivoting.
+def _symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
+    """Fraction-free symmetric elimination of ``A`` on the rows of ``[A | I]``.
 
-    Picks the largest-magnitude diagonal pivot.  When every remaining
-    diagonal entry vanishes but an off-diagonal entry b survives, eliminates
-    a 2x2 block [[0, b], [b, 0]], which contributes (1, 1, 0).
+    Each step pivots on a nonzero live diagonal entry or, when every live
+    diagonal entry is zero, on a 2x2 block ``[[0, b], [b, 0]]`` (Bunch and
+    Kaufman 1977).  The live block is ``scale`` times the Schur complement,
+    so every division is exact as in Bareiss (1968): by ``scale`` after a
+    1x1 pivot ``d`` (new scale ``d``) and by ``scale**2`` after a 2x2 pivot
+    ``b`` (new scale ``b**2 / scale``).  Returns (pivot order, X, D): row t
+    of X is the transform row of ``order[t]``, and ``X A X^T`` should equal
+    the block diagonal matrix with the blocks D.
+    """
+    n = a.rows
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a.to_rows())]
+    live = list(range(n))
+    order: list[int] = []
+    blocks: list[list[list[int]]] = []
+    scale = 1
+    while live:
+        p = next((i for i in live if m[i][i]), None)
+        if p is not None:
+            live.remove(p)
+            pivot_row, d = m[p], m[p][p]
+            for i in live:
+                row, f = m[i], m[i][p]
+                m[i] = [(x * d - f * y) // scale for x, y in zip(row, pivot_row)]
+            order.append(p)
+            blocks.append([[scale * d]])  # the transform row of p has scale at p
+            scale = d
+            continue
+        pair = next(((i, j) for i in live for j in live if i < j and m[i][j]), None)
+        if pair is None:
+            break
+        p, q = pair
+        live.remove(p)
+        live.remove(q)
+        row_p, row_q, b = m[p], m[q], m[p][q]
+        b2, s2 = b * b, scale * scale
+        for i in live:
+            row, fp, fq = m[i], m[i][p], m[i][q]
+            m[i] = [(b2 * x - b * (fq * y + fp * z)) // s2 for x, y, z in zip(row, row_p, row_q)]
+        order += [p, q]
+        blocks.append([[0, scale * b], [scale * b, 0]])
+        scale = b2 // scale
+    order += live
+    blocks += [[[0]] for _ in live]
+    return order, [m[i][n:] for i in order], blocks
+
+
+def inertia_ldlt(a: IntMatrix) -> Inertia:
+    """Inertia by fraction-free symmetric elimination, certified by congruence.
+
+    ``_symmetric_bareiss`` gives an integer X and a block diagonal D of 1x1
+    and 2x2 blocks.  The inertia is read from D only after two exact checks:
+    ``X A X^T == D``, and X is triangular in pivot order with a nonzero
+    diagonal, so X is invertible over Q.  By Sylvester's law of inertia A and
+    D then have the same inertia.
     """
     _require_symmetric(a)
     n = a.rows
-    s = [[Fraction(a.at(i, j)) for j in range(n)] for i in range(n)]
-    live = list(range(n))
-    n_plus = n_minus = n_zero = 0
-    while live:
-        piv = None
-        for i in live:
-            if s[i][i] != 0 and (piv is None or abs(s[i][i]) > abs(s[piv][piv])):
-                piv = i
-        if piv is not None:
-            dval = s[piv][piv]
-            if dval > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            live.remove(piv)
-            for i in live:
-                f = s[i][piv] / dval
-                if f:
-                    for j in live:
-                        s[i][j] -= f * s[piv][j]
+    order, x, blocks = _symmetric_bareiss(a)
+    xm = IntMatrix.from_rows(x)
+    d = IntMatrix.block_diagonal(IntMatrix.from_rows(block) for block in blocks)
+    if (xm.rows, xm.cols) != (n, n) or congruence_apply(xm, a) != d:
+        raise AlgorithmMismatchError("inertia certificate failed: X A X^T != D")
+    if sorted(order) != list(range(n)) or not all(
+        x[t][order[t]] and not any(x[t][j] for j in order[t + 1 :]) for t in range(n)
+    ):
+        raise AlgorithmMismatchError("inertia certificate failed: X is not triangular with nonzero diagonal")
+    signs: list[int] = []
+    for block in blocks:
+        if len(block) == 1:
+            signs.append(block[0][0])
+        elif len(block) == 2 and block[0][0] * block[1][1] < block[0][1] * block[1][0]:
+            signs += [1, -1]  # a 2x2 block of negative determinant has inertia (1, 1, 0)
         else:
-            pair = None
-            for x, i in enumerate(live):
-                for j in live[x + 1 :]:
-                    if s[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                n_zero += len(live)
-                break
-            i, j = pair
-            b = s[i][j]
-            n_plus += 1
-            n_minus += 1
-            live.remove(i)
-            live.remove(j)
-            col_i = {r: s[r][i] for r in live}
-            col_j = {r: s[r][j] for r in live}
-            for r in live:
-                for c in live:
-                    s[r][c] -= (col_i[r] * col_j[c] + col_j[r] * col_i[c]) / b
-    return Inertia(n_plus, n_minus, n_zero)
+            raise AlgorithmMismatchError("inertia certificate failed: D has a block that is not 1x1 or indefinite 2x2")
+    return Inertia(sum(s > 0 for s in signs), sum(s < 0 for s in signs), sum(s == 0 for s in signs))
 
 
 def inertia(a: IntMatrix) -> Inertia:
-    """Exact inertia, computed by both algorithms; they must agree."""
-    by_ldlt = inertia_ldlt(a)
-    by_charpoly = inertia_charpoly(a)
-    if by_ldlt != by_charpoly:
-        raise AlgorithmMismatchError(
-            f"inertia algorithms disagree: elimination {by_ldlt}, "
-            f"characteristic polynomial {by_charpoly}"
-        )
-    return by_ldlt
+    """Exact inertia from the certified elimination ``inertia_ldlt``.
+
+    ``inertia_charpoly`` is the independent check, run by ``selftest`` and
+    the tests.
+    """
+    return inertia_ldlt(a)
 
 
 # ---------------------------------------------------------------------------

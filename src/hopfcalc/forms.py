@@ -95,7 +95,7 @@ class BilinearForm:
 
     @cached_property
     def inertia(self) -> Inertia:
-        """Inertia of a symmetric form, from both algorithms of ``exactlinalg.inertia``."""
+        """Inertia of a symmetric form, certified by ``exactlinalg.inertia``."""
         return inertia(self.matrix)
 
     @cached_property

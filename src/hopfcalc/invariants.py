@@ -433,6 +433,9 @@ class InvariantReport:
             raise AlgorithmMismatchError("sigma must match the inertia")
         if self.kernel_dim != len(self.kernel_basis):
             raise AlgorithmMismatchError("kernel_dim must match the basis")
+        if self.inertia is not None and self.inertia.n_zero != self.kernel_dim:
+            # the kernel comes from an elimination independent of the inertia's
+            raise AlgorithmMismatchError("inertia nullity must match the kernel dimension")
         if (
             self.phi_lower is not None
             and self.phi_upper is not None

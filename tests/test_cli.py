@@ -24,6 +24,22 @@ TREE_E8H = fixture_path("tree_e8h.json")
 PRODUCTS = fixture_path("products.json")
 
 
+def one_vertex_tree(matrix, n):
+    """Spec document: one black vertex decorated by ``matrix``, a disk on every component."""
+    disk = {"color": "white", "fiber": {"betti": [1] + [0] * n, "boundary_components": 1}}
+    comps = matrix.rows + 1
+    return {
+        "n": n,
+        "k": 0,
+        "graphs": [
+            {
+                "vertices": [{"color": "black", "matrix": matrix.to_rows()}] + [disk] * comps,
+                "edges": [{"u": 0, "v": c + 1, "u_comp": c, "v_comp": 0} for c in range(comps)],
+            }
+        ],
+    }
+
+
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -258,20 +274,8 @@ class TestMain:
         # the linking matrix comes from the elimination inverse, the oracle from Smith forms
         epsilon, n = (1, 4) if seed % 2 == 0 else (-1, 3)
         matrix = random_zero_diagonal_form(random.Random(seed), epsilon).matrix
-        disk = {"color": "white", "fiber": {"betti": [1] + [0] * n, "boundary_components": 1}}
-        comps = matrix.rows + 1
-        data = {
-            "n": n,
-            "k": 0,
-            "graphs": [
-                {
-                    "vertices": [{"color": "black", "matrix": matrix.to_rows()}] + [disk] * comps,
-                    "edges": [{"u": 0, "v": c + 1, "u_comp": c, "v_comp": 0} for c in range(comps)],
-                }
-            ],
-        }
         path = tmp_path / "tree.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(one_vertex_tree(matrix, n)))
         assert main(["report", str(path), "--oracle", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["oracle"]["all_match"] is True

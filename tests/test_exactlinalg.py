@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcalc import exactlinalg
+from hopfcalc.cli import build_report, parse_spec_data
 from hopfcalc.exactlinalg import (
     AlgorithmMismatchError,
     DimensionError,
@@ -29,6 +30,7 @@ from hopfcalc.exactlinalg import (
 )
 from hopfcalc.forms import E8_MATRIX, H_MATRIX, build_standard, zero_diagonal_model
 from hopfcalc.sampling import random_square, random_symmetric, random_unimodular
+from test_cli import one_vertex_tree
 
 
 def det_cofactor(a: IntMatrix) -> int:
@@ -70,11 +72,63 @@ def _out_of_cpu_time(signum, frame):
     raise TimeoutError("over the CPU-time budget")
 
 
+def _matrices(rows, cols):
+    return st.lists(st.integers(min_value=-9, max_value=9), min_size=rows * cols, max_size=rows * cols).map(
+        lambda flat: IntMatrix(rows, cols, tuple(flat))
+    )
+
+
+# conformable factors (A, B); any of the three sizes may be 0
+matmul_pairs = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3).flatmap(
+    lambda rkc: st.tuples(_matrices(rkc[0], rkc[1]), _matrices(rkc[1], rkc[2]))
+)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices up to 8x8; zero-diagonal, rank-deficient and zero ones drawn explicitly.
+
+    A ``direct_sum`` matrix is a general block plus a zero-diagonal block, so
+    the elimination meets a zero live diagonal after 1x1 pivots.
+    """
+    n = draw(st.integers(min_value=0, max_value=8))
+    kind = draw(st.sampled_from(["general", "zero_diagonal", "direct_sum", "duplicated", "zero"]))
+    flat = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n * n, max_size=n * n))
+    rows = [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    if kind in ("zero_diagonal", "direct_sum"):
+        split = 0 if kind == "zero_diagonal" else draw(st.integers(0, n))
+        for i in range(n):
+            for j in range(n):
+                if i == j >= split or min(i, j) < split <= max(i, j):
+                    rows[i][j] = 0
+    elif kind == "duplicated" and n >= 2:
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[dst] = list(rows[src])
+        for row in rows:
+            row[dst] = row[src]
+    elif kind == "zero":
+        rows = [[0] * n for _ in range(n)]
+    return IntMatrix(n, n, tuple(x for row in rows for x in row))
+
+
 class TestIntMatrix:
     @pytest.mark.parametrize("bad", [1.5, True, Fraction(1), "1"])
     def test_from_rows_rejects_non_int_entries(self, bad):
         with pytest.raises(TypeError):
             IntMatrix.from_rows([[0, bad], [bad, 0]])
+
+    @settings(deadline=None, max_examples=80)
+    @given(matmul_pairs)
+    def test_matmul_matches_triple_loop(self, pair):
+        a, b = pair
+        flat = []
+        for i in range(a.rows):
+            for j in range(b.cols):
+                total = 0
+                for t in range(a.cols):
+                    total += a.at(i, t) * b.at(t, j)
+                flat.append(total)
+        assert a @ b == IntMatrix(a.rows, b.cols, tuple(flat))
 
 
 class TestDeterminant:
@@ -253,13 +307,51 @@ class TestInertia:
         a = IntMatrix.from_rows([[0, 3], [3, 0]])
         assert inertia_ldlt(a) == Inertia(1, 1, 0)
 
-    @settings(deadline=None, max_examples=60)
-    @given(small_square)
-    def test_algorithms_agree(self, rows):
-        n = len(rows)
-        sym = [[rows[i][j] if i <= j else rows[j][i] for j in range(n)] for i in range(n)]
-        a = IntMatrix.from_rows(sym)
+    def test_two_by_two_pivot_after_one_by_one(self):
+        # the 2x2 pivot meets scale 2, so its block in D is [[0, 12], [12, 0]]
+        a = IntMatrix.from_rows([[2, 0, 0], [0, 0, 3], [0, 3, 0]])
+        assert inertia_ldlt(a) == Inertia(2, 1, 0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(symmetric_matrices())
+    def test_algorithms_agree(self, a):
         assert inertia_ldlt(a) == inertia_charpoly(a)
+
+    @pytest.mark.parametrize("corrupt", ["transform_row", "d_entry", "singular_transform"])
+    def test_corrupted_certificate_is_caught(self, monkeypatch, corrupt):
+        elimination = exactlinalg._symmetric_bareiss
+
+        def corrupted(m):
+            order, x, blocks = elimination(m)
+            if corrupt == "transform_row":
+                x[-1] = [v + 1 for v in x[-1]]
+            elif corrupt == "d_entry":
+                blocks[0][0][0] += 1
+            else:
+                x[0] = [0] * len(x[0])
+            return order, x, blocks
+
+        monkeypatch.setattr(exactlinalg, "_symmetric_bareiss", corrupted)
+        if corrupt == "singular_transform":
+            # X A X^T == D still holds for A = 0, but X is not invertible
+            a, message = IntMatrix.zeros(3, 3), "triangular"
+        else:
+            a, message = zero_diagonal_model(1, 1).matrix, r"X A X\^T != D"
+        with pytest.raises(AlgorithmMismatchError, match=message):
+            inertia_ldlt(a)
+
+    def test_report_at_d56_within_cpu_budget(self):
+        # the characteristic polynomial took most of this report's 3.7 s of CPU time
+        data = one_vertex_tree(zero_diagonal_model(6, 4).matrix, 4)
+        previous = signal.signal(signal.SIGPROF, _out_of_cpu_time)
+        signal.setitimer(signal.ITIMER_PROF, 2)
+        try:
+            doc = build_report(parse_spec_data(data))
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+        assert doc["inertia"] == {"n_plus": 52, "n_minus": 4, "n_zero": 1}
+        assert doc["sigma"] == 48
 
     def test_sylvester_rational_congruence(self):
         rng = random.Random(13)

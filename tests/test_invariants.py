@@ -354,6 +354,13 @@ class TestInvariantReport:
         with pytest.raises(AlgorithmMismatchError):
             dataclasses.replace(report, kernel_dim=report.kernel_dim + 1)
 
+    def test_nullity_disagreeing_with_kernel_is_internal_fault(self):
+        report = invariant_report([single_black_tree(HopfLinkSpec(ZM, n=4))], 4, 0, False)
+        ine = report.inertia
+        assert ine is not None and ine.n_zero == report.kernel_dim == 1
+        with pytest.raises(AlgorithmMismatchError, match="nullity"):
+            dataclasses.replace(report, inertia=Inertia(ine.n_plus, ine.n_minus, ine.n_zero + 1))
+
     def test_without_cobounding_flag(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
         report = invariant_report([tree], 3, 0, False)
