@@ -76,6 +76,8 @@ def _load_json(path: str) -> Any:
         raise SpecFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit, or bytes that are not UTF-8
+        raise SpecFileError(f"{path}: {exc}") from exc
 
 
 def _expect_keys(obj: Any, required: Sequence[str], locus: str, optional: Collection[str] = ()) -> None:

@@ -5,10 +5,11 @@ Every computation in this package is exact: entries are Python ints
 anywhere.  The operations provided here are the substrate for everything
 else: determinants, integer inverses of unimodular matrices and rational
 nullspaces, all read from one fraction-free Gauss-Jordan elimination; Smith
-normal form with transforms, for the presentation oracle; and the inertia of
-symmetric matrices from a fraction-free symmetric elimination certified by a
-verified congruence.  The inertia from the characteristic polynomial is the
-independent check that ``selftest`` and the tests run.
+normal form with transforms, for the oracle's presentations of a decoration
+that is not unimodular; and the inertia of symmetric matrices from a
+fraction-free symmetric elimination certified by a verified congruence.
+The inertia from the characteristic polynomial is the independent check
+that ``selftest`` and the tests run.
 """
 
 from __future__ import annotations
@@ -262,8 +263,8 @@ def is_unimodular(a: IntMatrix) -> bool:
     return a.is_square and det_bareiss(a) in (1, -1)
 
 
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1, by elimination on [A | I]."""
+def _det_and_inverse(a: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """Determinant and, when it is +-1, the verified integer inverse, from one elimination on [A | I]."""
     if not a.is_square:
         raise DimensionError("inverse of non-square matrix")
     n = a.rows
@@ -271,10 +272,18 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     pivots, scale, sign = _gauss_jordan(m)
     det = sign * scale if pivots == list(range(n)) else 0
     if det not in (1, -1):
-        raise NotUnimodularError(f"matrix has determinant {det}")
+        return det, None
     inv = IntMatrix.from_rows([[scale * x for x in row[n:]] for row in m])  # 1 / scale == scale
     if a @ inv != IntMatrix.identity(n):
         raise AlgorithmMismatchError("inverse verification failed")
+    return det, inv
+
+
+def inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Exact integer inverse of a matrix with determinant +-1, by elimination on [A | I]."""
+    det, inv = _det_and_inverse(a)
+    if inv is None:
+        raise NotUnimodularError(f"matrix has determinant {det}")
     return inv
 
 

@@ -19,11 +19,11 @@ from .exactlinalg import (
     DimensionError,
     Inertia,
     IntMatrix,
+    NotUnimodularError,
     SymmetryError,
+    _det_and_inverse,
     congruence_apply,
-    det_bareiss,
     inertia,
-    inverse_unimodular,
 )
 
 
@@ -90,21 +90,25 @@ class BilinearForm:
         return self.epsilon == 1
 
     @cached_property
-    def _det(self) -> int:
-        return det_bareiss(self.matrix)
+    def _elimination(self) -> tuple[int, Optional[IntMatrix]]:
+        """Determinant and, when it is +-1, the verified inverse: one elimination per form."""
+        return _det_and_inverse(self.matrix)
 
     @cached_property
     def inertia(self) -> Inertia:
         """Inertia of a symmetric form, certified by ``exactlinalg.inertia``."""
         return inertia(self.matrix)
 
-    @cached_property
+    @property
     def inverse(self) -> IntMatrix:
         """Verified integer inverse; raises NotUnimodularError unless det = +-1."""
-        return inverse_unimodular(self.matrix)
+        det, inv = self._elimination
+        if inv is None:
+            raise NotUnimodularError(f"matrix has determinant {det}")
+        return inv
 
     def det(self) -> int:
-        return self._det
+        return self._elimination[0]
 
     def is_unimodular(self) -> bool:
         return self.det() in (1, -1)

@@ -4,18 +4,21 @@ A link spec is a zero-diagonal epsilon-symmetric decoration matrix together
 with the ambient half-dimension n (the link lives in S^{2n-1}), a projection
 count k, and the externally supplied order of the relevant homotopy-sphere
 group.  This module derives the canonical-framing linking matrix of the
-surgered link, provides a brute-force homology-presentation oracle for it,
-decides fiberedness admissibility, and produces fiber/link descriptors for
-projected and spun links.
+surgered link, re-derives each of its columns by a homology-presentation
+oracle (the Tietze-reduced filling presentation, one exact solve per
+component and a certificate by exact products against the unreduced
+presentation), decides fiberedness admissibility, and produces fiber/link
+descriptors for projected and spun links.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Union
 
-from .exactlinalg import IntMatrix, smith_normal_form
+from .exactlinalg import AlgorithmMismatchError, IntMatrix, _gauss_jordan, smith_normal_form
 from .forms import BilinearForm
 
 
@@ -213,91 +216,86 @@ def presentation_oracle(link: LinkLike, s: int) -> PresentationResult:
     """Independent re-derivation of one column of the linking matrix.
 
     Fill every link component except the s-th by surgery and present the
-    middle homology of the result: generators are the meridians mu_0..mu_d
-    together with the core classes delta_i of the filling tori; relations
-    record that each filled core is homologous to its meridian and that the
-    fiber boundary kills the decorated combinations.  The cokernel is
-    computed by Smith reduction.  When it is infinite cyclic, the classes of
-    the link components (and of the parallel copy of the retained component)
-    map to the s-th column of ``derived_linking_matrix`` up to one global
-    sign; a different cokernel signals a non-unimodular decoration.
+    middle homology of the result (``_filling_relations``).  Tietze moves
+    drop each delta_i through delta_i = mu_i, drop mu_0 = 0 (s != 0) and
+    drop the delta_0 relation.  The remaining relations, completed by the one
+    set aside (row s of A for s != 0, e_0 for s = 0), form a square matrix
+    M_s with det M_s = +-det A.  For a unimodular A one exact solve
+    y M_s = e_last gives the free coordinate y, and it is certified by exact
+    products: y, lifted back to the delta generators, kills every relation of
+    the unreduced presentation, and y takes 1 on the set-aside relation.
+    With |det A| = 1 that proves the cokernel infinite cyclic with y as its
+    coordinate.  The classes of the link components then map to the s-th
+    column of ``derived_linking_matrix`` up to one global sign.  A
+    non-unimodular A falls back to the Smith form of the reduced relations;
+    a free coordinate found there passes the same lifted check.
     """
     a = _as_form(link)
     d = a.dim
     if not 0 <= s <= d:
         raise ValueError(f"component index {s} out of range 0..{d}")
-    mat = a.matrix
-
-    # generator layout: mu_0..mu_d at 0..d, then delta_i in increasing i
-    delta_index: dict[int, int] = {}
-    if s != 0:
-        delta_owners = [i for i in range(d + 1) if i != s]
+    rows = a.matrix.to_rows()
+    if s:
+        kept, aside = [r for i, r in enumerate(rows, 1) if i != s], rows[s - 1]
     else:
-        delta_owners = list(range(1, d + 1))
-    for pos, i in enumerate(delta_owners):
-        delta_index[i] = d + 1 + pos
-    gens = d + 1 + len(delta_owners)
+        kept, aside = [[1] + r for r in rows], [1] + [0] * d
+    units = (1,) * (2 * d + 1 - len(aside))  # one unit factor per generator the moves removed
+    unimodular = a.det() in (1, -1)
+    if unimodular:
+        y = _free_coordinate([r + [0] for r in kept] + [aside + [1]])
+        factors, free_rank = (1,) * len(kept), 1
+    else:  # library callers only: the CLI rejects such a decoration at parse
+        # generators as rows, one column per kept relation
+        snf = smith_normal_form(IntMatrix(len(aside), len(kept), tuple(x for g in zip(*kept) for x in g)))
+        factors = snf.invariant_factors()
+        free_rank = len(aside) - len(factors)
+        y = list(snf.u.row(len(factors))) if free_rank == 1 and all(f == 1 for f in factors) else None
+    if y is None:
+        return PresentationResult(s, units + factors, free_rank, None)
+    z = y if s == 0 else [0] + y  # coordinates of mu_0..mu_d
+    lifted = z + [z[i] if i else -sum(z[1:]) for i in range(d + 1) if i != s]
+    if any(_dot(lifted, r) for r in _filling_relations(rows, s)) or (unimodular and _dot(y, aside) != 1):
+        raise AlgorithmMismatchError(f"presentation oracle certificate failed for component {s}")
+    return PresentationResult(s, units + factors, free_rank, (-sum(z[1:]),) + tuple(z[1:]))
 
-    relations: list[list[int]] = []
-    if s != 0:
-        rel = [0] * gens
-        rel[delta_index[0]] = 1
-        for j in range(1, d + 1):
-            rel[j] = 1
-        relations.append(rel)
-        for i in range(1, d + 1):
-            if i == s:
-                continue
-            rel = [0] * gens
-            rel[i] = 1
-            rel[delta_index[i]] = -1
-            relations.append(rel)
-        rel = [0] * gens
-        rel[0] = 1
-        relations.append(rel)
-        for i in range(1, d + 1):
-            if i == s:
-                continue
-            rel = [0] * gens
-            for j in range(1, d + 1):
-                rel[j] = mat.at(i - 1, j - 1)
-            relations.append(rel)
-    else:
-        for i in range(1, d + 1):
-            rel = [0] * gens
-            rel[i] = 1
-            rel[delta_index[i]] = -1
-            relations.append(rel)
-        for i in range(1, d + 1):
-            rel = [0] * gens
-            rel[0] = 1
-            for j in range(1, d + 1):
-                rel[j] += mat.at(i - 1, j - 1)
-            relations.append(rel)
 
-    # relation matrix with generators as rows, one column per relation
-    rmat = IntMatrix.from_rows([[rel[g] for rel in relations] for g in range(gens)])
-    snf = smith_normal_form(rmat)
-    factors = snf.invariant_factors()
-    rank = len(factors)
-    free_rank = gens - rank
+def _filling_relations(rows: list[list[int]], s: int) -> list[list[int]]:
+    """Relations of the unreduced filling presentation, built straight from the rows of A.
 
-    if not (free_rank == 1 and all(f == 1 for f in factors)):
-        return PresentationResult(s, factors, free_rank, None)
-
-    # the free coordinate of the cokernel is row `rank` of U
-    proj = snf.u.row(rank)
-
-    def image(vec: dict[int, int]) -> int:
-        return sum(c * proj[g] for g, c in vec.items())
-
-    linking = []
-    for j in range(d + 1):
-        if j == 0:
-            linking.append(image({t: -1 for t in range(1, d + 1)}))
+    Generators are the meridians mu_0..mu_d, then the core classes delta_i
+    of the filled components i != s in increasing i.  Each filled core is
+    homologous to its meridian (mu_i - delta_i, and delta_0 + mu_1 + ... +
+    mu_d for the preferred component), and the fiber boundary kills the
+    decorated combinations (mu_0 itself for s != 0, row i of A otherwise,
+    plus mu_0 when s = 0).
+    """
+    d = len(rows)
+    owners = [i for i in range(d + 1) if i != s]
+    out = []
+    for pos, i in enumerate(owners):
+        core = [0] * (2 * d + 1)
+        core[d + 1 + pos] = 1 if i == 0 else -1
+        if i:
+            core[i] = 1
         else:
-            linking.append(image({j: 1}))
-    return PresentationResult(s, factors, free_rank, tuple(linking))
+            core[1 : d + 1] = [1] * d
+        out.append(core)
+    for i in owners:
+        out.append([int(s == 0 or i == 0)] + (rows[i - 1] if i else [0] * d) + [0] * d)
+    return out
+
+
+def _free_coordinate(system: list[list[int]]) -> list[int]:
+    """y with y M = e_last for a unimodular M, from the rows of [M^T | e_last] (modified in place)."""
+    n = len(system)
+    pivots, scale, _ = _gauss_jordan(system)
+    if pivots != list(range(n)) or scale not in (1, -1):
+        raise AlgorithmMismatchError("presentation oracle: reduced relation matrix is not unimodular")
+    return [scale * row[n] for row in system]  # 1 / scale == scale
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
 def oracle_matches_column(result: PresentationResult, column: tuple[int, ...]) -> bool:

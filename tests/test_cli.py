@@ -105,6 +105,23 @@ class TestParse:
             parse_spec(str(path))
         assert ":2:" in str(err.value)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no integer digit limit")
+    def test_oversized_integer_names_file(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(load(TREE)).replace('"n": 3', '"n": ' + "9" * 5000, 1))
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(str(path))
+        assert str(err.value).startswith(f"{path}: Exceeds the limit")
+        assert main(["report", str(path)]) == 1
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    def test_undecodable_bytes_name_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": "\xe9"}')
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(str(path))
+        assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode")
+
     def test_twist_annotation_round_trips(self):
         data = load(TREE)
         data["graphs"][0]["edges"][0]["twist"] = "half-turn"

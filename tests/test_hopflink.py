@@ -1,8 +1,16 @@
 import random
+import signal
 
 import pytest
 
-from hopfcalc.exactlinalg import IntMatrix, NotUnimodularError, inverse_unimodular
+from hopfcalc import hopflink
+from hopfcalc.exactlinalg import (
+    AlgorithmMismatchError,
+    IntMatrix,
+    NotUnimodularError,
+    inverse_unimodular,
+    smith_normal_form,
+)
 from hopfcalc.forms import (
     BilinearForm,
     H_MATRIX,
@@ -15,6 +23,7 @@ from hopfcalc.forms import (
 from hopfcalc.hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
+    PresentationResult,
     admissibility_check,
     cylinder,
     derived_linking_matrix,
@@ -44,6 +53,60 @@ def oracle_corpus():
     )
     forms += [HF, build_standard(1, 1)]
     return forms
+
+
+def reference_presentation(form, s):
+    """Smith form of the unreduced filling presentation: the oracle's reference.
+
+    Generators are mu_0..mu_d, then delta_i for the filled components; one
+    relation per column.  Returns (invariant factors, free rank, linking
+    vector or None), the free coordinate being the last row of U.
+    """
+    d = form.dim
+    owners = [i for i in range(d + 1) if i != s]
+    delta = {i: d + 1 + pos for pos, i in enumerate(owners)}
+    gens = d + 1 + len(owners)
+    relations = []
+    for i in owners:
+        rel = [0] * gens
+        if i == 0:
+            rel[delta[0]] = 1
+            for j in range(1, d + 1):
+                rel[j] = 1
+        else:
+            rel[i] = 1
+            rel[delta[i]] = -1
+        relations.append(rel)
+    for i in owners:
+        rel = [0] * gens
+        if i == 0:
+            rel[0] = 1
+        else:
+            rel[0] = 1 if s == 0 else 0
+            for j in range(1, d + 1):
+                rel[j] = form.matrix.at(i - 1, j - 1)
+        relations.append(rel)
+    snf = smith_normal_form(IntMatrix.from_rows([[rel[g] for rel in relations] for g in range(gens)]))
+    factors = snf.invariant_factors()
+    free_rank = gens - len(factors)
+    if not (free_rank == 1 and all(f == 1 for f in factors)):
+        return factors, free_rank, None
+    proj = snf.u.row(len(factors))
+    return factors, free_rank, (-sum(proj[1 : d + 1]),) + proj[1 : d + 1]
+
+
+def random_decoration(rng, d, epsilon):
+    """Zero-diagonal epsilon-symmetric d x d form, entries -2..2, often singular or of |det| > 1."""
+    rows = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            x = rng.randint(-2, 2) if rng.random() < 0.7 else 0
+            rows[i][j], rows[j][i] = x, epsilon * x
+    return BilinearForm(IntMatrix.from_rows(rows), epsilon)
+
+
+def _out_of_cpu_time(signum, frame):
+    raise TimeoutError("over the CPU-time budget")
 
 
 class TestDerivedLinkingMatrix:
@@ -115,6 +178,56 @@ class TestPresentationOracle:
     def test_component_out_of_range(self):
         with pytest.raises(ValueError):
             presentation_oracle(HF, 3)
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_matches_reference_smith_form(self, epsilon):
+        rng = random.Random(61 + epsilon)
+        kinds = set()
+        for _ in range(150):
+            form = random_decoration(rng, rng.randint(1, 6), epsilon)
+            kinds.add(form.is_unimodular())
+            for s in range(form.dim + 1):
+                result = presentation_oracle(form, s)
+                factors, free_rank, vector = reference_presentation(form, s)
+                assert result.invariant_factors == factors, (form.matrix.to_rows(), s)
+                assert result.free_rank == free_rank
+                assert result.group_description() == PresentationResult(s, factors, free_rank, vector).group_description()
+                if vector is None:
+                    assert result.linking_vector is None
+                else:
+                    assert result.linking_vector in (vector, tuple(-x for x in vector)), (form.matrix.to_rows(), s)
+        assert kinds == {True, False}
+
+    def test_d28_all_components_within_cpu_budget(self):
+        # Smith-form transform growth made this take about 40 s of CPU time
+        form = zero_diagonal_model(3, 2)
+        lk = derived_linking_matrix(form)
+        previous = signal.signal(signal.SIGPROF, _out_of_cpu_time)
+        signal.setitimer(signal.ITIMER_PROF, 3)
+        try:
+            results = [presentation_oracle(form, s) for s in range(form.dim + 1)]
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+        assert len(results) == 29
+        for s, result in enumerate(results):
+            assert oracle_matches_column(result, tuple(lk.at(j, s) for j in range(form.dim + 1)))
+
+    @pytest.mark.parametrize("corrupt", ["double", "perturb_entry"])
+    def test_corrupted_solve_is_caught(self, monkeypatch, corrupt):
+        solve = hopflink._free_coordinate
+
+        def corrupted(system):
+            y = solve(system)
+            if corrupt == "double":
+                return [2 * x for x in y]
+            return y[:-1] + [y[-1] + 1]
+
+        monkeypatch.setattr(hopflink, "_free_coordinate", corrupted)
+        form = zero_diagonal_model(1, 1)
+        for s in range(form.dim + 1):
+            with pytest.raises(AlgorithmMismatchError, match="certificate failed"):
+                presentation_oracle(form, s)
 
 
 class TestAdmissibility:
