@@ -30,12 +30,12 @@ from .graphmodel import (
     Edge,
     WhiteVertex,
     black_vertices,
-    graph_counts,
 )
 from .hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
     admissibility_check,
+    check_dimensions,
     derived_linking_matrix,
     oracle_matches_column,
     presentation_oracle,
@@ -109,13 +109,11 @@ def _parse_matrix(value: Any, locus: str) -> IntMatrix:
 
 
 def _check_dimensions(n: int, k: int, theta: int, prefix: str) -> None:
-    """The n, k and theta rule for every link; ``prefix`` leads each locus."""
-    if n < 3:
-        raise SpecFileError(f"{prefix}n: n >= 3 required, got {n}")
-    if k < 0 or n - k < 2:
-        raise SpecFileError(f"{prefix}k: need 0 <= k <= n - 2, got {k}")
-    if theta < 1:
-        raise SpecFileError(f"{prefix}theta: positive integer required")
+    """``hopflink.check_dimensions``, with ``prefix`` leading the field it names."""
+    try:
+        check_dimensions(n, k, theta)
+    except ValueError as exc:
+        raise SpecFileError(f"{prefix}{exc}") from exc
 
 
 def _parse_link(value: Any, n: int, k: int, theta: int, locus: str) -> HopfLinkSpec:
@@ -244,11 +242,6 @@ def parse_spec(path: str) -> SpecFile:
     return parse_spec_data(_load_json(path), source=path)
 
 
-def spec_to_data(spec: SpecFile) -> dict:
-    """Normalized JSON document for a spec (defaults made explicit)."""
-    return spec.data
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -283,7 +276,7 @@ def _link_section(spec: SpecFile) -> list[dict]:
                     "parity": klass.parity,
                     "definiteness": klass.definiteness,
                     "classification": classification,
-                    "linking_matrix": derived_linking_matrix(link).to_rows(),
+                    "linking_matrix": link.linking_matrix.to_rows(),
                 }
             )
     return out
@@ -294,8 +287,7 @@ def _oracle_section(spec: SpecFile) -> dict:
     all_match = True
     for g_idx, graph in enumerate(spec.graphs):
         for v_idx, v in black_vertices(graph):
-            form = v.link.form
-            lk = derived_linking_matrix(form)
+            form, lk = v.link.form, v.link.linking_matrix
             for s in range(form.dim + 1):
                 result = presentation_oracle(form, s)
                 column = tuple(lk.at(j, s) for j in range(form.dim + 1))
@@ -324,7 +316,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
         bound = product_phi_bound(list(spec.factors))
         return {
             "kind": "product",
-            "spec": spec_to_data(spec),
+            "spec": spec.data,
             "chi": bound.euler,
             "phi": {"lower": bound.lower, "upper": bound.upper},
             "notes": list(bound.notes),
@@ -334,7 +326,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
     cup = report.cup_form
     doc: dict[str, Any] = {
         "kind": "graphs",
-        "spec": spec_to_data(spec),
+        "spec": spec.data,
         "graphs": [],
         "links": _link_section(spec),
         "cup_form": {"epsilon": cup.epsilon, "matrix": cup.matrix.to_rows()},
@@ -359,7 +351,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
         "verdicts": list(report.verdicts),
     }
     for g_idx, graph in enumerate(spec.graphs):
-        counts = graph_counts(graph)
+        counts = graph.counts
         doc["graphs"].append(
             {
                 "index": g_idx,

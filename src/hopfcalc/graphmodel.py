@@ -70,6 +70,11 @@ class DecoratedGraph:
         """``validate_graph`` of this graph, run once and kept."""
         return validate_graph(self)
 
+    @cached_property
+    def counts(self) -> GraphCounts:
+        """``graph_counts`` of this graph, computed once and kept; raises unless valid."""
+        return graph_counts(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -246,7 +251,6 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
     if _connected_components(graph) != 1:
         raise UnsupportedShapeError("fiber assembly needs a connected graph")
     n, k = graph_dimensions(graph)
-    counts = graph_counts(graph)
 
     chi = 0
     for v in graph.vertices:
@@ -259,7 +263,6 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
         chi -= _glue_piece_euler(graph, e, n, k)
 
     if k == 0:
-        whites = [v for v in graph.vertices if isinstance(v, WhiteVertex)]
         for v_idx, v in enumerate(graph.vertices):
             if isinstance(v, WhiteVertex):
                 if v.fiber.dim != n:
@@ -271,7 +274,7 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
                         "non-trivial white decoration: glued Betti numbers are not determined "
                         "by Betti data alone"
                     )
-        g = counts.g
+        g = graph.counts.g
         out = _from_betti_map({0: 1, 1: g, n - 1: g, n: 1}.items(), n, 0)
     else:
         out = _projected_fiber(graph, n, k)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
-from typing import Optional, Union
+from typing import Optional
 
 from .exactlinalg import AlgorithmMismatchError, IntMatrix, _gauss_jordan, smith_normal_form
 from .forms import BilinearForm
@@ -105,6 +106,21 @@ def is_cylinder(f: FiberDescriptor) -> bool:
     return f.boundary_components == 2 and f == cylinder(f.dim)
 
 
+MAX_N = 10_000  # past this, descriptors of length n + 1 cost seconds and hundreds of megabytes
+
+
+def check_dimensions(n: int, k: int, theta: int) -> None:
+    """The one rule on a link's dimension data; each message leads with the field at fault."""
+    if n < 3:
+        raise ValueError(f"n: n >= 3 required, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n: n <= {MAX_N} required, got {n}")
+    if k < 0 or n - k < 2:
+        raise ValueError(f"k: need 0 <= k <= n - 2, got {k}")
+    if theta < 1:
+        raise ValueError("theta: positive integer required")
+
+
 @dataclass(frozen=True)
 class HopfLinkSpec:
     """Decoration matrix plus dimension data for a generalized Hopf link.
@@ -112,7 +128,8 @@ class HopfLinkSpec:
     The link has form.dim + 1 sphere components for k = 0 and is connected
     for k >= 1 (a k-fold projection).  theta is the externally supplied order
     of the group of homotopy (2n-1)-spheres, used only by the admissibility
-    report.
+    report.  ``check_dimensions`` is the rule: 3 <= n <= MAX_N,
+    0 <= k <= n - 2 and theta >= 1.
     """
 
     form: BilinearForm
@@ -121,8 +138,7 @@ class HopfLinkSpec:
     theta: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("n >= 3 required")
+        check_dimensions(self.n, self.k, self.theta)
         if self.form.epsilon != (-1) ** self.n:
             raise ValueError(
                 f"decoration symmetry sign must be (-1)^n = {(-1) ** self.n} for n = {self.n}"
@@ -131,10 +147,6 @@ class HopfLinkSpec:
             raise ValueError("decoration matrix must have zero diagonal")
         if self.form.dim < 1:
             raise ValueError("decoration must be at least 1x1")
-        if not 0 <= self.k <= self.n - 1:
-            raise ValueError("projection count k must satisfy 0 <= k <= n - 1")
-        if self.theta < 1:
-            raise ValueError("theta is a positive group order")
 
     @property
     def d(self) -> int:
@@ -145,19 +157,17 @@ class HopfLinkSpec:
         """Number of link components: d + 1 spheres for k = 0, connected otherwise."""
         return self.d + 1 if self.k == 0 else 1
 
-
-LinkLike = Union[HopfLinkSpec, BilinearForm]
-
-
-def _as_form(link: LinkLike) -> BilinearForm:
-    return link.form if isinstance(link, HopfLinkSpec) else link
+    @cached_property
+    def linking_matrix(self) -> IntMatrix:
+        """``derived_linking_matrix`` of the decoration, built once and kept."""
+        return derived_linking_matrix(self.form)
 
 
 # ---------------------------------------------------------------------------
 # canonical-framing linking matrix
 
 
-def derived_linking_matrix(link: LinkLike) -> IntMatrix:
+def derived_linking_matrix(a: BilinearForm) -> IntMatrix:
     """Linking matrix of the surgered link in its canonical framing.
 
     For a unimodular d x d decoration A the result is the (d+1) x (d+1)
@@ -166,7 +176,6 @@ def derived_linking_matrix(link: LinkLike) -> IntMatrix:
     A^{-1}, and whose first column is forced by epsilon-symmetry.  Index 0 is
     the preferred component.  Every row sums to zero.
     """
-    a = _as_form(link)
     inv = a.inverse  # raises NotUnimodularError otherwise
     d = a.dim
     eps = a.epsilon
@@ -212,7 +221,7 @@ class PresentationResult:
         return " + ".join(parts) if parts else "0"
 
 
-def presentation_oracle(link: LinkLike, s: int) -> PresentationResult:
+def presentation_oracle(a: BilinearForm, s: int) -> PresentationResult:
     """Independent re-derivation of one column of the linking matrix.
 
     Fill every link component except the s-th by surgery and present the
@@ -230,7 +239,6 @@ def presentation_oracle(link: LinkLike, s: int) -> PresentationResult:
     non-unimodular A falls back to the Smith form of the reduced relations;
     a free coordinate found there passes the same lifted check.
     """
-    a = _as_form(link)
     d = a.dim
     if not 0 <= s <= d:
         raise ValueError(f"component index {s} out of range 0..{d}")
@@ -365,7 +373,7 @@ def project_link_descriptor(link: HopfLinkSpec) -> tuple[FiberDescriptor, FiberD
     k = 0: the fiber is an n-disk with d holes and the link is d+1 disjoint
     (n-1)-spheres.  k >= 1: the fiber is the boundary connected sum of d
     copies of S^{n-1} x D^{k+1} and the link is the connected sum of d copies
-    of S^{n-1} x S^k; coincident Betti indices coalesce additively.
+    of S^{n-1} x S^k.
     """
     n, k, d = link.n, link.k, link.d
     if k == 0:

@@ -24,14 +24,12 @@ from .graphmodel import (
     _incidences,
     assemble_global_fiber,
     black_vertices,
-    graph_counts,
     graph_dimensions,
     require_valid,
 )
 from .hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
-    derived_linking_matrix,
     is_disk,
     projection_filler,
 )
@@ -60,7 +58,7 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
     if not graphs:
         raise ValueError("empty graph family")
     eps = None
-    blocks: list[list[list[int]]] = []
+    blocks: list[IntMatrix] = []
     for graph in graphs:
         require_valid(graph)
         n, k = graph_dimensions(graph)
@@ -76,23 +74,14 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
         for v_idx, v in enumerate(graph.vertices):
             if not isinstance(v, BlackVertex):
                 continue
-            lk = derived_linking_matrix(v.link)
+            lk = v.link.linking_matrix
             here = inc[v_idx]
             for e_idx, e_comp in here:
                 for f_idx, f_comp in here:
                     block[e_idx][f_idx] += lk.at(e_comp, f_comp)
-        blocks.append(block)
-    total = sum(len(b) for b in blocks)
-    rows = [[0] * total for _ in range(total)]
-    off = 0
-    for block in blocks:
-        m = len(block)
-        for i in range(m):
-            for j in range(m):
-                rows[off + i][off + j] = block[i][j]
-        off += m
+        blocks.append(IntMatrix.from_rows(block))
     assert eps is not None
-    return BilinearForm(IntMatrix.from_rows(rows), eps)
+    return BilinearForm(IntMatrix.block_diagonal(blocks), eps)
 
 
 def assemble_cup_form_k(
@@ -194,7 +183,7 @@ def euler_characteristic(graphs: Sequence[DecoratedGraph], n: int, k: int) -> in
         gn, gk = graph_dimensions(graph)
         if (gn, gk) != (n, k):
             raise ValueError(f"graph has dimensions (n, k) = ({gn}, {gk}), expected ({n}, {k})")
-        counts = graph_counts(graph)
+        counts = graph.counts
         gs.append(counts.g)
         t += counts.t
         fibers.append(assemble_global_fiber(graph))
@@ -286,7 +275,7 @@ def detect_canonical_family(
     whites = [v for v in graph.vertices if isinstance(v, WhiteVertex)]
     if k == 0:
         if len(whites) == d + 1 and all(is_disk(w.fiber) for w in whites):
-            if graph_counts(graph).g == 0:
+            if graph.counts.g == 0:
                 return (EVEN_K0, d)
         return None
     if 1 <= k <= n - 2 and d >= 4 and len(whites) == 1 and len(graph.edges) == 1:
@@ -320,7 +309,7 @@ def phi_bounds(
     s = 0
     for graph in graphs:
         require_valid(graph)
-        s += graph_counts(graph).s_black
+        s += graph.counts.s_black
 
     canonical = detect_canonical_family(graphs, n, k)
     if canonical is not None:
@@ -455,15 +444,12 @@ def invariant_report(
     The report keeps the cup form it analyzed, so callers need not assemble
     it again.
     """
-    for graph in graphs:
-        require_valid(graph)
-
     form, form_notes = cup_form_for_family(graphs, k)
     notes = list(form_notes)
     analysis = analyze_cup_form(form)
 
     chi = euler_characteristic(graphs, n, k)
-    s_black = sum(graph_counts(g).s_black for g in graphs)
+    s_black = sum(g.counts.s_black for g in graphs)
 
     canonical = detect_canonical_family(graphs, n, k)
     homology = None

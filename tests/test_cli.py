@@ -1,12 +1,15 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import hopfcalc
+from hopfcalc import exactlinalg, graphmodel, hopflink
 from hopfcalc.cli import (
     SpecFileError,
     build_report,
@@ -14,7 +17,6 @@ from hopfcalc.cli import (
     main,
     parse_spec,
     parse_spec_data,
-    spec_to_data,
 )
 from hopfcalc.fixtures import fixture_names, fixture_path
 from hopfcalc.sampling import random_zero_diagonal_form
@@ -43,6 +45,20 @@ def one_vertex_tree(matrix, n):
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+GRAPH_FIXTURES = [name for name in fixture_names() if "graphs" in load(fixture_path(name))]
+
+
+def black_pair(n):
+    """Spec document: two black [[0, 1], [1, 0]] vertices joined by three edges."""
+    black = {"color": "black", "matrix": [[0, 1], [1, 0]]}
+    edges = [{"u": 0, "v": 1, "u_comp": c, "v_comp": c} for c in range(3)]
+    return {"n": n, "k": 0, "graphs": [{"vertices": [black, black], "edges": edges}]}
+
+
+def _out_of_cpu_time(signum, frame):
+    raise TimeoutError("over the CPU-time budget")
 
 
 class TestParse:
@@ -127,7 +143,7 @@ class TestParse:
         data["graphs"][0]["edges"][0]["twist"] = "half-turn"
         spec = parse_spec_data(data)
         assert spec.graphs[0].edges[0].twist == "half-turn"
-        assert spec_to_data(spec)["graphs"][0]["edges"][0]["twist"] == "half-turn"
+        assert spec.data["graphs"][0]["edges"][0]["twist"] == "half-turn"
 
     @pytest.mark.parametrize("path", [TREE, PRODUCTS])
     def test_data_is_a_copy_of_the_input(self, path):
@@ -225,6 +241,24 @@ class TestMain:
         assert main(["check-link", "--matrix", str(path), "--n", "4", "--k", "3"]) == 1
         assert "--k: need 0 <= k <= n - 2, got 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, code", [(10_000, 0), (10_000_000, 1)])
+    def test_n_bound_within_cpu_budget(self, n, code, tmp_path, capsys):
+        # Betti tuples of length n + 1 took 31 s of CPU time and 399 MB at n = 10**7
+        spec, matrix = tmp_path / "pair.json", tmp_path / "m.json"
+        spec.write_text(json.dumps(black_pair(n)))
+        matrix.write_text("[[0, 1], [1, 0]]")
+        previous = signal.signal(signal.SIGPROF, _out_of_cpu_time)
+        signal.setitimer(signal.ITIMER_PROF, 1)
+        try:
+            assert main(["report", str(spec)]) == code
+            assert main(["check-link", "--matrix", str(matrix), "--n", str(n)]) == code
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+        if code:
+            assert capsys.readouterr().err == (f"error: {spec}.n: n <= 10000 required, got {n}\n"
+                                               f"error: --n: n <= 10000 required, got {n}\n")
+
     def test_check_link_wrong_symmetry(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text("[[0, 1], [1, 0]]")  # symmetric, but n = 3 needs skew
@@ -297,6 +331,29 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["oracle"]["all_match"] is True
         assert all(sum(row) == 0 for row in doc["links"][0]["linking_matrix"])
+
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES)
+    def test_each_fact_computed_once(self, name, monkeypatch, capsys):
+        spec = parse_spec(fixture_path(name))
+        blacks = sum(len(graphmodel.black_vertices(graph)) for graph in spec.graphs)
+        calls = Counter()
+        for home, func in ((graphmodel, "graph_counts"), (hopflink, "derived_linking_matrix"),
+                           (exactlinalg, "_det_and_inverse")):
+            original = getattr(home, func)
+
+            def counted(*args, _original=original, _func=func):
+                calls[_func] += 1
+                return _original(*args)
+
+            # modules import these by name, so patch every namespace that binds one
+            for key, module in list(sys.modules.items()):
+                if key == "hopfcalc" or key.startswith("hopfcalc."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted)
+        assert main(["report", "--oracle", fixture_path(name)]) == 0
+        assert calls == {"graph_counts": len(spec.graphs), "derived_linking_matrix": blacks,
+                         "_det_and_inverse": blacks}
 
     def test_oracle_json_on_product_spec(self, capsys):
         assert main(["oracle", PRODUCTS, "--format", "json"]) == 0

@@ -269,6 +269,8 @@ class TestHopfLinkSpec:
     def test_projection_bound(self):
         with pytest.raises(ValueError):
             HopfLinkSpec(J, n=3, k=3)
+        with pytest.raises(ValueError, match="k: need 0 <= k <= n - 2, got 2"):
+            HopfLinkSpec(J, n=3, k=2)  # k = n - 1
 
     def test_component_count(self):
         assert HopfLinkSpec(J, n=3).components == 3
@@ -302,12 +304,6 @@ class TestProjection:
             fiber, _ = project_link_descriptor(HopfLinkSpec(form, n=n))
             glue = (d + 1) * (1 + (-1) ** (n - 1))
             assert fiber.euler + (d + 1) - glue == 1 + (-1) ** n
-
-    def test_coalescing_indices(self):
-        # k = n - 1 merges the middle Betti contributions
-        spec = HopfLinkSpec(J, n=3, k=2)
-        _, link = project_link_descriptor(spec)
-        assert link.betti == (1, 0, 4, 0, 1)
 
 
 class TestSpinning:
