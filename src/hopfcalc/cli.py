@@ -284,25 +284,14 @@ def _link_section(spec: SpecFile) -> list[dict]:
 
 def _oracle_section(spec: SpecFile) -> dict:
     checks = []
-    all_match = True
     for g_idx, graph in enumerate(spec.graphs):
         for v_idx, v in black_vertices(graph):
-            form, lk = v.link.form, v.link.linking_matrix
-            for s in range(form.dim + 1):
-                result = presentation_oracle(form, s)
-                column = tuple(lk.at(j, s) for j in range(form.dim + 1))
-                match = oracle_matches_column(result, column)
-                checks.append(
-                    {
-                        "graph": g_idx,
-                        "vertex": v_idx,
-                        "component": s,
-                        "group": result.group_description(),
-                        "match": match,
-                    }
-                )
-                all_match = all_match and match
-    return {"checks": checks, "all_match": all_match}
+            lk = v.link.linking_matrix
+            for result in presentation_oracle(v.link.form):
+                column = tuple(lk.at(j, result.component) for j in range(lk.rows))
+                checks.append({"graph": g_idx, "vertex": v_idx, "component": result.component,
+                               "group": result.group_description(), "match": oracle_matches_column(result, column)})
+    return {"checks": checks, "all_match": all(check["match"] for check in checks)}
 
 
 def _require_match(section: dict) -> None:

@@ -75,6 +75,11 @@ class DecoratedGraph:
         """``graph_counts`` of this graph, computed once and kept; raises unless valid."""
         return graph_counts(self)
 
+    @cached_property
+    def connected_components(self) -> int:
+        """``_connected_components`` of this graph, counted once and kept."""
+        return _connected_components(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -216,7 +221,7 @@ def graph_counts(graph: DecoratedGraph) -> GraphCounts:
     require_valid(graph)
     m = len(graph.edges)
     s_black = sum(1 for v in graph.vertices if isinstance(v, BlackVertex))
-    g = m - len(graph.vertices) + _connected_components(graph)
+    g = m - len(graph.vertices) + graph.connected_components
     t = sum(v.link.d for v in graph.vertices if isinstance(v, BlackVertex))
     return GraphCounts(m, s_black, g, t)
 
@@ -248,7 +253,7 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
     they are rejected.
     """
     require_valid(graph)
-    if _connected_components(graph) != 1:
+    if graph.connected_components != 1:
         raise UnsupportedShapeError("fiber assembly needs a connected graph")
     n, k = graph_dimensions(graph)
 

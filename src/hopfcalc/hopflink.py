@@ -5,10 +5,10 @@ with the ambient half-dimension n (the link lives in S^{2n-1}), a projection
 count k, and the externally supplied order of the relevant homotopy-sphere
 group.  This module derives the canonical-framing linking matrix of the
 surgered link, re-derives each of its columns by a homology-presentation
-oracle (the Tietze-reduced filling presentation, one exact solve per
-component and a certificate by exact products against the unreduced
-presentation), decides fiberedness admissibility, and produces fiber/link
-descriptors for projected and spun links.
+oracle (the Tietze-reduced filling presentation, one exact elimination
+for all components and a certificate per component by exact products
+against its unreduced presentation), decides fiberedness admissibility,
+and produces fiber/link descriptors for projected and spun links.
 """
 
 from __future__ import annotations
@@ -221,50 +221,51 @@ class PresentationResult:
         return " + ".join(parts) if parts else "0"
 
 
-def presentation_oracle(a: BilinearForm, s: int) -> PresentationResult:
-    """Independent re-derivation of one column of the linking matrix.
+def presentation_oracle(a: BilinearForm) -> tuple[PresentationResult, ...]:
+    """Independent re-derivation of every column of the linking matrix, one result per component.
 
-    Fill every link component except the s-th by surgery and present the
+    For component s, fill every other component by surgery and present the
     middle homology of the result (``_filling_relations``).  Tietze moves
     drop each delta_i through delta_i = mu_i, drop mu_0 = 0 (s != 0) and
     drop the delta_0 relation.  The remaining relations, completed by the one
     set aside (row s of A for s != 0, e_0 for s = 0), form a square matrix
-    M_s with det M_s = +-det A.  For a unimodular A one exact solve
-    y M_s = e_last gives the free coordinate y, and it is certified by exact
-    products: y, lifted back to the delta generators, kills every relation of
-    the unreduced presentation, and y takes 1 on the set-aside relation.
-    With |det A| = 1 that proves the cokernel infinite cyclic with y as its
-    coordinate.  The classes of the link components then map to the s-th
-    column of ``derived_linking_matrix`` up to one global sign.  A
-    non-unimodular A falls back to the Smith form of the reduced relations;
-    a free coordinate found there passes the same lifted check.
+    M_s with det M_s = +-det A.  For a unimodular A one elimination
+    (``_free_coordinates``) solves y M_s = e_last for every s at once, and
+    each free coordinate y is certified by exact products: y, lifted back to
+    the delta generators, kills every relation of the unreduced presentation,
+    and y takes 1 on the set-aside relation.  With |det A| = 1 that proves
+    the cokernel infinite cyclic with y as its coordinate.  The classes of
+    the link components then map to the s-th column of
+    ``derived_linking_matrix`` up to one global sign.  A non-unimodular A
+    falls back to the Smith form of each component's reduced relations; a
+    free coordinate found there passes the same lifted check.
     """
-    d = a.dim
-    if not 0 <= s <= d:
-        raise ValueError(f"component index {s} out of range 0..{d}")
-    rows = a.matrix.to_rows()
-    if s:
-        kept, aside = [r for i, r in enumerate(rows, 1) if i != s], rows[s - 1]
-    else:
-        kept, aside = [[1] + r for r in rows], [1] + [0] * d
-    units = (1,) * (2 * d + 1 - len(aside))  # one unit factor per generator the moves removed
-    unimodular = a.det() in (1, -1)
-    if unimodular:
-        y = _free_coordinate([r + [0] for r in kept] + [aside + [1]])
-        factors, free_rank = (1,) * len(kept), 1
-    else:  # library callers only: the CLI rejects such a decoration at parse
-        # generators as rows, one column per kept relation
-        snf = smith_normal_form(IntMatrix(len(aside), len(kept), tuple(x for g in zip(*kept) for x in g)))
-        factors = snf.invariant_factors()
-        free_rank = len(aside) - len(factors)
-        y = list(snf.u.row(len(factors))) if free_rank == 1 and all(f == 1 for f in factors) else None
-    if y is None:
-        return PresentationResult(s, units + factors, free_rank, None)
-    z = y if s == 0 else [0] + y  # coordinates of mu_0..mu_d
-    lifted = z + [z[i] if i else -sum(z[1:]) for i in range(d + 1) if i != s]
-    if any(_dot(lifted, r) for r in _filling_relations(rows, s)) or (unimodular and _dot(y, aside) != 1):
-        raise AlgorithmMismatchError(f"presentation oracle certificate failed for component {s}")
-    return PresentationResult(s, units + factors, free_rank, (-sum(z[1:]),) + tuple(z[1:]))
+    rows, d = a.matrix.to_rows(), a.dim
+    coordinates = _free_coordinates(rows) if a.det() in (1, -1) else None
+    results = []
+    for s in range(d + 1):
+        if s:
+            kept, aside = [r for i, r in enumerate(rows, 1) if i != s], rows[s - 1]
+        else:
+            kept, aside = [[1] + r for r in rows], [1] + [0] * d
+        units = (1,) * (2 * d + 1 - len(aside))  # one unit factor per generator the moves removed
+        if coordinates:
+            y, factors, free_rank = coordinates[s], (1,) * len(kept), 1
+        else:  # library callers only: the CLI rejects such a decoration at parse
+            # generators as rows, one column per kept relation
+            snf = smith_normal_form(IntMatrix(len(aside), len(kept), tuple(x for g in zip(*kept) for x in g)))
+            factors = snf.invariant_factors()
+            free_rank = len(aside) - len(factors)
+            y = list(snf.u.row(len(factors))) if free_rank == 1 and all(f == 1 for f in factors) else None
+        vector = None
+        if y is not None:
+            z = y if s == 0 else [0] + y  # coordinates of mu_0..mu_d
+            lifted = z + [z[i] if i else -sum(z[1:]) for i in range(d + 1) if i != s]
+            if any(_dot(lifted, r) for r in _filling_relations(rows, s)) or (coordinates and _dot(y, aside) != 1):
+                raise AlgorithmMismatchError(f"presentation oracle certificate failed for component {s}")
+            vector = (-sum(z[1:]),) + tuple(z[1:])
+        results.append(PresentationResult(s, units + factors, free_rank, vector))
+    return tuple(results)
 
 
 def _filling_relations(rows: list[list[int]], s: int) -> list[list[int]]:
@@ -293,13 +294,17 @@ def _filling_relations(rows: list[list[int]], s: int) -> list[list[int]]:
     return out
 
 
-def _free_coordinate(system: list[list[int]]) -> list[int]:
-    """y with y M = e_last for a unimodular M, from the rows of [M^T | e_last] (modified in place)."""
-    n = len(system)
-    pivots, scale, _ = _gauss_jordan(system)
-    if pivots != list(range(n)) or scale not in (1, -1):
+def _free_coordinates(rows: list[list[int]]) -> list[list[int]]:
+    """Free coordinates [y_0, .., y_d] of a unimodular A, from one elimination on the rows [a_i | e_i | -1]."""
+    d = len(rows)
+    m = [r + [int(i == j) for j in range(d)] + [-1] for i, r in enumerate(rows)]
+    pivots, scale, _ = _gauss_jordan(m)
+    if pivots != list(range(d)) or scale not in (1, -1):
         raise AlgorithmMismatchError("presentation oracle: reduced relation matrix is not unimodular")
-    return [scale * row[n] for row in system]  # 1 / scale == scale
+    # A^-1 [I | -1], as 1 / scale == scale: M_s is A with row s last, so y_s = A^-1 e_s for s != 0,
+    # and the s = 0 system is x_0 = 1 with A x' = -1, so y_0 = (1, -A^-1 1)
+    columns = [[scale * row[c] for row in m] for c in range(d, 2 * d + 1)]
+    return [[1] + columns[d]] + columns[:d]
 
 
 def _dot(u, v) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import EllipsisType
 from typing import Optional, Sequence, Union
 
 from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, nullspace_rational
@@ -290,6 +291,7 @@ def phi_bounds(
     k: int,
     assume_cobounding: bool,
     sigma: Optional[int] = None,
+    canonical: Union[tuple[str, int], None, EllipsisType] = ...,
 ) -> PhiBounds:
     """Bounds on the minimal number of critical points of maps to S^{n-k}.
 
@@ -300,18 +302,16 @@ def phi_bounds(
     characteristic), for even n - k when s is odd (odd Euler characteristic)
     or when the signature is nonzero.  The canonical one-singularity shapes
     achieve exactly 1.  When no obstruction is certified the lower bound is
-    the trivial 0.
+    the trivial 0.  ``sigma`` and ``canonical`` (a ``detect_canonical_family`` result) are computed unless passed.
     """
     if not assume_cobounding:
         raise ValueError(
             "cobounding must be asserted by the caller; it cannot be verified here"
         )
-    s = 0
-    for graph in graphs:
-        require_valid(graph)
-        s += graph.counts.s_black
+    s = sum(graph.counts.s_black for graph in graphs)  # raises unless every graph is valid
 
-    canonical = detect_canonical_family(graphs, n, k)
+    if canonical is ...:
+        canonical = detect_canonical_family(graphs, n, k)
     if canonical is not None:
         return PhiBounds(1, 1, ("canonical one-singularity shape: exactly one critical point",))
 
@@ -460,7 +460,7 @@ def invariant_report(
 
     phi_lower = phi_upper = None
     if assume_cobounding:
-        bounds = phi_bounds(graphs, n, k, True, sigma=analysis.sigma)
+        bounds = phi_bounds(graphs, n, k, True, sigma=analysis.sigma, canonical=canonical)
         phi_lower, phi_upper = bounds.lower, bounds.upper
         notes.extend(bounds.notes)
     else:

@@ -94,8 +94,7 @@ def test_c02_oracle_equivalence():
     checks = 0
     for form in corpus:
         lk = derived_linking_matrix(form)
-        for s in range(form.dim + 1):
-            result = presentation_oracle(form, s)
+        for s, result in enumerate(presentation_oracle(form)):
             assert result.is_infinite_cyclic, (form.matrix.to_rows(), s)
             column = tuple(lk.at(j, s) for j in range(form.dim + 1))
             assert oracle_matches_column(result, column), (form.matrix.to_rows(), s)

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import hopfcalc
-from hopfcalc import exactlinalg, graphmodel, hopflink
+from hopfcalc import exactlinalg, graphmodel, hopflink, invariants
 from hopfcalc.cli import (
     SpecFileError,
     build_report,
@@ -322,7 +322,7 @@ class TestMain:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_decoration_linking_matrix_matches_oracle(self, seed, tmp_path, capsys):
-        # the linking matrix comes from the elimination inverse, the oracle from Smith forms
+        # the linking matrix comes from the decoration's inverse, the oracle from its filling presentations
         epsilon, n = (1, 4) if seed % 2 == 0 else (-1, 3)
         matrix = random_zero_diagonal_form(random.Random(seed), epsilon).matrix
         path = tmp_path / "tree.json"
@@ -337,8 +337,9 @@ class TestMain:
         spec = parse_spec(fixture_path(name))
         blacks = sum(len(graphmodel.black_vertices(graph)) for graph in spec.graphs)
         calls = Counter()
-        for home, func in ((graphmodel, "graph_counts"), (hopflink, "derived_linking_matrix"),
-                           (exactlinalg, "_det_and_inverse")):
+        for home, func in ((graphmodel, "graph_counts"), (graphmodel, "_connected_components"),
+                           (hopflink, "derived_linking_matrix"), (hopflink, "presentation_oracle"),
+                           (exactlinalg, "_det_and_inverse"), (invariants, "detect_canonical_family")):
             original = getattr(home, func)
 
             def counted(*args, _original=original, _func=func):
@@ -352,8 +353,9 @@ class TestMain:
                         if value is original:
                             monkeypatch.setattr(module, attr, counted)
         assert main(["report", "--oracle", fixture_path(name)]) == 0
-        assert calls == {"graph_counts": len(spec.graphs), "derived_linking_matrix": blacks,
-                         "_det_and_inverse": blacks}
+        graphs = len(spec.graphs)
+        assert calls == {"graph_counts": graphs, "_connected_components": graphs, "detect_canonical_family": graphs,
+                         "derived_linking_matrix": blacks, "presentation_oracle": blacks, "_det_and_inverse": blacks}
 
     def test_oracle_json_on_product_spec(self, capsys):
         assert main(["oracle", PRODUCTS, "--format", "json"]) == 0

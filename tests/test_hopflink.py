@@ -146,21 +146,39 @@ class TestDerivedLinkingMatrix:
             assert all(sum(lk.row(i)) == 0 for i in range(lk.rows))
 
 
+def _oracle_within_cpu_budget(form, seconds):
+    previous = signal.signal(signal.SIGPROF, _out_of_cpu_time)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        return presentation_oracle(form)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+def _assert_matches_linking_matrix(form, results):
+    lk = derived_linking_matrix(form)
+    assert len(results) == form.dim + 1
+    for s, result in enumerate(results):
+        assert result.is_infinite_cyclic, (form.matrix.to_rows(), s)
+        assert oracle_matches_column(result, tuple(lk.at(j, s) for j in range(form.dim + 1))), (form.matrix.to_rows(), s)
+
+
 class TestPresentationOracle:
     def test_hyperbolic_component_1(self):
         lk = derived_linking_matrix(HF)
-        result = presentation_oracle(HF, 1)
+        result = presentation_oracle(HF)[1]
         assert result.is_infinite_cyclic
         assert oracle_matches_column(result, tuple(lk.at(j, 1) for j in range(3)))
 
     def test_hyperbolic_preferred_component(self):
         lk = derived_linking_matrix(HF)
-        result = presentation_oracle(HF, 0)
+        result = presentation_oracle(HF)[0]
         assert result.is_infinite_cyclic
         assert oracle_matches_column(result, tuple(lk.at(j, 0) for j in range(3)))
 
     def test_non_unimodular_reports_torsion(self):
-        result = presentation_oracle(symmetric([[0, 2], [2, 0]]), 1)
+        result = presentation_oracle(symmetric([[0, 2], [2, 0]]))[1]
         assert not result.is_infinite_cyclic
         assert 2 in result.invariant_factors
         assert result.linking_vector is None
@@ -168,16 +186,11 @@ class TestPresentationOracle:
 
     def test_full_corpus_all_components(self):
         for form in oracle_corpus():
-            lk = derived_linking_matrix(form)
-            for s in range(form.dim + 1):
-                result = presentation_oracle(form, s)
-                assert result.is_infinite_cyclic, (form.matrix.to_rows(), s)
-                column = tuple(lk.at(j, s) for j in range(form.dim + 1))
-                assert oracle_matches_column(result, column), (form.matrix.to_rows(), s)
+            _assert_matches_linking_matrix(form, presentation_oracle(form))
 
-    def test_component_out_of_range(self):
-        with pytest.raises(ValueError):
-            presentation_oracle(HF, 3)
+    def test_one_result_per_component(self):
+        for form in (HF, symmetric([[0, 2], [2, 0]]), zero_diagonal_model(1, 1)):
+            assert [r.component for r in presentation_oracle(form)] == list(range(form.dim + 1))
 
     @pytest.mark.parametrize("epsilon", [1, -1])
     def test_matches_reference_smith_form(self, epsilon):
@@ -186,8 +199,7 @@ class TestPresentationOracle:
         for _ in range(150):
             form = random_decoration(rng, rng.randint(1, 6), epsilon)
             kinds.add(form.is_unimodular())
-            for s in range(form.dim + 1):
-                result = presentation_oracle(form, s)
+            for s, result in enumerate(presentation_oracle(form)):
                 factors, free_rank, vector = reference_presentation(form, s)
                 assert result.invariant_factors == factors, (form.matrix.to_rows(), s)
                 assert result.free_rank == free_rank
@@ -201,33 +213,41 @@ class TestPresentationOracle:
     def test_d28_all_components_within_cpu_budget(self):
         # Smith-form transform growth made this take about 40 s of CPU time
         form = zero_diagonal_model(3, 2)
-        lk = derived_linking_matrix(form)
-        previous = signal.signal(signal.SIGPROF, _out_of_cpu_time)
-        signal.setitimer(signal.ITIMER_PROF, 3)
-        try:
-            results = [presentation_oracle(form, s) for s in range(form.dim + 1)]
-        finally:
-            signal.setitimer(signal.ITIMER_PROF, 0)
-            signal.signal(signal.SIGPROF, previous)
-        assert len(results) == 29
-        for s, result in enumerate(results):
-            assert oracle_matches_column(result, tuple(lk.at(j, s) for j in range(form.dim + 1)))
+        _assert_matches_linking_matrix(form, _oracle_within_cpu_budget(form, 3))
+
+    def test_d56_all_components_within_cpu_budget(self):
+        # d + 1 separate solves took about 1.2 s of CPU time; one elimination for all takes under 0.1 s
+        form = zero_diagonal_model(6, 4)
+        _assert_matches_linking_matrix(form, _oracle_within_cpu_budget(form, 0.6))
 
     @pytest.mark.parametrize("corrupt", ["double", "perturb_entry"])
     def test_corrupted_solve_is_caught(self, monkeypatch, corrupt):
-        solve = hopflink._free_coordinate
-
-        def corrupted(system):
-            y = solve(system)
-            if corrupt == "double":
-                return [2 * x for x in y]
-            return y[:-1] + [y[-1] + 1]
-
-        monkeypatch.setattr(hopflink, "_free_coordinate", corrupted)
+        solve = hopflink._free_coordinates
         form = zero_diagonal_model(1, 1)
         for s in range(form.dim + 1):
-            with pytest.raises(AlgorithmMismatchError, match="certificate failed"):
-                presentation_oracle(form, s)
+
+            def corrupted(rows, s=s):
+                ys = solve(rows)
+                y = ys[s]
+                ys[s] = [2 * x for x in y] if corrupt == "double" else y[:-1] + [y[-1] + 1]
+                return ys
+
+            monkeypatch.setattr(hopflink, "_free_coordinates", corrupted)
+            with pytest.raises(AlgorithmMismatchError, match=f"certificate failed for component {s}$"):
+                presentation_oracle(form)
+
+    @pytest.mark.parametrize("first, second", [(1, 2), (3, 7), (2, 10)])
+    def test_swapped_components_are_caught(self, monkeypatch, first, second):
+        solve = hopflink._free_coordinates
+
+        def swapped(rows):
+            ys = solve(rows)
+            ys[first], ys[second] = ys[second], ys[first]
+            return ys
+
+        monkeypatch.setattr(hopflink, "_free_coordinates", swapped)
+        with pytest.raises(AlgorithmMismatchError, match=f"certificate failed for component {first}$"):
+            presentation_oracle(zero_diagonal_model(1, 1))
 
 
 class TestAdmissibility:
