@@ -14,6 +14,7 @@ that ``selftest`` and the tests run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -165,12 +166,6 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 # ---------------------------------------------------------------------------
 # inertia and Smith form containers
 
@@ -259,10 +254,6 @@ def det_bareiss(a: IntMatrix) -> int:
     return sign * scale if len(pivots) == a.rows else 0
 
 
-def is_unimodular(a: IntMatrix) -> bool:
-    return a.is_square and det_bareiss(a) in (1, -1)
-
-
 def _det_and_inverse(a: IntMatrix) -> tuple[int, IntMatrix | None]:
     """Determinant and, when it is +-1, the verified integer inverse, from one elimination on [A | I]."""
     if not a.is_square:
@@ -312,13 +303,9 @@ def nullspace_rational(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
 
 def clear_denominators(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Primitive integer vector proportional to ``vec``, first nonzero entry positive."""
-    scale = 1
-    for x in vec:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     for x in ints:

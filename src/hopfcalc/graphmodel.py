@@ -5,8 +5,10 @@ and each edge end is assigned to one component of the incident vertex
 (a link component at a black end, a boundary component at a white end).
 The graph is the combinatorial blueprint for gluing local fibered pieces
 into a manifold block; this module validates it, computes the counting
-invariants (edges, loops, handle count), and assembles the glued generic
-fiber when its Betti numbers are determined by the decoration data.
+invariants (edges, loops, handle count), decides the projected (k >= 1)
+shape once (``projected_pair``), and assembles the glued generic fiber when
+its Betti numbers are determined by the decoration data.  Each fact is kept
+on the frozen ``DecoratedGraph`` the first time it is read.
 """
 
 from __future__ import annotations
@@ -79,6 +81,18 @@ class DecoratedGraph:
     def connected_components(self) -> int:
         """``_connected_components`` of this graph, counted once and kept."""
         return _connected_components(self)
+
+    @cached_property
+    def dimensions(self) -> tuple[int, int]:
+        """(n, k) shared by the black decorations; raises unless the graph is valid."""
+        require_valid(self)
+        link = next(v.link for v in self.vertices if isinstance(v, BlackVertex))
+        return link.n, link.k
+
+    @cached_property
+    def projected(self) -> tuple[HopfLinkSpec, Union[HopfLinkSpec, FiberDescriptor]]:
+        """``projected_pair`` of this graph, decided once and kept."""
+        return projected_pair(self)
 
 
 @dataclass(frozen=True)
@@ -230,12 +244,28 @@ def black_vertices(graph: DecoratedGraph) -> list[tuple[int, BlackVertex]]:
     return [(i, v) for i, v in enumerate(graph.vertices) if isinstance(v, BlackVertex)]
 
 
-def graph_dimensions(graph: DecoratedGraph) -> tuple[int, int]:
-    """(n, k) shared by the black decorations."""
-    blacks = black_vertices(graph)
-    if not blacks:
-        raise GraphValidationError("graph has no black vertex")
-    return blacks[0][1].link.n, blacks[0][1].link.k
+def projected_pair(graph: DecoratedGraph) -> tuple[HopfLinkSpec, Union[HopfLinkSpec, FiberDescriptor]]:
+    """The one projected (k >= 1) shape rule: the two pieces its one edge joins.
+
+    In a valid projected graph every vertex has a single component, so one
+    edge joins either two black vertices (the doubled piece; their
+    decorations must have equal size) or a black and a white vertex (the
+    link capped by the white fiber).  Returns (link, link) in vertex order,
+    or (link, white fiber).  Raises unless the graph is valid.
+    """
+    if graph.dimensions[1] == 0:
+        raise UnsupportedShapeError("projected shapes need k >= 1")
+    if len(graph.edges) != 1:
+        raise UnsupportedShapeError("projected graphs support exactly one edge")
+    e = graph.edges[0]
+    u, v = (graph.vertices[i] for i in sorted((e.u, e.v)))
+    if isinstance(u, WhiteVertex):
+        u, v = v, u
+    if isinstance(v, WhiteVertex):
+        return u.link, v.fiber
+    if u.link.d != v.link.d:
+        raise UnsupportedShapeError("the two projected decorations must have equal size")
+    return u.link, v.link
 
 
 def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
@@ -252,10 +282,9 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
     white decorations carry gluing information the Betti data cannot see, so
     they are rejected.
     """
-    require_valid(graph)
+    n, k = graph.dimensions
     if graph.connected_components != 1:
         raise UnsupportedShapeError("fiber assembly needs a connected graph")
-    n, k = graph_dimensions(graph)
 
     chi = 0
     for v in graph.vertices:
@@ -305,25 +334,12 @@ def _glue_piece_euler(graph: DecoratedGraph, e: Edge, n: int, k: int) -> int:
 
 
 def _projected_fiber(graph: DecoratedGraph, n: int, k: int) -> FiberDescriptor:
-    blacks = black_vertices(graph)
-    whites = [(i, v) for i, v in enumerate(graph.vertices) if isinstance(v, WhiteVertex)]
-    if len(graph.edges) != 1:
-        raise UnsupportedShapeError("projected graphs support exactly one edge")
-    if len(blacks) == 2 and not whites:
-        d1 = blacks[0][1].link.d
-        d2 = blacks[1][1].link.d
-        if d1 != d2:
-            raise UnsupportedShapeError("the two projected decorations must have equal size")
+    link, other = graph.projected
+    if isinstance(other, HopfLinkSpec):
         # doubled piece: connected sum of d copies of S^{n-1} x S^{k+1}
-        return _from_betti_map([(0, 1), (k + 1, d1), (n - 1, d1), (n + k, 1)], n + k, 0)
-    if len(blacks) == 1 and len(whites) == 1:
-        d = blacks[0][1].link.d
-        if whites[0][1].fiber != projection_filler(n, k, d):
-            raise UnsupportedShapeError(
-                "white decoration does not match the trivial piece capping the projected link"
-            )
-        return sphere(n + k)
-    raise UnsupportedShapeError(
-        "projected graphs support two black vertices joined by an edge, "
-        "or one black and one matching white vertex"
-    )
+        return _from_betti_map([(0, 1), (k + 1, link.d), (n - 1, link.d), (n + k, 1)], n + k, 0)
+    if other != projection_filler(n, k, link.d):
+        raise UnsupportedShapeError(
+            "white decoration does not match the trivial piece capping the projected link"
+        )
+    return sphere(n + k)

@@ -24,13 +24,11 @@ from .graphmodel import (
     WhiteVertex,
     _incidences,
     assemble_global_fiber,
-    black_vertices,
-    graph_dimensions,
-    require_valid,
 )
 from .hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
+    check_dimensions,
     is_disk,
     projection_filler,
 )
@@ -61,8 +59,7 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
     eps = None
     blocks: list[IntMatrix] = []
     for graph in graphs:
-        require_valid(graph)
-        n, k = graph_dimensions(graph)
+        n, k = graph.dimensions
         if k != 0:
             raise UnsupportedShapeError("edge-indexed cup form applies to unprojected graphs")
         if eps is None:
@@ -117,25 +114,17 @@ def cup_form_for_family(
     """Dispatch a graph family to the right cup-form assembly; returns notes.
 
     Unprojected (k = 0) families use the edge-indexed form; a projected
-    family must be a single graph of one of the two supported shapes.
+    family must be a single graph of a shape ``projected_pair`` accepts.
     """
     if k == 0:
         return assemble_cup_form(graphs), ()
     if len(graphs) != 1:
         raise UnsupportedShapeError("projected families support a single graph")
-    graph = graphs[0]
-    require_valid(graph)
-    blacks = black_vertices(graph)
-    whites = [(i, v) for i, v in enumerate(graph.vertices) if isinstance(v, WhiteVertex)]
     note = (
         "projected cup form indexed by the interior block "
         "(inverse of the decoration); signature is preserved",
     )
-    if len(blacks) == 2 and not whites and len(graph.edges) == 1:
-        return assemble_cup_form_k(blacks[0][1].link, blacks[1][1].link), note
-    if len(blacks) == 1 and len(whites) == 1 and len(graph.edges) == 1:
-        return assemble_cup_form_k(blacks[0][1].link, whites[0][1].fiber), note
-    raise UnsupportedShapeError("unsupported projected graph shape for the cup form")
+    return assemble_cup_form_k(*graphs[0].projected), note
 
 
 @dataclass(frozen=True)
@@ -180,8 +169,7 @@ def euler_characteristic(graphs: Sequence[DecoratedGraph], n: int, k: int) -> in
     gs = []
     t = 0
     for graph in graphs:
-        require_valid(graph)
-        gn, gk = graph_dimensions(graph)
+        gn, gk = graph.dimensions
         if (gn, gk) != (n, k):
             raise ValueError(f"graph has dimensions (n, k) = ({gn}, {gk}), expected ({n}, {k})")
         counts = graph.counts
@@ -206,20 +194,20 @@ def canonical_homology_ranks(family: str, n: int, k: int, d: int) -> dict[int, i
     or from a projected black-white graph (ranks 1, d, 1 in degrees n-k, n,
     n+k), and a (2n+1)-manifold from a spun tree (ranks d+1 in degrees n and
     n+1) or its projected version (ranks 1, d, d, 1 in degrees n-k, n, n+1,
-    n+k+1).  Parameters outside the construction hypotheses are rejected.
+    n+k+1).  Parameters outside the construction hypotheses are rejected:
+    n and k by ``check_dimensions``, then the family's own k and d conditions.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if n < 3:
-        raise ValueError("n >= 3 required")
+    check_dimensions(n, k, 1)
     if family in (EVEN_K0, ODD_K0):
         if k != 0:
             raise ValueError(f"family {family} requires k = 0")
         if d < 1:
             raise ValueError("d >= 1 required (at least two link components)")
     else:
-        if not 1 <= k <= n - 2:
-            raise ValueError(f"family {family} requires 1 <= k <= n - 2")
+        if k < 1:
+            raise ValueError(f"family {family} requires k >= 1")
         if d < 4:
             raise ValueError("projected families require d >= 4 (at least five components)")
 
@@ -264,24 +252,20 @@ def detect_canonical_family(
     disks.  Projected: a single black vertex capped by the matching trivial
     white piece, with at least five link components.
     """
-    if len(graphs) != 1:
+    if len(graphs) != 1 or not graphs[0].validation.ok or graphs[0].dimensions != (n, k):
         return None
     graph = graphs[0]
-    if not graph.validation.ok:
-        return None
-    blacks = black_vertices(graph)
-    if len(blacks) != 1:
-        return None
-    d = blacks[0][1].link.d
-    whites = [v for v in graph.vertices if isinstance(v, WhiteVertex)]
     if k == 0:
-        if len(whites) == d + 1 and all(is_disk(w.fiber) for w in whites):
-            if graph.counts.g == 0:
-                return (EVEN_K0, d)
+        counts = graph.counts
+        whites = [v.fiber for v in graph.vertices if isinstance(v, WhiteVertex)]
+        tree = counts.s_black == 1 and counts.g == 0 and len(whites) == counts.t + 1
+        return (EVEN_K0, counts.t) if tree and all(map(is_disk, whites)) else None
+    try:
+        link, other = graph.projected
+    except UnsupportedShapeError:
         return None
-    if 1 <= k <= n - 2 and d >= 4 and len(whites) == 1 and len(graph.edges) == 1:
-        if whites[0].fiber == projection_filler(n, k, d):
-            return (EVEN_KPOS, d)
+    if link.d >= 4 and other == projection_filler(n, k, link.d):
+        return (EVEN_KPOS, link.d)
     return None
 
 
@@ -374,7 +358,7 @@ class ProductBound:
     notes: tuple[str, ...]
 
 
-def product_phi_bound(factors: Sequence[ProductFactor], target: str = "S3") -> ProductBound:
+def product_phi_bound(factors: Sequence[ProductFactor]) -> ProductBound:
     """Bounds for maps from a product of the given factors to the 3-sphere.
 
     The group multiplication on the target makes critical-point counts
@@ -382,8 +366,6 @@ def product_phi_bound(factors: Sequence[ProductFactor], target: str = "S3") -> P
     product manifold.  The Euler characteristic multiplies to a nonzero
     value, so the manifold does not fiber and the count is at least 1.
     """
-    if target != "S3":
-        raise ValueError("only the 3-sphere target is supported")
     if not factors:
         raise ValueError("empty factor list")
     upper = 1

@@ -297,6 +297,16 @@ class TestMain:
             assert "graphs[0].vertices[0].matrix: determinant -4" in err
             assert "unimodular" in err
 
+    def test_two_edge_projected_spec_exit_one(self, tmp_path, capsys):
+        # black - cylinder - black is a valid graph, but no projected shape has two edges
+        black = {"color": "black", "matrix": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]}
+        cylinder = {"color": "white", "fiber": {"betti": [1, 0, 0, 0, 0, 1, 0], "boundary_components": 2}}
+        edges = [{"u": 0, "v": 1, "u_comp": 0, "v_comp": 0}, {"u": 2, "v": 1, "u_comp": 0, "v_comp": 1}]
+        path = tmp_path / "two_edges.json"
+        path.write_text(json.dumps({"n": 5, "k": 1, "graphs": [{"vertices": [black, cylinder, black], "edges": edges}]}))
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err == "error: projected graphs support exactly one edge\n"
+
     def test_null_twist_exit_one(self, tmp_path, capsys):
         data = load(TREE)
         data["graphs"][0]["edges"][0]["twist"] = None
@@ -336,8 +346,11 @@ class TestMain:
     def test_each_fact_computed_once(self, name, monkeypatch, capsys):
         spec = parse_spec(fixture_path(name))
         blacks = sum(len(graphmodel.black_vertices(graph)) for graph in spec.graphs)
+        projected = sum(1 for graph in spec.graphs if graph.dimensions[1] > 0)
         calls = Counter()
         for home, func in ((graphmodel, "graph_counts"), (graphmodel, "_connected_components"),
+                           (graphmodel, "require_valid"), (graphmodel, "black_vertices"),
+                           (graphmodel, "projected_pair"),
                            (hopflink, "derived_linking_matrix"), (hopflink, "presentation_oracle"),
                            (exactlinalg, "_det_and_inverse"), (invariants, "detect_canonical_family")):
             original = getattr(home, func)
@@ -354,8 +367,12 @@ class TestMain:
                             monkeypatch.setattr(module, attr, counted)
         assert main(["report", "--oracle", fixture_path(name)]) == 0
         graphs = len(spec.graphs)
-        assert calls == {"graph_counts": graphs, "_connected_components": graphs, "detect_canonical_family": graphs,
-                         "derived_linking_matrix": blacks, "presentation_oracle": blacks, "_det_and_inverse": blacks}
+        # require_valid: once for the counts, once for the dimensions; black_vertices: the link and oracle sections
+        assert calls == Counter({"graph_counts": graphs, "_connected_components": graphs,
+                                 "detect_canonical_family": graphs, "require_valid": 2 * graphs,
+                                 "black_vertices": 2 * graphs, "projected_pair": projected,
+                                 "derived_linking_matrix": blacks, "presentation_oracle": blacks,
+                                 "_det_and_inverse": blacks})
 
     def test_oracle_json_on_product_spec(self, capsys):
         assert main(["oracle", PRODUCTS, "--format", "json"]) == 0

@@ -10,6 +10,7 @@ from hopfcalc.graphmodel import (
     WhiteVertex,
     assemble_global_fiber,
     graph_counts,
+    projected_pair,
     validate_graph,
 )
 from hopfcalc.hopflink import (
@@ -146,6 +147,22 @@ class TestCounts:
         tree = single_black_tree(HopfLinkSpec(J, n=3))
         with pytest.raises(GraphValidationError):
             graph_counts(DecoratedGraph(tree.vertices, tree.edges[:-1]))
+
+
+class TestProjectedPair:
+    def test_link_comes_first(self):
+        link = HopfLinkSpec(JJ, n=5, k=1)
+        filler = projection_filler(5, 1, 4)
+        g = DecoratedGraph((WhiteVertex(filler), BlackVertex(link)), (Edge(1, 0, 0, 0),))
+        assert projected_pair(g) == (link, filler)
+        assert g.projected is g.projected
+
+    def test_unprojected_and_invalid_graphs_raise(self):
+        tree = single_black_tree(HopfLinkSpec(J, n=3))
+        with pytest.raises(UnsupportedShapeError, match="k >= 1"):
+            projected_pair(tree)
+        with pytest.raises(GraphValidationError):
+            projected_pair(DecoratedGraph(tree.vertices, tree.edges[:-1]))
 
 
 class TestGlobalFiber:

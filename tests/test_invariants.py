@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hopfcalc.graphmodel import (
     Edge,
     UnsupportedShapeError,
     WhiteVertex,
+    assemble_global_fiber,
 )
 from hopfcalc.hopflink import (
     HopfLinkSpec,
@@ -26,6 +28,7 @@ from hopfcalc.hopflink import (
     derived_linking_matrix,
     disk,
     projection_filler,
+    sphere,
 )
 from hopfcalc.invariants import (
     EVEN_K0,
@@ -37,6 +40,7 @@ from hopfcalc.invariants import (
     assemble_cup_form,
     assemble_cup_form_k,
     canonical_homology_ranks,
+    cup_form_for_family,
     detect_canonical_family,
     euler_characteristic,
     invariant_report,
@@ -51,6 +55,10 @@ J = skew([[0, 1], [-1, 0]])
 HF = BilinearForm(H_MATRIX, 1)
 JJ = direct_sum(J, J)
 ZM = BilinearForm(zero_diagonal_model(1, 1).matrix, 1)
+
+
+def _out_of_cpu_time(signum, frame):
+    raise TimeoutError("over the CPU-time budget")
 
 
 class TestAssembleCupForm:
@@ -135,6 +143,18 @@ class TestAssembleCupFormProjected:
     def test_requires_projection(self):
         with pytest.raises(UnsupportedShapeError):
             assemble_cup_form_k(HopfLinkSpec(HF, n=4), projection_filler(4, 1, 2))
+
+    def test_two_edges_rejected_by_one_rule(self):
+        # black - cylinder - black: valid, but no projected shape has two edges
+        link = HopfLinkSpec(JJ, n=5, k=1)
+        g = DecoratedGraph(
+            (BlackVertex(link), WhiteVertex(cylinder(6)), BlackVertex(link)),
+            (Edge(0, 1, 0, 0), Edge(2, 1, 0, 1)),
+        )
+        with pytest.raises(UnsupportedShapeError, match="^projected graphs support exactly one edge$"):
+            assemble_global_fiber(g)
+        with pytest.raises(UnsupportedShapeError, match="^projected graphs support exactly one edge$"):
+            cup_form_for_family([g], 1)
 
     def test_size_mismatch(self):
         with pytest.raises(UnsupportedShapeError):
@@ -272,6 +292,17 @@ class TestHomologyTables:
         with pytest.raises(ValueError):
             canonical_homology_ranks(family, n, k, d)
 
+    def test_n_bound_within_cpu_budget(self):
+        # a table of 2n + 1 entries took 4.3 s of CPU time and 1.3 GB at n = 10**7
+        previous = signal.signal(signal.SIGPROF, _out_of_cpu_time)
+        signal.setitimer(signal.ITIMER_PROF, 1)
+        try:
+            with pytest.raises(ValueError, match="n: n <= 10000 required"):
+                canonical_homology_ranks(EVEN_K0, 10**7, 0, 1)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+
 
 class TestPhiBounds:
     def test_canonical_tree(self):
@@ -312,6 +343,21 @@ class TestPhiBounds:
         assert detect_canonical_family([bw], 5, 1) == (EVEN_KPOS, 4)
         pair = parallel_pair(HopfLinkSpec(J, n=3))
         assert detect_canonical_family([pair], 3, 0) is None
+        link = HopfLinkSpec(JJ, n=5, k=1)
+        two_black = DecoratedGraph((BlackVertex(link), BlackVertex(link)), (Edge(0, 1, 0, 0),))
+        assert detect_canonical_family([two_black], 5, 1) is None
+        mismatched = DecoratedGraph(
+            (BlackVertex(link), WhiteVertex(projection_filler(5, 1, 5))), (Edge(0, 1, 0, 0),)
+        )
+        assert detect_canonical_family([mismatched], 5, 1) is None
+        # no 3x3 zero-diagonal decoration is unimodular, but the library accepts one
+        triangle = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        small = HopfLinkSpec(BilinearForm(triangle, 1), n=4, k=1)
+        capped = DecoratedGraph(
+            (BlackVertex(small), WhiteVertex(projection_filler(4, 1, 3))), (Edge(0, 1, 0, 0),)
+        )
+        assert assemble_global_fiber(capped) == sphere(5)
+        assert detect_canonical_family([capped], 4, 1) is None
 
 
 class TestProductBounds:
@@ -332,10 +378,6 @@ class TestProductBounds:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             product_phi_bound([])
-
-    def test_unsupported_target(self):
-        with pytest.raises(ValueError):
-            product_phi_bound([ProductFactor("S4")], target="S2")
 
 
 class TestInvariantReport:
