@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Optional, Sequence
 
-from .exactlinalg import AlgorithmMismatchError, IntMatrix
+from .exactlinalg import AlgorithmMismatchError, DimensionError, IntMatrix
 from .forms import (
     BilinearForm,
     ClassificationError,
@@ -101,11 +101,13 @@ def _expect_int(value: Any, locus: str) -> int:
 def _parse_matrix(value: Any, locus: str) -> IntMatrix:
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise SpecFileError(f"{locus}: expected a nonempty array of arrays of integers")
-    rows = [[_expect_int(x, f"{locus}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(value)]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise SpecFileError(f"{locus}: ragged rows")
-    return IntMatrix.from_rows(rows)
+    try:
+        return IntMatrix.from_rows(value)  # checks every entry; the locus is formatted only on failure
+    except (TypeError, DimensionError):
+        for i, r in enumerate(value):
+            for j, x in enumerate(r):
+                _expect_int(x, f"{locus}[{i}][{j}]")
+        raise SpecFileError(f"{locus}: ragged rows") from None
 
 
 def _check_dimensions(n: int, k: int, theta: int, prefix: str) -> None:

@@ -26,7 +26,6 @@ from .graphmodel import (
     assemble_global_fiber,
 )
 from .hopflink import (
-    FiberDescriptor,
     HopfLinkSpec,
     check_dimensions,
     is_disk,
@@ -82,30 +81,22 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
     return BilinearForm(IntMatrix.block_diagonal(blocks), eps)
 
 
-def assemble_cup_form_k(
-    v_link: HopfLinkSpec, w: Union[HopfLinkSpec, FiberDescriptor]
-) -> BilinearForm:
-    """Intersection form for the two projected (k >= 1) graph shapes.
+def assemble_cup_form_k(graph: DecoratedGraph) -> BilinearForm:
+    """Intersection form of a projected (k >= 1) graph, read from ``graph.projected``.
 
     Indexed by 1..d.  With two black vertices the form is the sum of the two
     interior blocks of the canonical linking matrices, i.e. the sum of the
     inverses of the decorations; with a black and a white vertex it is the
     inverse of the single decoration.  The restriction to the interior block
     is this artifact's resolution of the edge indexing for projected links;
-    it preserves the signature of the decoration.
+    it preserves the signature of the decoration.  ``projected_pair`` is the
+    one rule for the shape (k >= 1, one edge, equal decoration sizes).
     """
-    if v_link.k < 1:
-        raise UnsupportedShapeError("projected cup form applies to k >= 1 specs")
+    v_link, w = graph.projected
     inv_v = v_link.form.inverse
     if isinstance(w, HopfLinkSpec):
-        if w.k != v_link.k or w.n != v_link.n:
-            raise UnsupportedShapeError("the two projected specs must share (n, k)")
-        if w.d != v_link.d:
-            raise UnsupportedShapeError("the two projected decorations must have equal size")
         return BilinearForm(inv_v + w.form.inverse, v_link.form.epsilon)
-    if isinstance(w, FiberDescriptor):
-        return BilinearForm(inv_v, v_link.form.epsilon)
-    raise UnsupportedShapeError("second vertex must be a link spec or a fiber descriptor")
+    return BilinearForm(inv_v, v_link.form.epsilon)
 
 
 def cup_form_for_family(
@@ -124,7 +115,7 @@ def cup_form_for_family(
         "projected cup form indexed by the interior block "
         "(inverse of the decoration); signature is preserved",
     )
-    return assemble_cup_form_k(*graphs[0].projected), note
+    return assemble_cup_form_k(graphs[0]), note
 
 
 @dataclass(frozen=True)

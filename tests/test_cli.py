@@ -91,6 +91,30 @@ class TestParse:
             parse_spec(str(path))
         assert "matrix" in str(err.value)
 
+    @pytest.mark.parametrize("entry, shown", [(1.5, "1.5"), (True, "True"), ("1", "'1'")])
+    def test_bad_matrix_entry_names_its_locus(self, entry, shown):
+        data = load(TREE)
+        data["graphs"][0]["vertices"][0]["matrix"][1][0] = entry
+        with pytest.raises(SpecFileError) as err:
+            parse_spec_data(data)
+        assert str(err.value) == f"<data>.graphs[0].vertices[0].matrix[1][0]: expected an integer, got {shown}"
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0, 1], [1]], "ragged rows"),
+            ([[0, 1], [1, 0, True]], "[1][2]: expected an integer, got True"),  # the entry before the shape
+            ([[0, 1], []], "ragged rows"),
+        ],
+    )
+    def test_ragged_matrix(self, matrix, message):
+        data = load(TREE)
+        data["graphs"][0]["vertices"][0]["matrix"] = matrix
+        with pytest.raises(SpecFileError) as err:
+            parse_spec_data(data)
+        assert str(err.value).startswith("<data>.graphs[0].vertices[0].matrix")
+        assert str(err.value).endswith(message)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(SpecFileError) as err:
             parse_spec_data({"n": 3, "k": 0, "graphs": [], "extra": 1})

@@ -89,10 +89,16 @@ def symmetric_matrices(draw):
     """Symmetric matrices up to 8x8; zero-diagonal, rank-deficient and zero ones drawn explicitly.
 
     A ``direct_sum`` matrix is a general block plus a zero-diagonal block, so
-    the elimination meets a zero live diagonal after 1x1 pivots.
+    the elimination meets a zero live diagonal after 1x1 pivots.  A
+    ``zero_tail`` matrix is a general block plus a zero block, so the
+    elimination ends with zero rows still live.  A ``zero_schur`` matrix has
+    first row ``d (1, g)`` and diagonal ``d g_i**2``, so after the 1x1 pivot
+    ``d`` every live diagonal entry is zero: 2x2 pivots follow at scale ``d``
+    with nonzero entries in the other live rows.
     """
     n = draw(st.integers(min_value=0, max_value=8))
-    kind = draw(st.sampled_from(["general", "zero_diagonal", "direct_sum", "duplicated", "zero"]))
+    kinds = ["general", "zero_diagonal", "direct_sum", "duplicated", "zero", "zero_tail", "zero_schur"]
+    kind = draw(st.sampled_from(kinds))
     flat = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n * n, max_size=n * n))
     rows = [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
     if kind in ("zero_diagonal", "direct_sum"):
@@ -108,7 +114,217 @@ def symmetric_matrices(draw):
             row[dst] = row[src]
     elif kind == "zero":
         rows = [[0] * n for _ in range(n)]
+    elif kind == "zero_tail":
+        split = draw(st.integers(0, n))
+        rows = [[x if max(i, j) < split else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    elif kind == "zero_schur" and n >= 1:
+        d = draw(st.sampled_from([-3, -2, 2, 3, 4]))
+        g = [1] + draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        for i in range(n):
+            rows[0][i] = rows[i][0] = d * g[i]
+            rows[i][i] = d * g[i] * g[i]
     return IntMatrix(n, n, tuple(x for row in rows for x in row))
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the full-width eliminations and the per-entry product
+# that the kernels in exactlinalg must reproduce exactly
+
+
+def reference_gauss_jordan(m):
+    """Bareiss Gauss-Jordan that updates every entry of every non-pivot row at every step."""
+    pivots = []
+    scale = sign = 1
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            sign = -sign
+        pivot_row = m[r]
+        p = pivot_row[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(x * p - f * y) // scale for x, y in zip(row, pivot_row)]
+        pivots.append(col)
+        scale = p
+    return pivots, scale, sign
+
+
+def reference_symmetric_bareiss(a):
+    """Symmetric Bareiss on every entry of the rows of [A | I]."""
+    n = a.rows
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a.to_rows())]
+    live = list(range(n))
+    order, blocks = [], []
+    scale = 1
+    while live:
+        p = next((i for i in live if m[i][i]), None)
+        if p is not None:
+            live.remove(p)
+            pivot_row, d = m[p], m[p][p]
+            for i in live:
+                row, f = m[i], m[i][p]
+                m[i] = [(x * d - f * y) // scale for x, y in zip(row, pivot_row)]
+            order.append(p)
+            blocks.append([[scale * d]])
+            scale = d
+            continue
+        pair = next(((i, j) for i in live for j in live if i < j and m[i][j]), None)
+        if pair is None:
+            break
+        p, q = pair
+        live.remove(p)
+        live.remove(q)
+        row_p, row_q, b = m[p], m[q], m[p][q]
+        b2, s2 = b * b, scale * scale
+        for i in live:
+            row, fp, fq = m[i], m[i][p], m[i][q]
+            m[i] = [(b2 * x - b * (fq * y + fp * z)) // s2 for x, y, z in zip(row, row_p, row_q)]
+        order += [p, q]
+        blocks.append([[0, scale * b], [scale * b, 0]])
+        scale = b2 // scale
+    order += live
+    blocks += [[[0]] for _ in live]
+    return order, [m[i][n:] for i in order], blocks
+
+
+def reference_product(a, b):
+    cols = [b.entries[j :: b.cols] for j in range(b.cols)]
+    return tuple(sum(x * y for x, y in zip(a.row(i), col)) for i in range(a.rows) for col in cols)
+
+
+@st.composite
+def elimination_rows(draw):
+    """Rows for ``_gauss_jordan``: any shape, dependent rows and columns, or the callers' augmented shapes.
+
+    ``general`` draws an m x n matrix, then may zero a column (a free column
+    before the pivots when it is the first), repeat a column (a free column
+    after a pivot) and replace a row by a combination of two others (rank
+    deficiency).  ``inverse`` is ``[A | I]`` and ``oracle`` is the oracle's
+    ``[a_i | e_i | -1]``, each for a square A that may be singular.
+    """
+    kind = draw(st.sampled_from(["general", "inverse", "oracle"]))
+    m = draw(st.integers(min_value=1, max_value=7))
+    n = m if kind != "general" else draw(st.integers(min_value=1, max_value=8))
+    entries = st.integers(min_value=-9, max_value=9)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    if kind == "general":
+        if draw(st.booleans()):
+            zero = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[zero] = 0
+        if n >= 2 and draw(st.booleans()):
+            src, dst = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+            c = draw(st.integers(-3, 3))
+            for row in rows:
+                row[dst] = c * row[src]
+    if m >= 3 and draw(st.booleans()):
+        i, j, t = draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True))
+        c = draw(st.integers(-3, 3))
+        rows[t] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    if kind == "inverse":
+        rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    elif kind == "oracle":
+        rows = [row + [int(i == j) for j in range(n)] + [-1] for i, row in enumerate(rows)]
+    return rows
+
+
+@st.composite
+def wide_products(draw):
+    """Conformable (A, B) with 0- to 300-bit entries, dimensions on both sides of the packed-path cutoff.
+
+    ``extreme`` fills A and B with their largest magnitude under row and
+    column signs, so every product entry is +-k max|A| max|B|, the bound the
+    slot width is taken from.
+    """
+    r, k, c = (draw(st.integers(0, 2 * exactlinalg._PACKED_MIN_DIM)) for _ in range(3))
+    a_bits, b_bits = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        row_signs = draw(st.lists(st.sampled_from([1, -1]), min_size=r, max_size=r))
+        col_signs = draw(st.lists(st.sampled_from([1, -1]), min_size=c, max_size=c))
+        a_max, b_max = (1 << a_bits) - 1, (1 << b_bits) - 1
+        a = IntMatrix(r, k, tuple(s * a_max for s in row_signs for _ in range(k)))
+        b = IntMatrix(k, c, tuple(col_signs[j] * b_max for _ in range(k) for j in range(c)))
+        return a, b
+    a_entries = st.integers(min_value=-(1 << a_bits), max_value=1 << a_bits)
+    b_entries = st.integers(min_value=-(1 << b_bits), max_value=1 << b_bits)
+    a = draw(st.lists(a_entries, min_size=r * k, max_size=r * k))
+    b = draw(st.lists(b_entries, min_size=k * c, max_size=k * c))
+    return IntMatrix(r, k, tuple(a)), IntMatrix(k, c, tuple(b))
+
+
+class TestKernelsMatchReferences:
+    @settings(deadline=None, max_examples=300)
+    @given(elimination_rows())
+    def test_gauss_jordan(self, rows):
+        m, expected = [list(r) for r in rows], [list(r) for r in rows]
+        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
+        assert m == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0, 1, 2], [0, 0, 3, 4]],  # free columns before the pivots
+            [[1, 2, 3, 4], [2, 4, 6, 9]],  # a free column between pivots
+            [[2, 1], [4, 2], [6, 3]],  # rank 1, more rows than columns
+            [[0, 0], [0, 0]],
+            [[2, 3, 1, 0], [5, 7, 0, 1]],  # [A | I] with pivots 2 and 1
+        ],
+    )
+    def test_gauss_jordan_examples(self, rows):
+        m, expected = [list(r) for r in rows], [list(r) for r in rows]
+        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
+        assert m == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(symmetric_matrices())
+    def test_symmetric_bareiss(self, a):
+        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 0, 0], [0, 0, 3], [0, 3, 0]],  # a 2x2 pivot at scale 2
+            [[4, 2, 2, 2], [2, 1, 2, 0], [2, 2, 1, 3], [2, 0, 3, 1]],  # 1x1 pivot 4, then 2x2 with row 3 live
+            [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 5, 0], [0, 0, 0, 0]],  # 1x1, 2x2 at scale 5, a live zero row
+            [[4, 2, 0, 0], [2, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],  # a trailing zero block
+            zero_diagonal_model(1, 1).matrix.to_rows(),
+        ],
+    )
+    def test_symmetric_bareiss_examples(self, rows):
+        a = IntMatrix.from_rows(rows)
+        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+        assert inertia_ldlt(a) == inertia_charpoly(a)
+
+    @settings(deadline=None, max_examples=300)
+    @given(wide_products())
+    def test_product(self, pair):
+        a, b = pair
+        expected = IntMatrix(a.rows, b.cols, reference_product(a, b))
+        assert a @ b == expected
+        if a.rows and a.cols and b.cols:
+            assert exactlinalg._packed_product(a, b) == expected.entries
+
+    @pytest.mark.parametrize("k", [exactlinalg._PACKED_MIN_DIM - 1, exactlinalg._PACKED_MIN_DIM])
+    @pytest.mark.parametrize("a_max, b_max", [(64, 63), (64, 64), (127, 1), (1, 128), ((1 << 300) - 1, 1 << 300)])
+    def test_product_at_slot_width_edges(self, k, a_max, b_max):
+        # k * 64 * 63 fills 15 bits of a 2-byte slot; 8 * 64 * 64 needs a 3-byte slot
+        signs = (1, -1, 0)
+        a = IntMatrix(k, k, tuple((-1) ** i * a_max for i in range(k) for _ in range(k)))
+        b = IntMatrix(k, k, tuple(signs[j % 3] * b_max for _ in range(k) for j in range(k)))
+        expected = tuple((-1) ** i * signs[j % 3] * k * a_max * b_max for i in range(k) for j in range(k))
+        assert (a @ b).entries == expected
+        assert exactlinalg._packed_product(a, b) == expected
+
+    @pytest.mark.parametrize("shape", [(0, 9, 3), (3, 9, 0), (0, 0, 0), (2, 0, 3), (3, 9, 2), (9, 9, 9)])
+    def test_product_of_empty_and_zero_shapes(self, shape):
+        r, k, c = shape
+        assert IntMatrix.zeros(r, k) @ IntMatrix.zeros(k, c) == IntMatrix.zeros(r, c)
+        assert IntMatrix.zeros(r, k) @ IntMatrix(k, c, tuple(range(k * c))) == IntMatrix.zeros(r, c)
 
 
 class TestIntMatrix:
@@ -215,6 +431,23 @@ class TestInverse:
     def test_not_unimodular(self):
         with pytest.raises(NotUnimodularError):
             inverse_unimodular(IntMatrix.diagonal([1, 2]))
+
+    @pytest.mark.parametrize("slot", [0, 37, -1])
+    def test_corrupted_packed_product_is_caught(self, monkeypatch, slot):
+        a = zero_diagonal_model(1, 1).matrix
+        product = exactlinalg._packed_product
+        calls = []
+
+        def corrupted(a, b):
+            entries = list(product(a, b))
+            entries[slot] += 1
+            calls.append((a.cols, b.cols))
+            return tuple(entries)
+
+        monkeypatch.setattr(exactlinalg, "_packed_product", corrupted)
+        with pytest.raises(AlgorithmMismatchError, match="inverse verification failed"):
+            inverse_unimodular(a)
+        assert calls == [(10, 10)]  # the A A^-1 = I check ran on the packed path
 
     def test_random_unimodular_corpus(self):
         rng = random.Random(2)

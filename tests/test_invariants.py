@@ -23,6 +23,7 @@ from hopfcalc.graphmodel import (
     assemble_global_fiber,
 )
 from hopfcalc.hopflink import (
+    FiberDescriptor,
     HopfLinkSpec,
     cylinder,
     derived_linking_matrix,
@@ -123,26 +124,33 @@ class TestAssembleCupForm:
         assert form.matrix @ ones == IntMatrix.zeros(2, 1)
 
 
+def one_edge_graph(first, second):
+    """Projected graph: a black vertex decorated by ``first`` joined to a black ``second`` or a white fiber."""
+    other = WhiteVertex(second) if isinstance(second, FiberDescriptor) else BlackVertex(second)
+    return DecoratedGraph((BlackVertex(first), other), (Edge(0, 1, 0, 0),))
+
+
 class TestAssembleCupFormProjected:
     def test_black_white_is_inverse(self):
         spec = HopfLinkSpec(ZM, n=4, k=1)
-        form = assemble_cup_form_k(spec, projection_filler(4, 1, 10))
+        form = assemble_cup_form_k(one_edge_graph(spec, projection_filler(4, 1, 10)))
         assert analyze_cup_form(form).sigma == 8
 
     def test_two_black_hyperbolic(self):
         spec = HopfLinkSpec(HF, n=4, k=1)
-        form = assemble_cup_form_k(spec, spec)
+        form = assemble_cup_form_k(one_edge_graph(spec, spec))
         assert form.matrix.to_rows() == [[0, 2], [2, 0]]
         assert analyze_cup_form(form).sigma == 0
 
     def test_black_white_hyperbolic(self):
         spec = HopfLinkSpec(HF, n=4, k=1)
-        form = assemble_cup_form_k(spec, projection_filler(4, 1, 2))
+        form = assemble_cup_form_k(one_edge_graph(spec, projection_filler(4, 1, 2)))
         assert form.matrix == H_MATRIX
 
     def test_requires_projection(self):
-        with pytest.raises(UnsupportedShapeError):
-            assemble_cup_form_k(HopfLinkSpec(HF, n=4), projection_filler(4, 1, 2))
+        # no one-edge graph is valid at k = 0 (a black vertex needs d + 1 >= 3 edge ends), so this is the tree
+        with pytest.raises(UnsupportedShapeError, match="^projected shapes need k >= 1$"):
+            assemble_cup_form_k(single_black_tree(HopfLinkSpec(HF, n=4)))
 
     def test_two_edges_rejected_by_one_rule(self):
         # black - cylinder - black: valid, but no projected shape has two edges
@@ -157,10 +165,9 @@ class TestAssembleCupFormProjected:
             cup_form_for_family([g], 1)
 
     def test_size_mismatch(self):
-        with pytest.raises(UnsupportedShapeError):
-            assemble_cup_form_k(
-                HopfLinkSpec(HF, n=4, k=1), HopfLinkSpec(ZM, n=4, k=1)
-            )
+        g = one_edge_graph(HopfLinkSpec(HF, n=4, k=1), HopfLinkSpec(ZM, n=4, k=1))
+        with pytest.raises(UnsupportedShapeError, match="^the two projected decorations must have equal size$"):
+            assemble_cup_form_k(g)
 
 
 class TestAnalyzeCupForm:
