@@ -68,16 +68,32 @@ class SpecFile:
     data: dict = field(repr=False)
 
 
-def _load_json(path: str) -> Any:
+def _int_or_error(text: str) -> Any:
+    """An integer literal, or the error of one past the interpreter's digit limit."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        return exc
+
+
+def _load_json(path: str, parse: Callable[[Any], Any], parse_int: Optional[Callable[[str], Any]] = None) -> Any:
+    """``parse`` of the decoded file; every input error is raised with its locus.
+
+    Only when an integer past the interpreter's digit limit fails the decode is
+    the file decoded again, each such integer kept as its error for ``parse`` to
+    reject at its field; the common path pays for no per-integer hook.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            data = json.load(fh, parse_int=parse_int)
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past the interpreter's digit limit, or bytes that are not UTF-8
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        _load_json(path, parse, _int_or_error)
         raise SpecFileError(f"{path}: {exc}") from exc
+    return parse(data)
 
 
 def _expect_keys(obj: Any, required: Sequence[str], locus: str, optional: Collection[str] = ()) -> None:
@@ -94,7 +110,8 @@ def _expect_keys(obj: Any, required: Sequence[str], locus: str, optional: Collec
 
 def _expect_int(value: Any, locus: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecFileError(f"{locus}: expected an integer, got {value!r}")
+        detail = value if isinstance(value, ValueError) else f"expected an integer, got {value!r}"
+        raise SpecFileError(f"{locus}: {detail}")
     return value
 
 
@@ -241,7 +258,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
 
 def parse_spec(path: str) -> SpecFile:
     """Parse and fully validate a spec file."""
-    return parse_spec_data(_load_json(path), source=path)
+    return _load_json(path, lambda data: parse_spec_data(data, source=path))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +487,7 @@ def _check_link_text(doc: dict) -> str:
 
 def _cmd_check_link(args) -> int:
     _check_dimensions(args.n, args.k, args.theta, "--")
-    link = _parse_link(_load_json(args.matrix), args.n, args.k, args.theta, args.matrix)
+    link = _load_json(args.matrix, lambda value: _parse_link(value, args.n, args.k, args.theta, args.matrix))
     doc = {"n": args.n, "k": args.k, **_admissibility_fields(link)}
     sys.stdout.write(_render(doc, args.format, _check_link_text))
     return 0
@@ -491,7 +508,7 @@ def _classify_text(doc: dict) -> str:
 
 
 def _cmd_classify(args) -> int:
-    matrix = _parse_matrix(_load_json(args.matrix), args.matrix)
+    matrix = _load_json(args.matrix, lambda value: _parse_matrix(value, args.matrix))
     if matrix.is_symmetric():
         eps = 1
     elif matrix.is_skew_symmetric():

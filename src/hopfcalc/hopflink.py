@@ -5,9 +5,10 @@ with the ambient half-dimension n (the link lives in S^{2n-1}), a projection
 count k, and the externally supplied order of the relevant homotopy-sphere
 group.  This module derives the canonical-framing linking matrix of the
 surgered link, re-derives each of its columns by a homology-presentation
-oracle (the Tietze-reduced filling presentation, one exact elimination
-for all components and a certificate per component by exact products
-against its unreduced presentation), decides fiberedness admissibility,
+oracle (the Tietze-reduced filling presentation, its free coordinates
+read off the certified inverse of the decoration, and every component
+certified against its unreduced presentation by sparse checks and one exact
+product), decides fiberedness admissibility,
 and produces fiber/link descriptors for projected and spun links.
 """
 
@@ -16,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 from typing import Optional
 
-from .exactlinalg import AlgorithmMismatchError, IntMatrix, _gauss_jordan, smith_normal_form
+from .exactlinalg import AlgorithmMismatchError, IntMatrix
 from .forms import BilinearForm
 
 
@@ -225,90 +225,69 @@ def presentation_oracle(a: BilinearForm) -> tuple[PresentationResult, ...]:
     """Independent re-derivation of every column of the linking matrix, one result per component.
 
     For component s, fill every other component by surgery and present the
-    middle homology of the result (``_filling_relations``).  Tietze moves
-    drop each delta_i through delta_i = mu_i, drop mu_0 = 0 (s != 0) and
-    drop the delta_0 relation.  The remaining relations, completed by the one
-    set aside (row s of A for s != 0, e_0 for s = 0), form a square matrix
-    M_s with det M_s = +-det A.  For a unimodular A one elimination
-    (``_free_coordinates``) solves y M_s = e_last for every s at once, and
-    each free coordinate y is certified by exact products: y, lifted back to
-    the delta generators, kills every relation of the unreduced presentation,
-    and y takes 1 on the set-aside relation.  With |det A| = 1 that proves
-    the cokernel infinite cyclic with y as its coordinate.  The classes of
-    the link components then map to the s-th column of
+    middle homology of the result: generators mu_0..mu_d (meridians), then
+    delta_i (cores of the filled components i != s), relations mu_i - delta_i
+    and delta_0 + mu_1 + ... + mu_d (each core is homologous to its meridian)
+    and the decorated ones (mu_0 for i = 0, row i of A on mu_1..mu_d plus
+    mu_0 when s = 0).  Tietze moves drop the deltas, mu_0 = 0 (s != 0) and
+    the delta_0 relation; the rest, completed by the relation set aside (row
+    s of A, or mu_0 for s = 0), is a square M_s with det M_s = +-det A.  The
+    free coordinate y of y M_s = e_last is read off the certified inverse
+    (``_coordinates``) and, lifted back to the deltas, certified against the
+    unreduced presentation (``_failing_components``): it kills every
+    relation and takes 1 on the set-aside one.  With |det A| = 1 that proves
+    the cokernel infinite cyclic with y as its coordinate, however y was
+    found, and the link components map to column s of
     ``derived_linking_matrix`` up to one global sign.  A non-unimodular A
-    falls back to the Smith form of each component's reduced relations; a
-    free coordinate found there passes the same lifted check.
+    raises ``NotUnimodularError``, as ``derived_linking_matrix`` does.
     """
-    rows, d = a.matrix.to_rows(), a.dim
-    coordinates = _free_coordinates(rows) if a.det() in (1, -1) else None
-    results = []
-    for s in range(d + 1):
-        if s:
-            kept, aside = [r for i, r in enumerate(rows, 1) if i != s], rows[s - 1]
-        else:
-            kept, aside = [[1] + r for r in rows], [1] + [0] * d
-        units = (1,) * (2 * d + 1 - len(aside))  # one unit factor per generator the moves removed
-        if coordinates:
-            y, factors, free_rank = coordinates[s], (1,) * len(kept), 1
-        else:  # library callers only: the CLI rejects such a decoration at parse
-            # generators as rows, one column per kept relation
-            snf = smith_normal_form(IntMatrix(len(aside), len(kept), tuple(x for g in zip(*kept) for x in g)))
-            factors = snf.invariant_factors()
-            free_rank = len(aside) - len(factors)
-            y = list(snf.u.row(len(factors))) if free_rank == 1 and all(f == 1 for f in factors) else None
-        vector = None
-        if y is not None:
-            z = y if s == 0 else [0] + y  # coordinates of mu_0..mu_d
-            lifted = z + [z[i] if i else -sum(z[1:]) for i in range(d + 1) if i != s]
-            if any(_dot(lifted, r) for r in _filling_relations(rows, s)) or (coordinates and _dot(y, aside) != 1):
-                raise AlgorithmMismatchError(f"presentation oracle certificate failed for component {s}")
-            vector = (-sum(z[1:]),) + tuple(z[1:])
-        results.append(PresentationResult(s, units + factors, free_rank, vector))
-    return tuple(results)
+    d = a.dim
+    coordinates = _coordinates(a.inverse)
+    failed = _failing_components(a.matrix, coordinates)
+    if failed:
+        raise AlgorithmMismatchError(f"presentation oracle certificate failed for component {failed[0]}")
+    units = (1,) * (2 * d)  # 2d relations on 2d + 1 generators with an infinite cyclic cokernel
+    return tuple(
+        PresentationResult(s, units, 1, (-sum(x[1 : d + 1]),) + tuple(x[1 : d + 1]))
+        for s, x in enumerate(coordinates)
+    )
 
 
-def _filling_relations(rows: list[list[int]], s: int) -> list[list[int]]:
-    """Relations of the unreduced filling presentation, built straight from the rows of A.
+def _coordinates(inv: IntMatrix) -> list[list[int]]:
+    """Free coordinate of each component on mu_0..mu_d, then on delta_i for i != s in increasing i.
 
-    Generators are the meridians mu_0..mu_d, then the core classes delta_i
-    of the filled components i != s in increasing i.  Each filled core is
-    homologous to its meridian (mu_i - delta_i, and delta_0 + mu_1 + ... +
-    mu_d for the preferred component), and the fiber boundary kills the
-    decorated combinations (mu_0 itself for s != 0, row i of A otherwise,
-    plus mu_0 when s = 0).
+    M_s is A with row s last, so y_s is column s - 1 of A^-1 (mu_0 = 0); the
+    s = 0 system is mu_0 = 1 with A y' = -1, so y_0 = (1, -A^-1 1).  The
+    Tietze moves set delta_i = mu_i and delta_0 = -(mu_1 + ... + mu_d).
     """
-    d = len(rows)
-    owners = [i for i in range(d + 1) if i != s]
+    d = inv.rows
+    columns = [[-sum(inv.row(i)) for i in range(d)]] + [list(inv.entries[j::d]) for j in range(d)]
     out = []
-    for pos, i in enumerate(owners):
-        core = [0] * (2 * d + 1)
-        core[d + 1 + pos] = 1 if i == 0 else -1
-        if i:
-            core[i] = 1
-        else:
-            core[1 : d + 1] = [1] * d
-        out.append(core)
-    for i in owners:
-        out.append([int(s == 0 or i == 0)] + (rows[i - 1] if i else [0] * d) + [0] * d)
+    for s, column in enumerate(columns):
+        mu = [int(s == 0)] + column
+        out.append(mu + [mu[i] if i else -sum(column) for i in range(d + 1) if i != s])
     return out
 
 
-def _free_coordinates(rows: list[list[int]]) -> list[list[int]]:
-    """Free coordinates [y_0, .., y_d] of a unimodular A, from one elimination on the rows [a_i | e_i | -1]."""
-    d = len(rows)
-    m = [r + [int(i == j) for j in range(d)] + [-1] for i, r in enumerate(rows)]
-    pivots, scale, _ = _gauss_jordan(m)
-    if pivots != list(range(d)) or scale not in (1, -1):
-        raise AlgorithmMismatchError("presentation oracle: reduced relation matrix is not unimodular")
-    # A^-1 [I | -1], as 1 / scale == scale: M_s is A with row s last, so y_s = A^-1 e_s for s != 0,
-    # and the s = 0 system is x_0 = 1 with A x' = -1, so y_0 = (1, -A^-1 1)
-    columns = [[scale * row[c] for row in m] for c in range(d, 2 * d + 1)]
-    return [[1] + columns[d]] + columns[:d]
+def _failing_components(a: IntMatrix, coordinates: list[list[int]]) -> list[int]:
+    """Components whose lifted coordinate fails its unreduced presentation, in increasing order.
 
-
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
+    Core relations are checked entry by entry, O(d) per component; decorated
+    rows, set-aside ones included, by one product A X, column s of X holding
+    component s on mu_1..mu_d.  Component s != 0 needs mu_0 = 0 and column s
+    of A X equal to e_s (row s is set aside); component 0 needs mu_0 = 1 (set
+    aside) and every row of A to take -mu_0 = -1.
+    """
+    d = a.rows
+    product = (a @ IntMatrix(d, d + 1, tuple(x[i] for i in range(1, d + 1) for x in coordinates))).entries
+    failed = []
+    for s, x in enumerate(coordinates):
+        mu = x[1 : d + 1]
+        cores = [mu[i - 1] if i else -sum(mu) for i in range(d + 1) if i != s]
+        required = tuple(-1 if s == 0 else int(i == s - 1) for i in range(d))
+        if x[0] != int(s == 0) or x[d + 1 :] != cores or product[s :: d + 1] != required:
+            failed.append(s)
+    return failed
 
 
 def oracle_matches_column(result: PresentationResult, column: tuple[int, ...]) -> bool:

@@ -57,6 +57,11 @@ def black_pair(n):
     return {"n": n, "k": 0, "graphs": [{"vertices": [black, black], "edges": edges}]}
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+OVERSIZED = "9" * (DIGIT_LIMIT + 700)  # an integer literal past the limit
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="interpreter has no integer digit limit")
+
+
 def _out_of_cpu_time(signum, frame):
     raise TimeoutError("over the CPU-time budget")
 
@@ -145,15 +150,35 @@ class TestParse:
             parse_spec(str(path))
         assert ":2:" in str(err.value)
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no integer digit limit")
+    @needs_digit_limit
     def test_oversized_integer_names_file(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(load(TREE)).replace('"n": 3', '"n": ' + "9" * 5000, 1))
+        path.write_text(json.dumps(load(TREE)).replace('"n": 3', '"n": ' + OVERSIZED, 1))
         with pytest.raises(SpecFileError) as err:
             parse_spec(str(path))
-        assert str(err.value).startswith(f"{path}: Exceeds the limit")
+        assert str(err.value).startswith(f"{path}.n: Exceeds the limit")
         assert main(["report", str(path)]) == 1
-        assert f"error: {path}: " in capsys.readouterr().err
+        assert f"error: {path}.n: " in capsys.readouterr().err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("command", ["report", "oracle"])
+    def test_oversized_matrix_entry_names_field(self, tmp_path, capsys, command):
+        data = load(TREE)
+        data["graphs"][0]["vertices"][0]["matrix"][0][1] = "X"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data).replace('"X"', "-" + OVERSIZED))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}.graphs[0].vertices[0].matrix[0][1]: Exceeds the limit")
+        assert f"value has {len(OVERSIZED)} digits" in err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("argv", [["check-link", "--n", "4"], ["classify"]])
+    def test_oversized_matrix_file_entry_names_field(self, tmp_path, capsys, argv):
+        path = tmp_path / "huge.json"
+        path.write_text(f"[[0, {OVERSIZED}], [1, 0]]")
+        assert main([*argv, "--matrix", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}[0][1]: Exceeds the limit")
 
     def test_undecodable_bytes_name_file(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -356,7 +381,8 @@ class TestMain:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_decoration_linking_matrix_matches_oracle(self, seed, tmp_path, capsys):
-        # the linking matrix comes from the decoration's inverse, the oracle from its filling presentations
+        # the linking matrix comes from the decoration's inverse; the oracle certifies each column against
+        # its filling presentation
         epsilon, n = (1, 4) if seed % 2 == 0 else (-1, 3)
         matrix = random_zero_diagonal_form(random.Random(seed), epsilon).matrix
         path = tmp_path / "tree.json"
@@ -376,7 +402,8 @@ class TestMain:
                            (graphmodel, "require_valid"), (graphmodel, "black_vertices"),
                            (graphmodel, "projected_pair"),
                            (hopflink, "derived_linking_matrix"), (hopflink, "presentation_oracle"),
-                           (exactlinalg, "_det_and_inverse"), (invariants, "detect_canonical_family")):
+                           (exactlinalg, "_det_and_inverse"), (exactlinalg, "_gauss_jordan"),
+                           (invariants, "detect_canonical_family")):
             original = getattr(home, func)
 
             def counted(*args, _original=original, _func=func):
@@ -389,14 +416,21 @@ class TestMain:
                     for attr, value in list(vars(module).items()):
                         if value is original:
                             monkeypatch.setattr(module, attr, counted)
-        assert main(["report", "--oracle", fixture_path(name)]) == 0
+        counts = {}
+        for command in ("report", "report --oracle", "oracle"):
+            calls.clear()
+            assert main([*command.split(), fixture_path(name)]) == 0
+            counts[command] = Counter(calls)
         graphs = len(spec.graphs)
         # require_valid: once for the counts, once for the dimensions; black_vertices: the link and oracle sections
-        assert calls == Counter({"graph_counts": graphs, "_connected_components": graphs,
-                                 "detect_canonical_family": graphs, "require_valid": 2 * graphs,
-                                 "black_vertices": 2 * graphs, "projected_pair": projected,
-                                 "derived_linking_matrix": blacks, "presentation_oracle": blacks,
-                                 "_det_and_inverse": blacks})
+        assert counts["report --oracle"] == Counter({
+            "graph_counts": graphs, "_connected_components": graphs,
+            "detect_canonical_family": graphs, "require_valid": 2 * graphs,
+            "black_vertices": 2 * graphs, "projected_pair": projected,
+            "derived_linking_matrix": blacks, "presentation_oracle": blacks,
+            "_det_and_inverse": blacks, "_gauss_jordan": counts["report"]["_gauss_jordan"]})
+        # one elimination per decoration: the oracle reads the inverse the parse computed
+        assert counts["oracle"]["_gauss_jordan"] == blacks
 
     def test_oracle_json_on_product_spec(self, capsys):
         assert main(["oracle", PRODUCTS, "--format", "json"]) == 0

@@ -1,7 +1,10 @@
 import random
 import signal
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcalc import hopflink
 from hopfcalc.exactlinalg import (
@@ -105,6 +108,63 @@ def random_decoration(rng, d, epsilon):
     return BilinearForm(IntMatrix.from_rows(rows), epsilon)
 
 
+def _filling_relations(rows, s):
+    """Relations of the unreduced filling presentation of component s, one dense row each.
+
+    Generators are mu_0..mu_d, then delta_i for the filled components i != s
+    in increasing i: the core relations (mu_i - delta_i, and
+    delta_0 + mu_1 + ... + mu_d), then the decorated ones (mu_0 for i = 0,
+    row i of A otherwise, plus mu_0 when s = 0).
+    """
+    d = len(rows)
+    owners = [i for i in range(d + 1) if i != s]
+    out = []
+    for pos, i in enumerate(owners):
+        core = [0] * (2 * d + 1)
+        core[d + 1 + pos] = 1 if i == 0 else -1
+        if i:
+            core[i] = 1
+        else:
+            core[1 : d + 1] = [1] * d
+        out.append(core)
+    for i in owners:
+        out.append([int(s == 0 or i == 0)] + (rows[i - 1] if i else [0] * d) + [0] * d)
+    return out
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def dense_failing_components(rows, coordinates):
+    """The certificate as a dense check, one dot product per relation: the reference for the sparse one."""
+    d = len(rows)
+    failed = []
+    for s, lifted in enumerate(coordinates):
+        y, aside = (lifted[: d + 1], [1] + [0] * d) if s == 0 else (lifted[1 : d + 1], rows[s - 1])
+        if any(_dot(lifted, r) for r in _filling_relations(rows, s)) or _dot(y, aside) != 1:
+            failed.append(s)
+    return failed
+
+
+def relifted(mu, s):
+    """Coordinates of component s from its values on mu_0..mu_d, the deltas set as the Tietze moves set them."""
+    return mu + [mu[i] if i else -sum(mu[1:]) for i in range(len(mu)) if i != s]
+
+
+TRUE_COORDINATES = hopflink._coordinates
+
+
+def corrupted_coordinates(monkeypatch, corrupt):
+    """Patch the oracle's coordinate source so that ``corrupt`` edits the lifted coordinates first."""
+    def patched(inv):
+        coordinates = TRUE_COORDINATES(inv)
+        corrupt(coordinates)
+        return coordinates
+
+    monkeypatch.setattr(hopflink, "_coordinates", patched)
+
+
 def _out_of_cpu_time(signum, frame):
     raise TimeoutError("over the CPU-time budget")
 
@@ -178,18 +238,19 @@ class TestPresentationOracle:
         assert oracle_matches_column(result, tuple(lk.at(j, 0) for j in range(3)))
 
     def test_non_unimodular_reports_torsion(self):
-        result = presentation_oracle(symmetric([[0, 2], [2, 0]]))[1]
-        assert not result.is_infinite_cyclic
-        assert 2 in result.invariant_factors
-        assert result.linking_vector is None
-        assert "Z/2" in result.group_description()
+        form = symmetric([[0, 2], [2, 0]])
+        with pytest.raises(NotUnimodularError):
+            presentation_oracle(form)
+        factors, free_rank, vector = reference_presentation(form, 1)
+        assert 2 in factors and vector is None
+        assert "Z/2" in PresentationResult(1, factors, free_rank, vector).group_description()
 
     def test_full_corpus_all_components(self):
         for form in oracle_corpus():
             _assert_matches_linking_matrix(form, presentation_oracle(form))
 
     def test_one_result_per_component(self):
-        for form in (HF, symmetric([[0, 2], [2, 0]]), zero_diagonal_model(1, 1)):
+        for form in (HF, zero_diagonal_model(1, 1)):
             assert [r.component for r in presentation_oracle(form)] == list(range(form.dim + 1))
 
     @pytest.mark.parametrize("epsilon", [1, -1])
@@ -199,6 +260,10 @@ class TestPresentationOracle:
         for _ in range(150):
             form = random_decoration(rng, rng.randint(1, 6), epsilon)
             kinds.add(form.is_unimodular())
+            if not form.is_unimodular():
+                with pytest.raises(NotUnimodularError):
+                    presentation_oracle(form)
+                continue
             for s, result in enumerate(presentation_oracle(form)):
                 factors, free_rank, vector = reference_presentation(form, s)
                 assert result.invariant_factors == factors, (form.matrix.to_rows(), s)
@@ -222,32 +287,87 @@ class TestPresentationOracle:
 
     @pytest.mark.parametrize("corrupt", ["double", "perturb_entry"])
     def test_corrupted_solve_is_caught(self, monkeypatch, corrupt):
-        solve = hopflink._free_coordinates
         form = zero_diagonal_model(1, 1)
-        for s in range(form.dim + 1):
+        d = form.dim
+        for s in range(d + 1):
 
-            def corrupted(rows, s=s):
-                ys = solve(rows)
-                y = ys[s]
-                ys[s] = [2 * x for x in y] if corrupt == "double" else y[:-1] + [y[-1] + 1]
-                return ys
+            def edit(coordinates, s=s):
+                x = coordinates[s]
+                coordinates[s] = [2 * v for v in x] if corrupt == "double" else x[:d] + [x[d] + 1] + x[d + 1 :]
 
-            monkeypatch.setattr(hopflink, "_free_coordinates", corrupted)
+            corrupted_coordinates(monkeypatch, edit)
             with pytest.raises(AlgorithmMismatchError, match=f"certificate failed for component {s}$"):
                 presentation_oracle(form)
 
     @pytest.mark.parametrize("first, second", [(1, 2), (3, 7), (2, 10)])
     def test_swapped_components_are_caught(self, monkeypatch, first, second):
-        solve = hopflink._free_coordinates
+        def swap(coordinates):
+            coordinates[first], coordinates[second] = coordinates[second], coordinates[first]
 
-        def swapped(rows):
-            ys = solve(rows)
-            ys[first], ys[second] = ys[second], ys[first]
-            return ys
-
-        monkeypatch.setattr(hopflink, "_free_coordinates", swapped)
+        corrupted_coordinates(monkeypatch, swap)
         with pytest.raises(AlgorithmMismatchError, match=f"certificate failed for component {first}$"):
             presentation_oracle(zero_diagonal_model(1, 1))
+
+    # one relation class broken at a time, the other two still satisfied:
+    # a delta off its meridian (core), y_3 + y_5 (row 5 of A takes 1, a
+    # decorated row), 2 y_3 (row 3 of A, set aside, takes 2)
+    @pytest.mark.parametrize("relation", ["core", "decorated", "set_aside"])
+    def test_each_relation_class_is_checked(self, monkeypatch, relation):
+        form = zero_diagonal_model(1, 1)
+        d = form.dim
+        s = 3
+
+        def edit(coordinates):
+            x, other = coordinates[s], coordinates[5]
+            if relation == "core":
+                x[d + 1 + 4] += 1
+            elif relation == "decorated":
+                coordinates[s] = relifted([a + b for a, b in zip(x[: d + 1], other[: d + 1])], s)
+            else:
+                coordinates[s] = relifted([2 * a for a in x[: d + 1]], s)
+            failed = dense_failing_components(form.matrix.to_rows(), coordinates)
+            assert failed == [s]
+
+        corrupted_coordinates(monkeypatch, edit)
+        with pytest.raises(AlgorithmMismatchError, match=f"certificate failed for component {s}$"):
+            presentation_oracle(form)
+
+    def test_dense_reference_passes_the_true_coordinates(self):
+        for form in oracle_corpus():
+            rows = form.matrix.to_rows()
+            assert dense_failing_components(rows, hopflink._coordinates(form.inverse)) == []
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        epsilon=st.sampled_from([1, -1]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["entry", "scale", "add", "swap"]),
+                st.integers(0, 10**6),
+                st.integers(0, 10**6),
+                st.integers(-2, 2),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_sparse_certificate_flags_what_the_dense_one_flags(self, seed, epsilon, edits):
+        form = random_zero_diagonal_form(random.Random(seed), epsilon)
+        rows, d = form.matrix.to_rows(), form.dim
+        coordinates = hopflink._coordinates(form.inverse)
+        for kind, s, position, k in edits:
+            s, t = s % (d + 1), position % (d + 1)
+            x = coordinates[s]
+            if kind == "entry":  # a meridian or a delta
+                x[position % len(x)] += k or 1
+            elif kind == "scale":
+                coordinates[s] = relifted([k * v for v in x[: d + 1]], s)
+            elif kind == "add":  # the result keeps every core relation
+                coordinates[s] = relifted([a + k * b for a, b in zip(x[: d + 1], coordinates[t][: d + 1])], s)
+            else:
+                coordinates[s], coordinates[t] = coordinates[t], x
+        dense = dense_failing_components(rows, coordinates)
+        assert hopflink._failing_components(form.matrix, coordinates) == dense
 
 
 class TestAdmissibility:
