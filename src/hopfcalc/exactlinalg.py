@@ -5,9 +5,10 @@ Every computation in this package is exact: entries are Python ints
 anywhere.  The operations provided here are the substrate for everything
 else: determinants, integer inverses of unimodular matrices and rational
 nullspaces, all read from one fraction-free Gauss-Jordan elimination; Smith
-normal form with transforms, for the oracle's presentations of a decoration
-that is not unimodular; and the inertia of symmetric matrices from a
-fraction-free symmetric elimination certified by a verified congruence.
+normal form with transforms, the tests' reference for the oracle's
+presentations, kept while ``perfbench/tracer.py`` patches it; and the
+inertia of symmetric matrices from a fraction-free symmetric elimination
+certified by a verified congruence.
 The inertia from the characteristic polynomial is the independent check
 that ``selftest`` and the tests run.
 

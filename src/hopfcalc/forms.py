@@ -71,15 +71,14 @@ class BilinearForm:
         if not self.matrix.is_square:
             raise DimensionError("bilinear form matrix must be square")
         m = self.matrix
-        for i in range(m.rows):
-            for j in range(i, m.cols):
-                if m.at(j, i) != self.epsilon * m.at(i, j):
-                    raise SymmetryError(
-                        f"matrix is not {'symmetric' if self.epsilon == 1 else 'skew-symmetric'} "
-                        f"at ({i},{j})"
-                    )
-        if self.epsilon == -1 and not m.has_zero_diagonal():
-            raise SymmetryError("skew form must have zero diagonal")
+        if not (m.is_symmetric() if self.epsilon == 1 else m.is_skew_symmetric()):
+            # the first failing (i, j), i <= j, is located only on failure; j = i covers a skew diagonal
+            i, j = next(
+                (i, j) for i in range(m.rows) for j in range(i, m.cols) if m.at(j, i) != self.epsilon * m.at(i, j)
+            )
+            raise SymmetryError(
+                f"matrix is not {'symmetric' if self.epsilon == 1 else 'skew-symmetric'} at ({i},{j})"
+            )
 
     @property
     def dim(self) -> int:

@@ -8,8 +8,10 @@ surgered link, re-derives each of its columns by a homology-presentation
 oracle (the Tietze-reduced filling presentation, its free coordinates
 read off the certified inverse of the decoration, and every component
 certified against its unreduced presentation by sparse checks and one exact
-product), decides fiberedness admissibility,
-and produces fiber/link descriptors for projected and spun links.
+product; with |det A| = 1 that proves each component's group infinite
+cyclic, so a result is just the component and its linking vector), decides
+fiberedness admissibility, and produces fiber/link descriptors for
+projected and spun links.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .exactlinalg import AlgorithmMismatchError, IntMatrix
 from .forms import BilinearForm
@@ -197,28 +198,15 @@ def derived_linking_matrix(a: BilinearForm) -> IntMatrix:
 
 @dataclass(frozen=True)
 class PresentationResult:
-    """Outcome of the filling presentation for one retained component.
+    """Certified outcome of the filling presentation for one component.
 
-    ``invariant_factors`` are the nonzero elementary divisors of the relation
-    matrix and ``free_rank`` the rank of the free part of its cokernel.  The
-    group is infinite cyclic exactly when free_rank == 1 and every invariant
-    factor is 1; only then is ``linking_vector`` populated (defined up to one
-    global sign).
+    The group is infinite cyclic (the certificate and |det A| = 1 prove it),
+    and ``linking_vector`` is its free coordinate on the link components,
+    defined up to one global sign.
     """
 
     component: int
-    invariant_factors: tuple[int, ...]
-    free_rank: int
-    linking_vector: Optional[tuple[int, ...]]
-
-    @property
-    def is_infinite_cyclic(self) -> bool:
-        return self.free_rank == 1 and all(f == 1 for f in self.invariant_factors)
-
-    def group_description(self) -> str:
-        parts = ["Z"] * self.free_rank
-        parts.extend(f"Z/{f}" for f in self.invariant_factors if f != 1)
-        return " + ".join(parts) if parts else "0"
+    linking_vector: tuple[int, ...]
 
 
 def presentation_oracle(a: BilinearForm) -> tuple[PresentationResult, ...]:
@@ -237,19 +225,18 @@ def presentation_oracle(a: BilinearForm) -> tuple[PresentationResult, ...]:
     unreduced presentation (``_failing_components``): it kills every
     relation and takes 1 on the set-aside one.  With |det A| = 1 that proves
     the cokernel infinite cyclic with y as its coordinate, however y was
-    found, and the link components map to column s of
-    ``derived_linking_matrix`` up to one global sign.  A non-unimodular A
-    raises ``NotUnimodularError``, as ``derived_linking_matrix`` does.
+    found, so a result holds only the component and its linking vector: the
+    images of the link components, column s of ``derived_linking_matrix`` up
+    to one global sign.  A non-unimodular A raises ``NotUnimodularError``,
+    as ``derived_linking_matrix`` does.
     """
     d = a.dim
     coordinates = _coordinates(a.inverse)
     failed = _failing_components(a.matrix, coordinates)
     if failed:
         raise AlgorithmMismatchError(f"presentation oracle certificate failed for component {failed[0]}")
-    units = (1,) * (2 * d)  # 2d relations on 2d + 1 generators with an infinite cyclic cokernel
     return tuple(
-        PresentationResult(s, units, 1, (-sum(x[1 : d + 1]),) + tuple(x[1 : d + 1]))
-        for s, x in enumerate(coordinates)
+        PresentationResult(s, (-sum(x[1 : d + 1]),) + tuple(x[1 : d + 1])) for s, x in enumerate(coordinates)
     )
 
 
@@ -292,8 +279,6 @@ def _failing_components(a: IntMatrix, coordinates: list[list[int]]) -> list[int]
 
 def oracle_matches_column(result: PresentationResult, column: tuple[int, ...]) -> bool:
     """True when the oracle vector equals the column up to one global sign."""
-    if result.linking_vector is None:
-        return False
     v = result.linking_vector
     return v == tuple(column) or tuple(-x for x in v) == tuple(column)
 

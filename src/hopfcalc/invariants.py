@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import EllipsisType
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, nullspace_rational
 from .forms import BilinearForm
@@ -99,23 +98,17 @@ def assemble_cup_form_k(graph: DecoratedGraph) -> BilinearForm:
     return BilinearForm(inv_v, v_link.form.epsilon)
 
 
-def cup_form_for_family(
-    graphs: Sequence[DecoratedGraph], k: int
-) -> tuple[BilinearForm, tuple[str, ...]]:
-    """Dispatch a graph family to the right cup-form assembly; returns notes.
+def cup_form_for_family(graphs: Sequence[DecoratedGraph], k: int) -> BilinearForm:
+    """Dispatch a graph family to the right cup-form assembly.
 
     Unprojected (k = 0) families use the edge-indexed form; a projected
     family must be a single graph of a shape ``projected_pair`` accepts.
     """
     if k == 0:
-        return assemble_cup_form(graphs), ()
+        return assemble_cup_form(graphs)
     if len(graphs) != 1:
         raise UnsupportedShapeError("projected families support a single graph")
-    note = (
-        "projected cup form indexed by the interior block "
-        "(inverse of the decoration); signature is preserved",
-    )
-    return assemble_cup_form_k(graphs[0]), note
+    return assemble_cup_form_k(graphs[0])
 
 
 @dataclass(frozen=True)
@@ -264,59 +257,33 @@ def phi_bounds(
     graphs: Sequence[DecoratedGraph],
     n: int,
     k: int,
-    assume_cobounding: bool,
-    sigma: Optional[int] = None,
-    canonical: Union[tuple[str, int], None, EllipsisType] = ...,
+    sigma: int,
+    canonical: Optional[tuple[str, int]],
 ) -> PhiBounds:
-    """Bounds on the minimal number of critical points of maps to S^{n-k}.
+    """Bounds on the minimal number of critical points of maps to S^{n-k}, given cobounding.
 
     The construction realizes a map with one critical point per black vertex,
-    so s (the total black count) is always an upper bound once the boundary
-    fibrations are assumed to cobound.  The lower bound 1 holds when a
-    fibration is obstructed: always for odd n - k (nonzero Euler
-    characteristic), for even n - k when s is odd (odd Euler characteristic)
-    or when the signature is nonzero.  The canonical one-singularity shapes
-    achieve exactly 1.  When no obstruction is certified the lower bound is
-    the trivial 0.  ``sigma`` and ``canonical`` (a ``detect_canonical_family`` result) are computed unless passed.
+    so s (the total black count) is an upper bound once the boundary
+    fibrations are assumed to cobound; the caller asserts that.  The lower
+    bound 1 holds when a fibration is obstructed: always for odd n - k
+    (nonzero Euler characteristic), for even n - k when s is odd (odd Euler
+    characteristic) or when the signature ``sigma`` is nonzero.  The
+    canonical one-singularity shapes (``canonical``, a
+    ``detect_canonical_family`` result) achieve exactly 1.  When no
+    obstruction is certified the lower bound is the trivial 0.
     """
-    if not assume_cobounding:
-        raise ValueError(
-            "cobounding must be asserted by the caller; it cannot be verified here"
-        )
     s = sum(graph.counts.s_black for graph in graphs)  # raises unless every graph is valid
-
-    if canonical is ...:
-        canonical = detect_canonical_family(graphs, n, k)
     if canonical is not None:
         return PhiBounds(1, 1, ("canonical one-singularity shape: exactly one critical point",))
-
-    if sigma is None:
-        sigma = _family_sigma(graphs, n, k)
-
-    notes: list[str] = []
     if (n - k) % 2 == 1:
-        notes.append(
-            "odd n-k: the glued manifold has nonzero Euler characteristic, no fibration"
-        )
-        return PhiBounds(1, s, tuple(notes))
-    if s % 2 == 1:
-        notes.append("even n-k with an odd number of black vertices: odd Euler characteristic")
-        return PhiBounds(1, s, tuple(notes))
-    if sigma is not None and sigma != 0:
-        notes.append(f"nonzero signature {sigma} obstructs fibering over any sphere")
-        return PhiBounds(1, s, tuple(notes))
-    notes.append("no obstruction certified; 0 is the unconditional lower bound")
-    return PhiBounds(0, s, tuple(notes))
-
-
-def _family_sigma(graphs: Sequence[DecoratedGraph], n: int, k: int) -> Optional[int]:
-    if n % 2 == 1:
-        return 0  # skew convention
-    try:
-        form, _ = cup_form_for_family(graphs, k)
-    except UnsupportedShapeError:
-        return None
-    return analyze_cup_form(form).sigma
+        note = "odd n-k: the glued manifold has nonzero Euler characteristic, no fibration"
+    elif s % 2 == 1:
+        note = "even n-k with an odd number of black vertices: odd Euler characteristic"
+    elif sigma != 0:
+        note = f"nonzero signature {sigma} obstructs fibering over any sphere"
+    else:
+        return PhiBounds(0, s, ("no obstruction certified; 0 is the unconditional lower bound",))
+    return PhiBounds(1, s, (note,))
 
 
 @dataclass(frozen=True)
@@ -415,10 +382,13 @@ def invariant_report(
     """Full invariant pipeline for a validated graph family.
 
     The report keeps the cup form it analyzed, so callers need not assemble
-    it again.
+    it again.  Every note is assembled here.
     """
-    form, form_notes = cup_form_for_family(graphs, k)
-    notes = list(form_notes)
+    form = cup_form_for_family(graphs, k)
+    notes: list[str] = []
+    if k:
+        notes.append("projected cup form indexed by the interior block (inverse of the decoration); "
+                     "signature is preserved")
     analysis = analyze_cup_form(form)
 
     chi = euler_characteristic(graphs, n, k)
@@ -433,7 +403,7 @@ def invariant_report(
 
     phi_lower = phi_upper = None
     if assume_cobounding:
-        bounds = phi_bounds(graphs, n, k, True, sigma=analysis.sigma, canonical=canonical)
+        bounds = phi_bounds(graphs, n, k, analysis.sigma, canonical)
         phi_lower, phi_upper = bounds.lower, bounds.upper
         notes.extend(bounds.notes)
     else:

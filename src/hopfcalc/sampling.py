@@ -117,10 +117,6 @@ def random_square(rng: random.Random, n: int, bound: int = 5) -> IntMatrix:
     return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
 
 
-def small_symmetric_zero_diagonal_unimodular(bound: int = 2) -> list[BilinearForm]:
-    """Every 2x2 zero-diagonal unimodular symmetric form with entries in [-bound, bound]."""
-    out = []
-    for b in range(-bound, bound + 1):
-        if b * b == 1:
-            out.append(symmetric([[0, b], [b, 0]]))
-    return out
+def small_symmetric_zero_diagonal_unimodular() -> list[BilinearForm]:
+    """Every 2x2 zero-diagonal unimodular symmetric form: off-diagonal entry -1, then 1."""
+    return [symmetric([[0, b], [b, 0]]) for b in (-1, 1)]

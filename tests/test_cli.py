@@ -13,7 +13,6 @@ from hopfcalc import exactlinalg, graphmodel, hopflink, invariants
 from hopfcalc.cli import (
     SpecFileError,
     build_report,
-    emit_report,
     main,
     parse_spec,
     parse_spec_data,
@@ -73,7 +72,7 @@ class TestParse:
 
     def test_tree_fixture(self):
         spec = parse_spec(TREE)
-        assert (spec.n, spec.k, spec.theta, spec.assume_cobounding) == (3, 0, 1, True)
+        assert (spec.n, spec.k, spec.data["theta"], spec.assume_cobounding) == (3, 0, 1, True)
         assert len(spec.graphs) == 1
         assert len(spec.graphs[0].edges) == 3
 
@@ -204,18 +203,23 @@ class TestParse:
         assert json.dumps(spec.data) == before
 
 
-class TestEmit:
-    def test_deterministic_bytes(self):
-        for name in fixture_names():
-            spec = parse_spec(fixture_path(name))
-            for fmt in ("text", "json"):
-                assert emit_report(spec, fmt=fmt) == emit_report(spec, fmt=fmt)
+def report_stdout(argv, capsys):
+    """stdout of a ``report`` run that exits 0."""
+    assert main(["report", *argv]) == 0
+    return capsys.readouterr().out
 
-    def test_round_trip_normalized_spec(self):
+
+class TestEmit:
+    def test_deterministic_bytes(self, capsys):
         for name in fixture_names():
-            spec = parse_spec(fixture_path(name))
-            doc = json.loads(emit_report(spec, fmt="json"))
-            assert parse_spec_data(doc["spec"]) == spec
+            for fmt in ("text", "json"):
+                argv = [fixture_path(name), "--format", fmt]
+                assert report_stdout(argv, capsys).encode() == report_stdout(argv, capsys).encode()
+
+    def test_round_trip_normalized_spec(self, capsys):
+        for name in fixture_names():
+            doc = json.loads(report_stdout([fixture_path(name), "--format", "json"], capsys))
+            assert parse_spec_data(doc["spec"]) == parse_spec(fixture_path(name))
 
     def test_tree_report_values(self):
         doc = build_report(parse_spec(TREE))
@@ -364,6 +368,14 @@ class TestMain:
         assert main(["report", str(path)]) == 1
         assert "graphs[0].edges[0].twist: expected a string" in capsys.readouterr().err
 
+    def test_negative_connsum_names_factor(self, tmp_path, capsys):
+        path = tmp_path / "factors.json"
+        path.write_text(json.dumps({"factors": [{"kind": "S4"}, {"kind": "connsum", "r": -1}]}))
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}.factors[1]: connected-sum multiplicity must be nonnegative\n"
+        )
+
     def test_missing_field_message_is_deterministic(self, tmp_path):
         data = load(TREE)
         del data["graphs"][0]["edges"][0]["u"], data["graphs"][0]["edges"][0]["v"]
@@ -443,12 +455,17 @@ class TestMain:
         assert main(["report", TREE]) == 2
         assert "fiber self-check failed" in capsys.readouterr().err
 
-    def test_oracle_mismatch_exit_two(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [["oracle"], ["report", "--oracle"]], ids=["oracle", "report-oracle"])
+    def test_oracle_mismatch_exit_two(self, argv, monkeypatch, capsys):
         import hopfcalc.cli as cli_mod
 
         def broken(result, column):
             return False
 
         monkeypatch.setattr(cli_mod, "oracle_matches_column", broken)
-        assert main(["oracle", TREE]) == 2
-        assert "internal invariant violation" in capsys.readouterr().err
+        assert main([argv[0], TREE, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert "internal invariant violation" in err
+        if argv[0] == "report":
+            # the report is still written, with the failed checks, before the gate exits 2
+            assert out.startswith("graph report\n") and "  oracle: all_match = false\n" in out

@@ -42,6 +42,22 @@ def test_declared_epsilon_is_checked():
         BilinearForm(IntMatrix.from_rows([[0, 1], [-1, 0]]), 1)
 
 
+@pytest.mark.parametrize(
+    "rows, epsilon, message",
+    [
+        # a nonzero diagonal entry is the first skew failure, at (0,0)
+        ([[1, 1], [-1, 0]], -1, "matrix is not skew-symmetric at (0,0)"),
+        ([[0, 1], [-1, 3]], -1, "matrix is not skew-symmetric at (1,1)"),
+        ([[0, 1, 2], [1, 0, 3], [2, 4, 0]], 1, "matrix is not symmetric at (1,2)"),
+        ([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], 1, "matrix is not symmetric at (0,1)"),
+    ],
+)
+def test_symmetry_failure_names_first_entry(rows, epsilon, message):
+    with pytest.raises(SymmetryError) as err:
+        BilinearForm(IntMatrix.from_rows(rows), epsilon)
+    assert str(err.value) == message
+
+
 class TestFormType:
     def test_e8(self):
         klass = form_type(BilinearForm(E8_MATRIX, 1))

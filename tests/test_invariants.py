@@ -311,34 +311,46 @@ class TestHomologyTables:
             signal.signal(signal.SIGPROF, previous)
 
 
+def family_phi_bounds(graphs, n, k):
+    """``phi_bounds`` with the signature and canonical shape that ``invariant_report`` passes."""
+    sigma = analyze_cup_form(cup_form_for_family(graphs, k)).sigma
+    return phi_bounds(graphs, n, k, sigma, detect_canonical_family(graphs, n, k))
+
+
 class TestPhiBounds:
     def test_canonical_tree(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
-        bounds = phi_bounds([tree], 3, 0, True)
+        bounds = family_phi_bounds([tree], 3, 0)
         assert (bounds.lower, bounds.upper) == (1, 1)
 
     def test_odd_target_family(self):
         pair = parallel_pair(HopfLinkSpec(J, n=3))
-        bounds = phi_bounds([pair, pair], 3, 0, True)
+        bounds = family_phi_bounds([pair, pair], 3, 0)
         assert (bounds.lower, bounds.upper) == (1, 4)
 
     def test_even_target_even_s_no_certificate(self):
         pair = parallel_pair(HopfLinkSpec(HF, n=4))
-        bounds = phi_bounds([pair], 4, 0, True)
+        bounds = family_phi_bounds([pair], 4, 0)
         assert (bounds.lower, bounds.upper) == (0, 2)
         assert any("no obstruction certified" in note for note in bounds.notes)
 
     def test_even_target_signature_certificate(self):
         tree = single_black_tree(HopfLinkSpec(ZM, n=4))
         pair = [tree, tree]
-        bounds = phi_bounds(pair, 4, 0, True)
+        bounds = family_phi_bounds(pair, 4, 0)
         assert (bounds.lower, bounds.upper) == (1, 2)
         assert any("signature" in note for note in bounds.notes)
 
-    def test_cobounding_flag_required(self):
-        tree = single_black_tree(HopfLinkSpec(J, n=3))
-        with pytest.raises(ValueError):
-            phi_bounds([tree], 3, 0, False)
+    @pytest.mark.parametrize(
+        "sigma, canonical, expected",
+        [(0, None, (0, 2)), (-8, None, (1, 2)), (0, (EVEN_K0, 2), (1, 1))],
+    )
+    def test_rule_reads_only_what_it_is_passed(self, sigma, canonical, expected):
+        # even target, s = 2: the passed signature and canonical shape decide the lower bound
+        pair = [parallel_pair(HopfLinkSpec(HF, n=4))]
+        bounds = phi_bounds(pair, 4, 0, sigma, canonical)
+        assert (bounds.lower, bounds.upper) == expected
+        assert sigma == 0 or bounds.notes == (f"nonzero signature {sigma} obstructs fibering over any sphere",)
 
     def test_detect_canonical(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
