@@ -28,6 +28,8 @@ from .graphmodel import (
     BlackVertex,
     DecoratedGraph,
     Edge,
+    GraphValidationError,
+    UnsupportedShapeError,
     WhiteVertex,
     black_vertices,
 )
@@ -249,12 +251,10 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             _parse_vertex(v, n, k, theta, f"{locus}.vertices[{i}]") for i, v in enumerate(vraw)
         )
         edges = tuple(_parse_edge(e, f"{locus}.edges[{i}]") for i, e in enumerate(eraw))
-        graph = DecoratedGraph(vertices, edges)
-        report = graph.validation
-        if not report.ok:
-            first = report.first
-            raise SpecFileError(f"{locus}.{first.locus}: {first.message}")
-        graphs.append(graph)
+        try:
+            graphs.append(DecoratedGraph(vertices, edges))
+        except GraphValidationError as exc:
+            raise SpecFileError(f"{locus}.{exc}") from exc
     echo = {**json.loads(json.dumps(data)), "theta": theta, "assume_cobounding": cobound}
     return SpecFile(n, k, cobound, tuple(graphs), (), echo)
 
@@ -467,7 +467,10 @@ def _render(doc: dict, fmt: str, render_text: Callable[[dict], str] = _render_te
 
 def _cmd_report(args) -> int:
     spec = parse_spec(args.spec)
-    doc = build_report(spec, oracle=args.oracle)
+    try:
+        doc = build_report(spec, oracle=args.oracle)
+    except UnsupportedShapeError as exc:
+        raise SpecFileError(f"{args.spec}: {exc}") from exc
     sys.stdout.write(_render(doc, args.format))
     if "oracle" in doc:
         _require_match(doc["oracle"])

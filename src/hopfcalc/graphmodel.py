@@ -4,11 +4,12 @@ Black vertices carry link specs, white vertices carry fiber descriptors,
 and each edge end is assigned to one component of the incident vertex
 (a link component at a black end, a boundary component at a white end).
 The graph is the combinatorial blueprint for gluing local fibered pieces
-into a manifold block; this module validates it, computes the counting
-invariants (edges, loops, handle count), decides the projected (k >= 1)
-shape once (``projected_pair``), and assembles the glued generic fiber when
-its Betti numbers are determined by the decoration data.  Each fact is kept
-on the frozen ``DecoratedGraph`` the first time it is read.
+into a manifold block.  A ``DecoratedGraph`` is checked by ``validate_graph``
+when it is built, so every graph that exists is valid.  This module computes
+the counting invariants (edges, loops, handle count), decides the projected
+(k >= 1) shape once (``projected_pair``), and assembles the glued generic
+fiber when its Betti numbers are determined by the decoration data.  Each
+fact is kept on the frozen ``DecoratedGraph`` the first time it is read.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .hopflink import (
 
 
 class GraphValidationError(ValueError):
-    """Raised by operations that require a valid graph."""
+    """A graph breaks a structural rule; the message is ``<locus>: <rule>``."""
 
 
 class UnsupportedShapeError(ValueError):
@@ -64,17 +65,17 @@ class Edge:
 
 @dataclass(frozen=True)
 class DecoratedGraph:
+    """A decorated bicolored graph; ``validate_graph`` checks it when it is built."""
+
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
-    @cached_property
-    def validation(self) -> ValidationReport:
-        """``validate_graph`` of this graph, run once and kept."""
-        return validate_graph(self)
+    def __post_init__(self) -> None:
+        validate_graph(self)
 
     @cached_property
     def counts(self) -> GraphCounts:
-        """``graph_counts`` of this graph, computed once and kept; raises unless valid."""
+        """``graph_counts`` of this graph, computed once and kept."""
         return graph_counts(self)
 
     @cached_property
@@ -84,8 +85,7 @@ class DecoratedGraph:
 
     @cached_property
     def dimensions(self) -> tuple[int, int]:
-        """(n, k) shared by the black decorations; raises unless the graph is valid."""
-        require_valid(self)
+        """(n, k) shared by the black decorations."""
         link = next(v.link for v in self.vertices if isinstance(v, BlackVertex))
         return link.n, link.k
 
@@ -93,25 +93,6 @@ class DecoratedGraph:
     def projected(self) -> tuple[HopfLinkSpec, Union[HopfLinkSpec, FiberDescriptor]]:
         """``projected_pair`` of this graph, decided once and kept."""
         return projected_pair(self)
-
-
-@dataclass(frozen=True)
-class Violation:
-    locus: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def first(self) -> Optional[Violation]:
-        return self.violations[0] if self.violations else None
 
 
 @dataclass(frozen=True)
@@ -137,74 +118,56 @@ def _incidences(graph: DecoratedGraph) -> list[list[tuple[int, int]]]:
     return inc
 
 
-def validate_graph(graph: DecoratedGraph) -> ValidationReport:
-    """Check every structural invariant; returns all violations in order.
+def validate_graph(graph: DecoratedGraph) -> None:
+    """Check every structural rule; raises ``GraphValidationError`` at the first violation.
 
-    Checks: at least one black vertex; edge endpoints in range; no isolated
-    vertices; at every vertex the edge-to-component assignment is a bijection
-    onto that vertex's components (link components for black, boundary
-    components for white); all black decorations share the same (n, k); and
+    ``DecoratedGraph`` calls this when it is built.  Checks, in order: at
+    least one black vertex; edge endpoints in range and components
+    nonnegative; no isolated vertices; at every vertex the
+    edge-to-component assignment is a bijection onto that vertex's
+    components (link components for black, boundary components for white);
     for skew decorations every black vertex has odd degree (a unimodular
-    skew decoration has even rank).
+    skew decoration has even rank); and all black decorations share the
+    same (n, k).
     """
-    violations: list[Violation] = []
     nv = len(graph.vertices)
 
     if not any(isinstance(v, BlackVertex) for v in graph.vertices):
-        violations.append(Violation("graph", "no black vertex"))
+        raise GraphValidationError("graph: no black vertex")
 
     for e_idx, e in enumerate(graph.edges):
         for end, comp in ((e.u, e.u_comp), (e.v, e.v_comp)):
             if not 0 <= end < nv:
-                violations.append(Violation(f"edges[{e_idx}]", f"vertex {end} out of range"))
+                raise GraphValidationError(f"edges[{e_idx}]: vertex {end} out of range")
             if comp < 0:
-                violations.append(Violation(f"edges[{e_idx}]", f"negative component {comp}"))
-    if violations:
-        return ValidationReport(tuple(violations))
+                raise GraphValidationError(f"edges[{e_idx}]: negative component {comp}")
 
     inc = _incidences(graph)
     dims: set[tuple[int, int]] = set()
     for v_idx, v in enumerate(graph.vertices):
+        locus = f"vertices[{v_idx}]"
         comps = sorted(c for _, c in inc[v_idx])
         expected = _component_count(v)
         kind = "black" if isinstance(v, BlackVertex) else "white"
         if not comps:
-            violations.append(Violation(f"vertices[{v_idx}]", f"isolated {kind} vertex"))
-            continue
+            raise GraphValidationError(f"{locus}: isolated {kind} vertex")
         if len(comps) != expected:
-            violations.append(
-                Violation(
-                    f"vertices[{v_idx}]",
-                    f"{kind} vertex has degree {len(comps)}, expected {expected} "
-                    f"(one edge per component)",
-                )
+            raise GraphValidationError(
+                f"{locus}: {kind} vertex has degree {len(comps)}, expected {expected} "
+                f"(one edge per component)"
             )
-        elif comps != list(range(expected)):
-            violations.append(
-                Violation(
-                    f"vertices[{v_idx}]",
-                    f"component assignment {comps} is not a bijection onto 0..{expected - 1}",
-                )
+        if comps != list(range(expected)):
+            raise GraphValidationError(
+                f"{locus}: component assignment {comps} is not a bijection onto 0..{expected - 1}"
             )
         if isinstance(v, BlackVertex):
             dims.add((v.link.n, v.link.k))
-            if v.link.form.epsilon == -1 and len(inc[v_idx]) % 2 == 0:
-                violations.append(
-                    Violation(
-                        f"vertices[{v_idx}]",
-                        f"skew decoration forces odd degree, got {len(inc[v_idx])}",
-                    )
+            if v.link.form.epsilon == -1 and len(comps) % 2 == 0:
+                raise GraphValidationError(
+                    f"{locus}: skew decoration forces odd degree, got {len(comps)}"
                 )
     if len(dims) > 1:
-        violations.append(Violation("graph", f"black vertices mix dimensions {sorted(dims)}"))
-    return ValidationReport(tuple(violations))
-
-
-def require_valid(graph: DecoratedGraph) -> None:
-    report = graph.validation
-    if not report.ok:
-        first = report.first
-        raise GraphValidationError(f"{first.locus}: {first.message}")
+        raise GraphValidationError(f"graph: black vertices mix dimensions {sorted(dims)}")
 
 
 def _connected_components(graph: DecoratedGraph) -> int:
@@ -225,14 +188,13 @@ def _connected_components(graph: DecoratedGraph) -> int:
 
 
 def graph_counts(graph: DecoratedGraph) -> GraphCounts:
-    """Edge, black-vertex, loop and handle counts of a validated graph.
+    """Edge, black-vertex, loop and handle counts of a graph.
 
     The handle count t sums the decoration size over black vertices.  For
     unprojected links this equals degree - 1 per black vertex, hence
     t = 2m - s on connected all-black graphs; for projected links it is the
     number of middle-index handles the local model attaches.
     """
-    require_valid(graph)
     m = len(graph.edges)
     s_black = sum(1 for v in graph.vertices if isinstance(v, BlackVertex))
     g = m - len(graph.vertices) + graph.connected_components
@@ -247,11 +209,11 @@ def black_vertices(graph: DecoratedGraph) -> list[tuple[int, BlackVertex]]:
 def projected_pair(graph: DecoratedGraph) -> tuple[HopfLinkSpec, Union[HopfLinkSpec, FiberDescriptor]]:
     """The one projected (k >= 1) shape rule: the two pieces its one edge joins.
 
-    In a valid projected graph every vertex has a single component, so one
+    In a projected graph every vertex has a single component, so one
     edge joins either two black vertices (the doubled piece; their
     decorations must have equal size) or a black and a white vertex (the
     link capped by the white fiber).  Returns (link, link) in vertex order,
-    or (link, white fiber).  Raises unless the graph is valid.
+    or (link, white fiber).
     """
     if graph.dimensions[1] == 0:
         raise UnsupportedShapeError("projected shapes need k >= 1")

@@ -161,9 +161,9 @@ def euler_characteristic(graphs: Sequence[DecoratedGraph], n: int, k: int) -> in
         t += counts.t
         fibers.append(assemble_global_fiber(graph))
     if len(set(gs)) > 1:
-        raise ValueError(f"graphs have mismatched loop counts {gs}; fibers cannot agree")
+        raise UnsupportedShapeError(f"graphs have mismatched loop counts {gs}; fibers cannot agree")
     if len({f.euler for f in fibers}) > 1:
-        raise ValueError("graphs have mismatched fiber Euler characteristics")
+        raise UnsupportedShapeError("graphs have mismatched fiber Euler characteristics")
     return _sphere_euler(n - k) * fibers[0].euler + (-1) ** n * t
 
 
@@ -236,7 +236,7 @@ def detect_canonical_family(
     disks.  Projected: a single black vertex capped by the matching trivial
     white piece, with at least five link components.
     """
-    if len(graphs) != 1 or not graphs[0].validation.ok or graphs[0].dimensions != (n, k):
+    if len(graphs) != 1 or graphs[0].dimensions != (n, k):
         return None
     graph = graphs[0]
     if k == 0:

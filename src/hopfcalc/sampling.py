@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .exactlinalg import IntMatrix, congruence_apply
-from .forms import BilinearForm, H_MATRIX, direct_sum, skew, symmetric, zero_diagonal_model
+from .forms import BilinearForm, H_MATRIX, direct_sum, skew, zero_diagonal_model
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int | None = None) -> IntMatrix:
@@ -116,7 +116,3 @@ def random_symmetric(rng: random.Random, n: int, bound: int = 9) -> IntMatrix:
 def random_square(rng: random.Random, n: int, bound: int = 5) -> IntMatrix:
     return IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
 
-
-def small_symmetric_zero_diagonal_unimodular() -> list[BilinearForm]:
-    """Every 2x2 zero-diagonal unimodular symmetric form: off-diagonal entry -1, then 1."""
-    return [symmetric([[0, b], [b, 0]]) for b in (-1, 1)]

@@ -29,6 +29,7 @@ from hopfcalc.forms import (
     classify_indefinite,
     direct_sum,
     skew,
+    symmetric,
     zero_diagonal_model,
 )
 from hopfcalc.graphmodel import BlackVertex, DecoratedGraph, Edge, graph_counts
@@ -53,7 +54,6 @@ from hopfcalc.sampling import (
     random_congruence,
     random_symmetric,
     random_zero_diagonal_form,
-    small_symmetric_zero_diagonal_unimodular,
 )
 
 from test_graphmodel import parallel_pair, single_black_tree
@@ -83,7 +83,8 @@ def test_c01_ground_truth():
 def test_c02_oracle_equivalence():
     start = time.monotonic()
     corpus: list[BilinearForm] = []
-    corpus += small_symmetric_zero_diagonal_unimodular()
+    # every 2x2 zero-diagonal unimodular symmetric form: off-diagonal entry -1, then 1
+    corpus += [symmetric([[0, b], [b, 0]]) for b in (-1, 1)]
     corpus += [J, skew([[0, -1], [1, 0]])]
     corpus += [
         direct_sum(J, J),

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -47,6 +48,23 @@ def load(path):
 
 
 GRAPH_FIXTURES = [name for name in fixture_names() if "graphs" in load(fixture_path(name))]
+
+
+J_ROWS = [[0, 1], [-1, 0]]
+JJ_ROWS = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+
+
+def white(betti):
+    return {"color": "white", "fiber": {"betti": betti, "boundary_components": 1}}
+
+
+WHITE_DISK3 = white([1, 0, 0, 0])
+
+
+def tree_with_whites(whites):
+    """Spec document at n = 3: one black J vertex, the given white vertex on each of its three components."""
+    edges = [{"u": 0, "v": c + 1, "u_comp": c, "v_comp": 0} for c in range(3)]
+    return {"n": 3, "k": 0, "graphs": [{"vertices": [{"color": "black", "matrix": J_ROWS}, *whites], "edges": edges}]}
 
 
 def black_pair(n):
@@ -358,7 +376,46 @@ class TestMain:
         path = tmp_path / "two_edges.json"
         path.write_text(json.dumps({"n": 5, "k": 1, "graphs": [{"vertices": [black, cylinder, black], "edges": edges}]}))
         assert main(["report", str(path)]) == 1
-        assert capsys.readouterr().err == "error: projected graphs support exactly one edge\n"
+        assert capsys.readouterr().err == f"error: {path}: projected graphs support exactly one edge\n"
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(
+            {"n": 5, "k": 1, "graphs": [{"vertices": [{"color": "black", "matrix": J_ROWS},
+                                                      {"color": "black", "matrix": JJ_ROWS}],
+                                         "edges": [{"u": 0, "v": 1, "u_comp": 0, "v_comp": 0}]}]},
+            "the two projected decorations must have equal size", id="unequal-projected-pair"),
+        pytest.param(
+            tree_with_whites([WHITE_DISK3, WHITE_DISK3, white([1, 2, 0, 0])]),
+            "non-trivial white decoration: glued Betti numbers are not determined by Betti data alone",
+            id="non-trivial-white"),
+        pytest.param(
+            {"n": 3, "k": 0, "graphs": [
+                tree_with_whites([WHITE_DISK3] * 3)["graphs"][0],
+                {"vertices": [{"color": "black", "matrix": J_ROWS}] * 2,
+                 "edges": [{"u": 0, "v": 1, "u_comp": c, "v_comp": c} for c in range(3)]}]},
+            "graphs have mismatched loop counts [0, 2]; fibers cannot agree", id="mismatched-loops"),
+        pytest.param(
+            tree_with_whites([white([1, 0]), WHITE_DISK3, WHITE_DISK3]),
+            "white fiber at vertex 1 has dimension 1, expected 3", id="white-dimension"),
+    ])
+    def test_shape_error_names_spec_file(self, data, message, tmp_path, capsys):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES)
+    def test_deleting_any_edge_names_a_vertex(self, name, tmp_path, capsys):
+        data = load(fixture_path(name))
+        path = tmp_path / name
+        for g, graph in enumerate(data["graphs"]):
+            for e in range(len(graph["edges"])):
+                mutated = json.loads(json.dumps(data))
+                del mutated["graphs"][g]["edges"][e]
+                path.write_text(json.dumps(mutated))
+                assert main(["report", str(path)]) == 1, (g, e)
+                err = capsys.readouterr().err
+                assert re.fullmatch(rf"error: {re.escape(str(path))}\.graphs\[{g}\]\.vertices\[\d+\]: .+\n", err), err
 
     def test_null_twist_exit_one(self, tmp_path, capsys):
         data = load(TREE)
@@ -411,7 +468,7 @@ class TestMain:
         projected = sum(1 for graph in spec.graphs if graph.dimensions[1] > 0)
         calls = Counter()
         for home, func in ((graphmodel, "graph_counts"), (graphmodel, "_connected_components"),
-                           (graphmodel, "require_valid"), (graphmodel, "black_vertices"),
+                           (graphmodel, "validate_graph"), (graphmodel, "black_vertices"),
                            (graphmodel, "projected_pair"),
                            (hopflink, "derived_linking_matrix"), (hopflink, "presentation_oracle"),
                            (exactlinalg, "_det_and_inverse"), (exactlinalg, "_gauss_jordan"),
@@ -434,13 +491,14 @@ class TestMain:
             assert main([*command.split(), fixture_path(name)]) == 0
             counts[command] = Counter(calls)
         graphs = len(spec.graphs)
-        # require_valid: once for the counts, once for the dimensions; black_vertices: the link and oracle sections
+        # validate_graph: once per graph, when it is built; black_vertices: the link and oracle sections
         assert counts["report --oracle"] == Counter({
             "graph_counts": graphs, "_connected_components": graphs,
-            "detect_canonical_family": graphs, "require_valid": 2 * graphs,
+            "detect_canonical_family": graphs, "validate_graph": graphs,
             "black_vertices": 2 * graphs, "projected_pair": projected,
             "derived_linking_matrix": blacks, "presentation_oracle": blacks,
             "_det_and_inverse": blacks, "_gauss_jordan": counts["report"]["_gauss_jordan"]})
+        assert counts["report"]["validate_graph"] == counts["oracle"]["validate_graph"] == graphs
         # one elimination per decoration: the oracle reads the inverse the parse computed
         assert counts["oracle"]["_gauss_jordan"] == blacks
 

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 
 from hopfcalc.forms import BilinearForm, H_MATRIX, direct_sum, skew, zero_diagonal_model
@@ -45,47 +48,65 @@ def parallel_pair(link: HopfLinkSpec) -> DecoratedGraph:
     )
 
 
+def assert_rejected(build, message):
+    """Building the graph raises ``GraphValidationError`` with exactly ``message``."""
+    with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def without_last_edge(g: DecoratedGraph) -> DecoratedGraph:
+    return DecoratedGraph(g.vertices, g.edges[:-1])
+
+
 class TestValidate:
     def test_tree_ok(self):
-        assert validate_graph(single_black_tree(HopfLinkSpec(J, n=3))).ok
+        tree = single_black_tree(HopfLinkSpec(J, n=3))
+        assert validate_graph(tree) is None
 
     def test_missing_leaf(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
-        mutated = DecoratedGraph(tree.vertices, tree.edges[:-1])
-        report = validate_graph(mutated)
-        assert not report.ok
-        assert any("degree 2" in v.message and v.locus == "vertices[0]" for v in report.violations)
+        assert_rejected(
+            lambda: without_last_edge(tree),
+            "vertices[0]: black vertex has degree 2, expected 3 (one edge per component)",
+        )
 
     def test_skew_even_degree_rejected(self):
         # a 3x3 skew decoration gives 4 link components: even degree
         odd_skew = skew([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-        tree = single_black_tree(HopfLinkSpec(odd_skew, n=3))
-        report = validate_graph(tree)
-        assert any("odd degree" in v.message for v in report.violations)
+        assert_rejected(
+            lambda: single_black_tree(HopfLinkSpec(odd_skew, n=3)),
+            "vertices[0]: skew decoration forces odd degree, got 4",
+        )
 
     def test_no_black_vertex(self):
-        g = DecoratedGraph(
-            (WhiteVertex(cylinder(3)),), (Edge(0, 0, 0, 1),)
+        assert_rejected(
+            lambda: DecoratedGraph((WhiteVertex(cylinder(3)),), (Edge(0, 0, 0, 1),)),
+            "graph: no black vertex",
         )
-        assert any(v.message == "no black vertex" for v in validate_graph(g).violations)
 
     def test_component_assignment_must_be_bijection(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
         edges = list(tree.edges)
         edges[1] = Edge(edges[1].u, edges[1].v, 0, 0)  # duplicates component 0
-        report = validate_graph(DecoratedGraph(tree.vertices, tuple(edges)))
-        assert any("not a bijection" in v.message for v in report.violations)
+        assert_rejected(
+            lambda: DecoratedGraph(tree.vertices, tuple(edges)),
+            "vertices[0]: component assignment [0, 0, 2] is not a bijection onto 0..2",
+        )
 
     def test_mixed_dimensions_rejected(self):
-        g = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), BlackVertex(HopfLinkSpec(JJ, n=5, k=2))),
-            (Edge(0, 1, 0, 0),),
+        assert_rejected(
+            lambda: DecoratedGraph(
+                (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), BlackVertex(HopfLinkSpec(JJ, n=5, k=2))),
+                (Edge(0, 1, 0, 0),),
+            ),
+            "graph: black vertices mix dimensions [(5, 1), (5, 2)]",
         )
-        assert any("mix dimensions" in v.message for v in validate_graph(g).violations)
 
     def test_edge_out_of_range(self):
-        g = DecoratedGraph((BlackVertex(HopfLinkSpec(J, n=3)),), (Edge(0, 7, 0, 1), Edge(0, 0, 1, 2)))
-        assert any("out of range" in v.message for v in validate_graph(g).violations)
+        assert_rejected(
+            lambda: DecoratedGraph((BlackVertex(HopfLinkSpec(J, n=3)),), (Edge(0, 7, 0, 1), Edge(0, 0, 1, 2))),
+            "edges[0]: vertex 7 out of range",
+        )
 
     def test_canonical_shapes_accept_and_mutations_reject(self):
         n = 5
@@ -103,26 +124,38 @@ class TestValidate:
             # boundary sum of D^n x S^{k+1} pieces and S^k x D^{n+1} pieces
             FiberDescriptor.from_betti((1, d, d) + (0,) * (n - 1), 1)
         )
+        isolated = "vertices[0]: isolated black vertex"
+        # each shape, built without error, and the first violation once its last edge is deleted
         shapes = [
             # one singular point over an even-dimensional source, k = 0 and k >= 1
-            single_black_tree(HopfLinkSpec(J, n=3)),
-            single_black_tree(HopfLinkSpec(BilinearForm(zero_diagonal_model(1, 1).matrix, 1), n=4)),
-            DecoratedGraph(
-                (BlackVertex(HopfLinkSpec(JJ, n=n, k=1)), WhiteVertex(projection_filler(n, 1, d))),
-                (Edge(0, 1, 0, 0),),
+            (
+                single_black_tree(HopfLinkSpec(J, n=3)),
+                "vertices[0]: black vertex has degree 2, expected 3 (one edge per component)",
+            ),
+            (
+                single_black_tree(HopfLinkSpec(BilinearForm(zero_diagonal_model(1, 1).matrix, 1), n=4)),
+                "vertices[0]: black vertex has degree 10, expected 11 (one edge per component)",
+            ),
+            (
+                DecoratedGraph(
+                    (BlackVertex(HopfLinkSpec(JJ, n=n, k=1)), WhiteVertex(projection_filler(n, 1, d))),
+                    (Edge(0, 1, 0, 0),),
+                ),
+                isolated,
             ),
             # odd-dimensional source: spun decoration with one disk and d thickened
             # circles, and its projected version capped by a single white piece
-            spun_tree,
-            DecoratedGraph(
-                (BlackVertex(HopfLinkSpec(JJ, n=n, k=1)), spun_projected_white),
-                (Edge(0, 1, 0, 0),),
+            (spun_tree, "vertices[0]: black vertex has degree 4, expected 5 (one edge per component)"),
+            (
+                DecoratedGraph(
+                    (BlackVertex(HopfLinkSpec(JJ, n=n, k=1)), spun_projected_white),
+                    (Edge(0, 1, 0, 0),),
+                ),
+                isolated,
             ),
         ]
-        for g in shapes:
-            assert validate_graph(g).ok
-            mutated = DecoratedGraph(g.vertices, g.edges[:-1])
-            assert not validate_graph(mutated).ok
+        for g, message in shapes:
+            assert_rejected(lambda g=g: without_last_edge(g), message)
 
 
 class TestCounts:
@@ -144,9 +177,12 @@ class TestCounts:
         assert (counts.m, counts.g, counts.t) == (1, 0, 8)
 
     def test_invalid_graph_raises(self):
+        # graph_counts needs no gate: every way of building a graph, replace included, validates it
         tree = single_black_tree(HopfLinkSpec(J, n=3))
-        with pytest.raises(GraphValidationError):
-            graph_counts(DecoratedGraph(tree.vertices, tree.edges[:-1]))
+        assert_rejected(
+            lambda: dataclasses.replace(tree, edges=tree.edges[:-1]),
+            "vertices[0]: black vertex has degree 2, expected 3 (one edge per component)",
+        )
 
 
 class TestProjectedPair:
@@ -161,8 +197,12 @@ class TestProjectedPair:
         tree = single_black_tree(HopfLinkSpec(J, n=3))
         with pytest.raises(UnsupportedShapeError, match="k >= 1"):
             projected_pair(tree)
-        with pytest.raises(GraphValidationError):
-            projected_pair(DecoratedGraph(tree.vertices, tree.edges[:-1]))
+        # a projected graph without its one edge cannot be built, so projected_pair never sees it
+        link = HopfLinkSpec(JJ, n=5, k=1)
+        assert_rejected(
+            lambda: DecoratedGraph((BlackVertex(link), WhiteVertex(projection_filler(5, 1, 4))), ()),
+            "vertices[0]: isolated black vertex",
+        )
 
 
 class TestGlobalFiber:
@@ -255,11 +295,13 @@ class TestSelfLoops:
     def test_self_loop_counts(self):
         # one black vertex with a self-loop on components 1, 2 and a disk on 0
         link = HopfLinkSpec(J, n=3)
-        g = DecoratedGraph(
-            (BlackVertex(link), WhiteVertex(disk(3))),
-            (Edge(0, 0, 1, 2), Edge(0, 1, 0, 0)),
+        vertices = (BlackVertex(link), WhiteVertex(disk(3)))
+        g = DecoratedGraph(vertices, (Edge(0, 0, 1, 2), Edge(0, 1, 0, 0)))
+        # a loop on component 1 at both ends covers it twice and leaves component 2 uncovered
+        assert_rejected(
+            lambda: DecoratedGraph(vertices, (Edge(0, 0, 1, 1), Edge(0, 1, 0, 0))),
+            "vertices[0]: component assignment [0, 1, 1] is not a bijection onto 0..2",
         )
-        assert validate_graph(g).ok
         counts = graph_counts(g)
         assert (counts.m, counts.g, counts.t) == (2, 1, 2)
         fiber = assemble_global_fiber(g)

@@ -38,7 +38,7 @@ from hopfcalc.hopflink import (
     spin_link_descriptor,
     sphere,
 )
-from hopfcalc.sampling import random_zero_diagonal_form, small_symmetric_zero_diagonal_unimodular
+from hopfcalc.sampling import random_zero_diagonal_form
 
 J = skew([[0, 1], [-1, 0]])
 HF = BilinearForm(H_MATRIX, 1)
@@ -46,7 +46,8 @@ HF = BilinearForm(H_MATRIX, 1)
 
 def oracle_corpus():
     """Small forms over which the oracle must reproduce the linking matrix."""
-    forms = list(small_symmetric_zero_diagonal_unimodular())
+    # every 2x2 zero-diagonal unimodular symmetric form: off-diagonal entry -1, then 1
+    forms = [symmetric([[0, b], [b, 0]]) for b in (-1, 1)]
     forms += [J, skew([[0, -1], [1, 0]])]
     forms += [direct_sum(J, J), direct_sum(J, skew([[0, -1], [1, 0]]))]
     # a skew rank-4 representative with entries up to 2
