@@ -2,10 +2,11 @@
 
 Parses JSON spec files describing decorated graphs (or product factor
 lists), runs the invariant pipeline, and emits deterministic text or JSON
-reports.  Exit codes: 0 report produced, 1 invalid input (any
-``ValueError``, raised with a locus), 2 internal invariant violation
-(``AlgorithmMismatchError``: an oracle or self-check mismatch, which must
-never be silently absorbed).
+reports.  Exit codes: 0 report produced; 1 invalid input (``SpecFileError``,
+raised with a locus at the boundary, usage errors included); 2 hopfcalc at
+fault (``AlgorithmMismatchError``, an oracle or self-check mismatch that
+must never be silently absorbed, or any other ``ValueError`` that escapes
+the pipeline after the input was accepted).
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def _load_json(path: str, parse: Callable[[Any], Any], parse_int: Optional[Calla
         raise SpecFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path}: arrays or objects nested too deeply to decode") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         _load_json(path, parse, _int_or_error)
         raise SpecFileError(f"{path}: {exc}") from exc
@@ -136,13 +139,25 @@ def _check_dimensions(n: int, k: int, theta: int, prefix: str) -> None:
         raise SpecFileError(f"{prefix}{exc}") from exc
 
 
+def _determinant(form: BilinearForm, locus: str) -> int:
+    """``form.det()``, which every command prints; one too long to print is the input's fault."""
+    det = form.det()
+    try:
+        str(det)
+    except ValueError as exc:
+        raise SpecFileError(f"{locus}: determinant: {exc}") from None
+    return det
+
+
 def _parse_link(value: Any, n: int, k: int, theta: int, locus: str) -> HopfLinkSpec:
     """Link decorated by the matrix ``value``; n, k and theta passed ``_check_dimensions``."""
     matrix = _parse_matrix(value, locus)
     try:
-        return HopfLinkSpec(BilinearForm(matrix, (-1) ** n), n=n, k=k, theta=theta)
+        link = HopfLinkSpec(BilinearForm(matrix, (-1) ** n), n=n, k=k, theta=theta)
     except ValueError as exc:
         raise SpecFileError(f"{locus}: {exc}") from exc
+    _determinant(link.form, locus)
+    return link
 
 
 def _parse_fiber(value: Any, locus: str) -> FiberDescriptor:
@@ -150,10 +165,10 @@ def _parse_fiber(value: Any, locus: str) -> FiberDescriptor:
     betti = value["betti"]
     if not isinstance(betti, list) or not betti:
         raise SpecFileError(f"{locus}.betti: expected a nonempty array of integers")
-    betti_ints = [_expect_int(b, f"{locus}.betti[{i}]") for i, b in enumerate(betti)]
+    betti_ints = tuple(_expect_int(b, f"{locus}.betti[{i}]") for i, b in enumerate(betti))
     bc = _expect_int(value["boundary_components"], f"{locus}.boundary_components")
     try:
-        return FiberDescriptor.from_betti(betti_ints, bc)
+        return FiberDescriptor(betti_ints, bc)
     except ValueError as exc:
         raise SpecFileError(f"{locus}: {exc}") from exc
 
@@ -335,7 +350,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
         }
 
     report = invariant_report(list(spec.graphs), spec.n, spec.k, spec.assume_cobounding)
-    cup = report.cup_form
+    cup, analysis = report.cup_form, report.analysis
     doc: dict[str, Any] = {
         "kind": "graphs",
         "spec": spec.data,
@@ -343,22 +358,20 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
         "links": _link_section(spec),
         "cup_form": {"epsilon": cup.epsilon, "matrix": cup.matrix.to_rows()},
         "chi": report.chi,
-        "sigma": report.sigma,
+        "sigma": analysis.sigma,
         "inertia": None
-        if report.inertia is None
+        if analysis.inertia is None
         else {
-            "n_plus": report.inertia.n_plus,
-            "n_minus": report.inertia.n_minus,
-            "n_zero": report.inertia.n_zero,
+            "n_plus": analysis.inertia.n_plus,
+            "n_minus": analysis.inertia.n_minus,
+            "n_zero": analysis.inertia.n_zero,
         },
-        "kernel_dim": report.kernel_dim,
-        "kernel_basis": [[str(x) for x in vec] for vec in report.kernel_basis],
+        "kernel_dim": analysis.kernel_dim,
+        "kernel_basis": [[str(x) for x in vec] for vec in analysis.kernel_basis],
         "homology_ranks": None
         if report.homology_ranks is None
         else {str(i): r for i, r in sorted(report.homology_ranks.items())},
-        "phi": None
-        if report.phi_lower is None
-        else {"lower": report.phi_lower, "upper": report.phi_upper},
+        "phi": None if report.phi is None else {"lower": report.phi.lower, "upper": report.phi.upper},
         "notes": list(report.notes),
         "verdicts": list(report.verdicts),
     }
@@ -518,11 +531,12 @@ def _cmd_classify(args) -> int:
     else:
         raise SpecFileError(f"{args.matrix}: matrix is neither symmetric nor skew-symmetric")
     form = BilinearForm(matrix, eps)
+    det = _determinant(form, args.matrix)
     klass = form_type(form)
     doc: dict[str, Any] = {
         "size": form.dim,
         "epsilon": eps,
-        "determinant": form.det(),
+        "determinant": det,
         "parity": klass.parity,
         "definiteness": klass.definiteness,
         "unimodular": klass.unimodular,
@@ -605,6 +619,17 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+def _trial_count(text: str) -> int:
+    """``--trials`` is at least 1: zero trials would check nothing and still report a pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"at least 1 trial required, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors are spec errors, not internal ones
         raise SpecFileError(message)
@@ -640,7 +665,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="randomized property checks")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--trials", type=int, default=25)
+    p_self.add_argument("--trials", type=_trial_count, default=25)
     p_self.set_defaults(func=_cmd_selftest)
 
     return parser
@@ -651,11 +676,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except SpecFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except AlgorithmMismatchError as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
+        return 2
+    except ValueError as exc:  # the input was accepted, so whatever escaped the pipeline is hopfcalc's fault
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 2
 
 

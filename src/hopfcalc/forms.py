@@ -3,10 +3,8 @@
 A form is a square integer matrix together with a declared symmetry sign:
 +1 for symmetric, -1 for skew.  This module provides type detection, the
 classification of indefinite even unimodular symmetric forms as a sum of
-E8 blocks and hyperbolic planes, standard-form constructors, the
-zero-diagonal model obtained from an isotropic change of basis, the
-bordering construction that adjoins a preferred component, and an
-invariant-based equivalence decision.
+E8 blocks and hyperbolic planes, standard-form constructors and the
+zero-diagonal model obtained from an isotropic change of basis.
 """
 
 from __future__ import annotations
@@ -29,11 +27,6 @@ from .exactlinalg import (
 
 class ClassificationError(ValueError):
     """The form is outside the domain of the even indefinite classification."""
-
-
-EQUIVALENT = "equivalent"
-INEQUIVALENT = "inequivalent"
-UNKNOWN = "unknown"
 
 
 # The rank-8 even positive definite unimodular lattice (Cartan matrix) and
@@ -249,55 +242,3 @@ def zero_diagonal_model(p: int, q: int) -> BilinearForm:
         rows[i][f2] -= 1
     m = IntMatrix.from_rows(rows)
     return BilinearForm(congruence_apply(m, base.matrix), 1)
-
-
-def add_preferred_component(f: BilinearForm) -> BilinearForm:
-    """Border a zero-diagonal form with a component linking every other once.
-
-    Adjoins a 0th row and column: the new corner is 0, the new row is all 1s,
-    and the new column is epsilon * 1 (for a skew form the symmetry forces
-    the column to carry -1, with the convention that the new component links
-    each old one with value +1 read along the row).
-    """
-    if not f.has_zero_diagonal():
-        raise ValueError("bordering requires a zero-diagonal form")
-    d = f.dim
-    rows = [[0] * (d + 1) for _ in range(d + 1)]
-    for j in range(1, d + 1):
-        rows[0][j] = 1
-        rows[j][0] = f.epsilon
-    for i in range(d):
-        for j in range(d):
-            rows[i + 1][j + 1] = f.matrix.at(i, j)
-    return BilinearForm(IntMatrix.from_rows(rows), f.epsilon)
-
-
-def decide_equivalent(f: BilinearForm, g: BilinearForm) -> str:
-    """Invariant-based equivalence decision; never searches for a congruence.
-
-    Symmetric pairs: inequivalent when rank, determinant, parity or signature
-    differ; equivalent when both are even indefinite unimodular with equal
-    invariants; unknown otherwise (the classification theorem does not cover
-    definite or odd or non-unimodular forms).  Skew pairs: equal rank and
-    both unimodular means equivalent; differing rank or determinant means
-    inequivalent; other matching pairs are unknown.
-    """
-    if f.epsilon != g.epsilon:
-        return INEQUIVALENT
-    if f.epsilon == -1:
-        if f.dim != g.dim or f.det() != g.det():
-            return INEQUIVALENT
-        if f.is_unimodular() and g.is_unimodular():
-            return EQUIVALENT
-        return UNKNOWN
-    if f.dim != g.dim or f.det() != g.det():
-        return INEQUIVALENT
-    if f.is_even() != g.is_even():
-        return INEQUIVALENT
-    fi, gi = f.inertia, g.inertia
-    if fi != gi:
-        return INEQUIVALENT
-    both_indef = fi.n_plus > 0 and fi.n_minus > 0 and fi.n_zero == 0
-    if both_indef and f.is_even() and f.is_unimodular():
-        return EQUIVALENT
-    return UNKNOWN

@@ -26,37 +26,26 @@ from .forms import BilinearForm
 
 @dataclass(frozen=True)
 class FiberDescriptor:
-    """Rational Betti data of a compact manifold piece.
-
-    ``betti`` lists b_0 .. b_dim; ``euler`` is the alternating sum, stored
-    redundantly and cross-checked on construction.
-    """
+    """Rational Betti data of a compact manifold piece: ``betti`` lists b_0 .. b_dim."""
 
     betti: tuple[int, ...]
-    dim: int
     boundary_components: int
-    euler: int
 
     def __post_init__(self) -> None:
-        if self.dim != len(self.betti) - 1:
-            raise ValueError("dim must equal len(betti) - 1")
         if any(b < 0 for b in self.betti):
             raise ValueError("betti numbers are nonnegative")
         if self.betti and self.betti[0] < 1:
             raise ValueError("a nonempty piece has b_0 >= 1")
         if self.boundary_components < 0:
             raise ValueError("boundary component count is nonnegative")
-        if self.euler != _alternating_sum(self.betti):
-            raise ValueError("euler does not match the alternating Betti sum")
 
-    @classmethod
-    def from_betti(cls, betti, boundary_components: int) -> "FiberDescriptor":
-        betti = tuple(int(b) for b in betti)
-        return cls(betti, len(betti) - 1, boundary_components, _alternating_sum(betti))
+    @property
+    def dim(self) -> int:
+        return len(self.betti) - 1
 
-
-def _alternating_sum(betti) -> int:
-    return sum(b if i % 2 == 0 else -b for i, b in enumerate(betti))
+    @property
+    def euler(self) -> int:
+        return sum(b if i % 2 == 0 else -b for i, b in enumerate(self.betti))
 
 
 def _from_betti_map(pairs, dim: int, boundary: int) -> FiberDescriptor:
@@ -64,7 +53,7 @@ def _from_betti_map(pairs, dim: int, boundary: int) -> FiberDescriptor:
     betti = [0] * (dim + 1)
     for idx, b in pairs:
         betti[idx] += b
-    return FiberDescriptor.from_betti(betti, boundary)
+    return FiberDescriptor(tuple(betti), boundary)
 
 
 def sphere(dim: int) -> FiberDescriptor:

@@ -114,9 +114,21 @@ def cup_form_for_family(graphs: Sequence[DecoratedGraph], k: int) -> BilinearFor
 @dataclass(frozen=True)
 class CupFormAnalysis:
     inertia: Optional[Inertia]  # None for skew forms
-    sigma: int
     kernel_basis: tuple[tuple[Fraction, ...], ...]
-    kernel_dim: int
+
+    def __post_init__(self) -> None:
+        # the kernel comes from an elimination independent of the inertia's
+        if self.inertia is not None and self.inertia.n_zero != self.kernel_dim:
+            raise AlgorithmMismatchError("inertia nullity must match the kernel dimension")
+
+    @property
+    def sigma(self) -> int:
+        """Signature; zero by convention for a skew form."""
+        return 0 if self.inertia is None else self.inertia.sigma
+
+    @property
+    def kernel_dim(self) -> int:
+        return len(self.kernel_basis)
 
 
 def analyze_cup_form(f: BilinearForm) -> CupFormAnalysis:
@@ -126,10 +138,7 @@ def analyze_cup_form(f: BilinearForm) -> CupFormAnalysis:
     computed (left and right kernels coincide for epsilon-symmetric forms).
     """
     kernel = nullspace_rational(f.matrix)
-    if f.epsilon == 1:
-        ine = f.inertia
-        return CupFormAnalysis(ine, ine.sigma, kernel, len(kernel))
-    return CupFormAnalysis(None, 0, kernel, len(kernel))
+    return CupFormAnalysis(f.inertia if f.epsilon == 1 else None, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +235,10 @@ class PhiBounds:
     upper: int
     notes: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if self.lower > self.upper:  # phi_bounds derived both; a contradiction is an internal fault
+            raise AlgorithmMismatchError("phi bounds out of order")
+
 
 def detect_canonical_family(
     graphs: Sequence[DecoratedGraph], n: int, k: int
@@ -272,7 +285,7 @@ def phi_bounds(
     ``detect_canonical_family`` result) achieve exactly 1.  When no
     obstruction is certified the lower bound is the trivial 0.
     """
-    s = sum(graph.counts.s_black for graph in graphs)  # raises unless every graph is valid
+    s = sum(graph.counts.s_black for graph in graphs)
     if canonical is not None:
         return PhiBounds(1, 1, ("canonical one-singularity shape: exactly one critical point",))
     if (n - k) % 2 == 1:
@@ -345,32 +358,12 @@ def product_phi_bound(factors: Sequence[ProductFactor]) -> ProductBound:
 @dataclass(frozen=True)
 class InvariantReport:
     cup_form: BilinearForm
+    analysis: CupFormAnalysis
     chi: int
-    inertia: Optional[Inertia]
-    sigma: int
-    kernel_basis: tuple[tuple[Fraction, ...], ...]
-    kernel_dim: int
     homology_ranks: Optional[dict[int, int]]
-    phi_lower: Optional[int]
-    phi_upper: Optional[int]
+    phi: Optional[PhiBounds]  # None unless cobounding is asserted
     notes: tuple[str, ...]
     verdicts: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        # the pipeline computed these fields; a contradiction is an internal fault
-        if self.inertia is not None and self.sigma != self.inertia.sigma:
-            raise AlgorithmMismatchError("sigma must match the inertia")
-        if self.kernel_dim != len(self.kernel_basis):
-            raise AlgorithmMismatchError("kernel_dim must match the basis")
-        if self.inertia is not None and self.inertia.n_zero != self.kernel_dim:
-            # the kernel comes from an elimination independent of the inertia's
-            raise AlgorithmMismatchError("inertia nullity must match the kernel dimension")
-        if (
-            self.phi_lower is not None
-            and self.phi_upper is not None
-            and self.phi_lower > self.phi_upper
-        ):
-            raise AlgorithmMismatchError("phi bounds out of order")
 
 
 def invariant_report(
@@ -401,11 +394,10 @@ def invariant_report(
         homology = canonical_homology_ranks(family, n, k, d)
         notes.append(f"canonical family {family} with d = {d}")
 
-    phi_lower = phi_upper = None
+    phi = None
     if assume_cobounding:
-        bounds = phi_bounds(graphs, n, k, analysis.sigma, canonical)
-        phi_lower, phi_upper = bounds.lower, bounds.upper
-        notes.extend(bounds.notes)
+        phi = phi_bounds(graphs, n, k, analysis.sigma, canonical)
+        notes.extend(phi.notes)
     else:
         notes.append("cobounding not asserted; no critical-point bounds emitted")
 
@@ -438,16 +430,4 @@ def invariant_report(
         f"black vertices s = {s_black}, parity {'agrees' if parity_agrees else 'disagrees'}"
     )
 
-    return InvariantReport(
-        cup_form=form,
-        chi=chi,
-        inertia=analysis.inertia,
-        sigma=analysis.sigma,
-        kernel_basis=analysis.kernel_basis,
-        kernel_dim=analysis.kernel_dim,
-        homology_ranks=homology,
-        phi_lower=phi_lower,
-        phi_upper=phi_upper,
-        notes=tuple(notes),
-        verdicts=tuple(verdicts),
-    )
+    return InvariantReport(form, analysis, chi, homology, phi, tuple(notes), tuple(verdicts))

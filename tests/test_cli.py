@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -8,6 +9,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hopfcalc
 from hopfcalc import exactlinalg, graphmodel, hopflink, invariants
@@ -527,3 +530,94 @@ class TestMain:
         if argv[0] == "report":
             # the report is still written, with the failed checks, before the gate exits 2
             assert out.startswith("graph report\n") and "  oracle: all_match = false\n" in out
+
+    def test_value_error_escaping_the_pipeline_exit_two(self, monkeypatch, capsys):
+        import hopfcalc.cli as cli_mod
+
+        def broken(graphs, n, k, assume_cobounding):
+            raise ValueError("escaped after parsing")
+
+        monkeypatch.setattr(cli_mod, "invariant_report", broken)
+        assert main(["report", TREE]) == 2
+        assert capsys.readouterr().err == "internal error: ValueError: escaped after parsing\n"
+
+    @pytest.mark.parametrize("argv", [["report"], ["oracle"], ["check-link", "--n", "4", "--matrix"],
+                                      ["classify", "--matrix"]], ids=lambda argv: argv[0])
+    def test_deeply_nested_json_exit_one(self, argv, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 2000)
+        assert main([*argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_selftest_needs_a_trial(self, trials, capsys):
+        assert main(["selftest", "--trials", trials]) == 1
+        assert capsys.readouterr() == ("", f"error: argument --trials: at least 1 trial required, got {trials}\n")
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("argv", [["report"], ["oracle"], ["check-link", "--n", "4", "--matrix"],
+                                      ["classify", "--matrix"]], ids=lambda argv: argv[0])
+    def test_determinant_past_digit_limit_exit_one(self, argv, tmp_path, capsys):
+        big = "9" * (DIGIT_LIMIT // 2 + 100)  # a printable entry whose determinant, about its square, is not
+        rows = f"[[0, {big}], [{big}, 0]]"
+        path = tmp_path / "big.json"
+        if argv[0] in ("report", "oracle"):
+            path.write_text(json.dumps(black_pair(4)).replace("[[0, 1], [1, 0]]", rows))
+            locus = f"{path}.graphs[0].vertices[0].matrix"
+        else:
+            path.write_text(rows)
+            locus = str(path)
+        assert main([*argv, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {locus}: determinant: Exceeds the limit")
+
+
+def _nodes(doc):
+    """(container, key) for every value below ``doc``, in document order."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield doc, key
+        yield from _nodes(value)
+
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from([2**64, -(10**4000)]), st.text(max_size=3),
+    st.just([]), st.just({}), st.just([[0, 1], [1, 0]]), st.just({"color": "white"}),
+)
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A shipped fixture after one to three edits: a value replaced, deleted, or one added beside it."""
+    doc = load(fixture_path(draw(st.sampled_from(sorted(fixture_names())))))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        container, key = draw(st.sampled_from(nodes))
+        edit = draw(st.sampled_from(["replace", "delete", "add"]))
+        leaf = copy.deepcopy(draw(LEAVES))
+        if edit == "replace":
+            container[key] = leaf
+        elif edit == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[draw(st.sampled_from(["extra", "n", "k", "theta", "twist"]))] = leaf
+        else:
+            container.insert(key, leaf)
+    return doc
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_fixture())
+def test_mutated_fixtures_exit_zero_or_one(tmp_path, capsys, doc):
+    # every mutated document is either answered or rejected with one line naming the file, never exit 2
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["report", str(path)], ["oracle", str(path)], ["report", str(path), "--oracle"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1 and err.startswith(f"error: {path}") and err.count("\n") == 1, err

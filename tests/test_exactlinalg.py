@@ -367,6 +367,19 @@ class TestDeterminant:
         a = IntMatrix.from_rows(rows)
         assert det_bareiss(a) == det_cofactor(a)
 
+    def test_bordered_forms_match_cofactor_oracle(self):
+        # zero-diagonal forms bordered by a component linking every other once:
+        # [[0]], H, [[0, 2], [2, 0]] and the 4-vertex path
+        bordered = [
+            [[0, 1], [1, 0]],
+            [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            [[0, 1, 1], [1, 0, 2], [1, 2, 0]],
+            [[0, 1, 1, 1, 1], [1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [1, 0, 1, 0, 1], [1, 0, 0, 1, 0]],
+        ]
+        for rows in bordered:
+            a = IntMatrix.from_rows(rows)
+            assert det_bareiss(a) == det_cofactor(a)
+
     def test_matches_smith_diagonal(self):
         rng = random.Random(11)
         for _ in range(60):

@@ -1,31 +1,21 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hopfcalc.exactlinalg import IntMatrix, SymmetryError, det_bareiss, inertia
 from hopfcalc.forms import (
     BilinearForm,
     ClassificationError,
     E8_MATRIX,
-    EQUIVALENT,
     H_MATRIX,
-    INEQUIVALENT,
-    UNKNOWN,
-    add_preferred_component,
     build_standard,
     classify_indefinite,
-    decide_equivalent,
-    direct_sum,
     form_type,
     skew,
     symmetric,
     zero_diagonal_model,
 )
 from hopfcalc.sampling import random_congruence
-
-from test_exactlinalg import det_cofactor
 
 
 def test_constants():
@@ -172,74 +162,3 @@ class TestZeroDiagonalModel:
         assert [m.at(i, 9) for i in range(8)] == [1] * 8
         m2 = zero_diagonal_model(2, 1).matrix
         assert m2.at(0, 8) == -2
-
-
-class TestAddPreferredComponent:
-    def test_single_zero(self):
-        assert add_preferred_component(symmetric([[0]])).matrix == H_MATRIX
-
-    def test_hyperbolic(self):
-        out = add_preferred_component(BilinearForm(H_MATRIX, 1))
-        assert out.matrix.to_rows() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-
-    def test_skew_sign_convention(self):
-        out = add_preferred_component(skew([[0, 0], [0, 0]]))
-        assert out.matrix.to_rows() == [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]
-        assert out.epsilon == -1
-
-    def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError):
-            add_preferred_component(BilinearForm(E8_MATRIX, 1))
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(min_value=1, max_value=4), st.booleans(), st.data())
-    def test_preserves_symmetry_and_zero_diagonal(self, d, sym, data):
-        rows = [[0] * d for _ in range(d)]
-        eps = 1 if sym else -1
-        for i in range(d):
-            for j in range(i + 1, d):
-                v = data.draw(st.integers(min_value=-3, max_value=3))
-                rows[i][j] = v
-                rows[j][i] = eps * v
-        out = add_preferred_component(BilinearForm(IntMatrix.from_rows(rows), eps))
-        assert out.matrix.has_zero_diagonal()
-        assert out.matrix.transpose() == out.matrix.scale(eps)
-
-    def test_determinant_consistent_with_cofactor(self):
-        corpus = [
-            symmetric([[0]]),
-            BilinearForm(H_MATRIX, 1),
-            symmetric([[0, 2], [2, 0]]),
-            symmetric([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]),
-        ]
-        for f in corpus:
-            bordered = add_preferred_component(f).matrix
-            assert det_bareiss(bordered) == det_cofactor(bordered)
-
-
-class TestDecideEquivalent:
-    def test_congruent_even_indefinite(self):
-        rng = random.Random(23)
-        f = build_standard(1, 1)
-        for _ in range(5):
-            assert decide_equivalent(f, random_congruence(rng, f)) == EQUIVALENT
-
-    def test_rank_mismatch(self):
-        assert decide_equivalent(BilinearForm(H_MATRIX, 1), build_standard(1, 1)) == INEQUIVALENT
-
-    def test_definite_pair_is_unknown(self):
-        e8 = BilinearForm(E8_MATRIX, 1)
-        assert decide_equivalent(e8, e8) == UNKNOWN
-
-    def test_skew_unimodular_same_rank(self):
-        j = skew([[0, 1], [-1, 0]])
-        j2 = skew([[0, -1], [1, 0]])
-        assert decide_equivalent(j, j2) == EQUIVALENT
-        assert decide_equivalent(j, direct_sum(j, j2)) == INEQUIVALENT
-
-    def test_skew_non_unimodular_is_unknown(self):
-        a = skew([[0, 2], [-2, 0]])
-        assert decide_equivalent(a, a) == UNKNOWN
-
-    def test_mixed_signs(self):
-        assert decide_equivalent(BilinearForm(H_MATRIX, 1), skew([[0, 1], [-1, 0]])) == INEQUIVALENT

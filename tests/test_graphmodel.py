@@ -113,7 +113,7 @@ class TestValidate:
         d = 4
         spun_whites = [WhiteVertex(disk(n + 1))] + [
             # S^1 x D^n pieces capping the swept components
-            WhiteVertex(FiberDescriptor.from_betti((1, 1) + (0,) * (n - 1), 1))
+            WhiteVertex(FiberDescriptor((1, 1) + (0,) * (n - 1), 1))
             for _ in range(d)
         ]
         spun_tree = DecoratedGraph(
@@ -122,7 +122,7 @@ class TestValidate:
         )
         spun_projected_white = WhiteVertex(
             # boundary sum of D^n x S^{k+1} pieces and S^k x D^{n+1} pieces
-            FiberDescriptor.from_betti((1, d, d) + (0,) * (n - 1), 1)
+            FiberDescriptor((1, d, d) + (0,) * (n - 1), 1)
         )
         isolated = "vertices[0]: isolated black vertex"
         # each shape, built without error, and the first violation once its last edge is deleted
@@ -264,7 +264,7 @@ class TestGlobalFiber:
             BlackVertex(link),
             WhiteVertex(disk(3)),
             WhiteVertex(disk(3)),
-            WhiteVertex(FiberDescriptor.from_betti((1, 1, 0, 0), 1)),
+            WhiteVertex(FiberDescriptor((1, 1, 0, 0), 1)),
         )
         edges = (Edge(0, 1, 0, 0), Edge(0, 2, 1, 0), Edge(0, 3, 2, 0))
         with pytest.raises(UnsupportedShapeError):

@@ -475,9 +475,12 @@ class TestSpinning:
 
 
 class TestDescriptors:
-    def test_euler_cross_check(self):
+    def test_dim_and_euler_derive_from_betti(self):
+        fiber = FiberDescriptor((1, 2, 0, 4), 1)
+        assert (fiber.dim, fiber.euler) == (3, -5)
+        assert fiber == FiberDescriptor((1, 2, 0, 4), 1)
         with pytest.raises(ValueError):
-            FiberDescriptor(betti=(1, 1), dim=1, boundary_components=0, euler=5)
+            FiberDescriptor((0, 1), 0)
 
     def test_helpers(self):
         assert disk(3).euler == 1

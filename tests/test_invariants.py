@@ -36,6 +36,7 @@ from hopfcalc.invariants import (
     EVEN_KPOS,
     ODD_K0,
     ODD_KPOS,
+    PhiBounds,
     ProductFactor,
     analyze_cup_form,
     assemble_cup_form,
@@ -404,26 +405,26 @@ class TestInvariantReport:
         tree = single_black_tree(HopfLinkSpec(ZM, n=4))
         report = invariant_report([tree], 4, 0, True)
         assert report.chi == 14
-        assert report.sigma == 8
-        assert report.kernel_dim == 1
+        assert report.analysis.sigma == 8
+        assert report.analysis.kernel_dim == 1
         assert report.homology_ranks is not None and report.homology_ranks[4] == 12
-        assert (report.phi_lower, report.phi_upper) == (1, 1)
+        assert (report.phi.lower, report.phi.upper) == (1, 1)
         assert any("does not fiber over any sphere" in v for v in report.verdicts)
 
     def test_inconsistent_report_is_internal_fault(self):
-        report = invariant_report([single_black_tree(HopfLinkSpec(J, n=3))], 3, 0, False)
-        with pytest.raises(AlgorithmMismatchError):
-            dataclasses.replace(report, kernel_dim=report.kernel_dim + 1)
+        assert PhiBounds(1, 1, ()).lower == 1
+        with pytest.raises(AlgorithmMismatchError, match="out of order"):
+            PhiBounds(2, 1, ())
 
     def test_nullity_disagreeing_with_kernel_is_internal_fault(self):
         report = invariant_report([single_black_tree(HopfLinkSpec(ZM, n=4))], 4, 0, False)
-        ine = report.inertia
-        assert ine is not None and ine.n_zero == report.kernel_dim == 1
+        ine = report.analysis.inertia
+        assert ine is not None and ine.n_zero == report.analysis.kernel_dim == 1
         with pytest.raises(AlgorithmMismatchError, match="nullity"):
-            dataclasses.replace(report, inertia=Inertia(ine.n_plus, ine.n_minus, ine.n_zero + 1))
+            dataclasses.replace(report.analysis, inertia=Inertia(ine.n_plus, ine.n_minus, ine.n_zero + 1))
 
     def test_without_cobounding_flag(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
         report = invariant_report([tree], 3, 0, False)
-        assert report.phi_lower is None
+        assert report.phi is None
         assert any("cobounding not asserted" in note for note in report.notes)
