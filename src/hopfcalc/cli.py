@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Collection, Optional, Sequence
 
 from .exactlinalg import AlgorithmMismatchError, DimensionError, IntMatrix
@@ -465,10 +466,31 @@ def _oracle_lines(checks: list[dict], indent: str) -> list[str]:
     ]
 
 
+def _json(value: Any, indent: str = "") -> str:
+    """``value`` byte for byte as ``json.dumps(value, sort_keys=True, indent=2)`` writes it at ``indent``.
+
+    That call runs the pure-Python encoder.  Here a list of plain ints is one
+    C-level ``map(str)`` and join, and a string one C-encoder call.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}" if items else "{}"
+    if isinstance(value, list):
+        items = map(str, value) if all(type(x) is int for x in value) else [_json(x, inner) for x in value]
+        return f"[\n{inner}{sep.join(items)}\n{indent}]" if value else "[]"
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
 def _render(doc: dict, fmt: str, render_text: Callable[[dict], str] = _render_text) -> str:
     """The one output step: ``doc`` as sorted, indented JSON or as text."""
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json(doc) + "\n"
     if fmt == "text":
         return render_text(doc)
     raise ValueError(f"unknown format {fmt!r}")

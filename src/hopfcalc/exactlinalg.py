@@ -19,15 +19,25 @@ runs in CPython's big-integer code.  The eliminations update only the
 entries that can still change: Gauss-Jordan skips the columns left of the
 pivot and scales them once at the end, and the symmetric elimination keeps
 each live row's live columns and its transform on the processed pivots.
+From ``_PACKED_MIN_DIM`` rows and columns on they pack too: each working
+row is one integer of signed digits in byte-aligned slots (``_Slots``), and
+a step updates a row with a few big-integer operations.  The slots leave no
+room for a carry: with every digit below 2**e in absolute value, a 1x1
+pivot's update needs 2e + 3 bits of slot and a 2x2 pivot's 3e + 3.  After
+each step one add, one AND and one sign test check every new digit against
+2**e; when one is outside, that step's unchanged input rows are repacked at
+twice the slot width and the step alone is redone.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Sequence
 
 
@@ -210,6 +220,83 @@ def _packed_product(a: IntMatrix, b: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class _Slots:
+    """Layout of a packed elimination row: ``n`` signed digits in ``width``-byte slots of one integer.
+
+    A row x_0 .. x_{n-1} is the integer P = sum x_j 2**(w j), with w = 8 *
+    width bits per slot and width a power of two.  Between steps every digit
+    lies in the guard interval [-2**e, 2**e), e = (w - 3) // 2.  A 1x1-pivot
+    update ``x p - f y`` of such digits is then at most 2**(2e + 1) < 2**(w - 1)
+    in absolute value in every slot, unreduced, and so is its exact quotient.
+    An integer has one set of digits of that size, so the packed quotient
+    holds each entry in its own slot, with no carry between slots.  The
+    biased form P + ``biases`` holds x_j + 2**e in slot j: ``digits`` reads a
+    slot with one shift and one mask, and ``biased`` tests every digit of a
+    step's quotients against the guard interval with one add, one AND against
+    ``high`` (the bits above e of every slot) and one sign test.
+    """
+
+    def __init__(self, width: int, n: int, e: int | None = None) -> None:
+        """``e`` narrows the guard interval below the default, as a 2x2 step's check does."""
+        self.width, self.n, self.bits = width, n, 8 * width
+        self.e = (self.bits - 3) // 2 if e is None else e
+        self.bias = 1 << self.e
+        self.mask = (1 << self.bits) - 1
+        self.biases = int.from_bytes(self.bias.to_bytes(width, "little") * n, "little")
+        self.high = int.from_bytes((self.mask + 1 - 2 * self.bias).to_bytes(width, "little") * n, "little")
+
+    @classmethod
+    def for_entries(cls, entries: Iterable[int], n: int) -> "_Slots":
+        """The narrowest layout whose guard interval holds ``x p - f y`` for any four of ``entries``."""
+        e = 2 * max(map(abs, entries)).bit_length() + 1  # |x p - f y| <= 2 max|x|**2
+        width = 1
+        while (8 * width - 3) // 2 < e:
+            width *= 2
+        return cls(width, n)
+
+    def widened(self, packed: list[int]) -> tuple["_Slots", list[int], list[int]]:
+        """Twice the slot width, and the biased rows ``packed`` repacked in it, biased and not."""
+        wide = _Slots(2 * self.width, self.n)
+        return (wide, *wide.pack_rows([self.unpack(g) for g in packed]))
+
+    def pack_rows(self, rows: Iterable[Sequence[int]]) -> tuple[list[int], list[int]]:
+        """The rows packed, biased and not."""
+        biased = [self.pack(row) for row in rows]
+        return biased, [g - self.biases for g in biased]
+
+    def pack(self, row: Sequence[int]) -> int:
+        """The biased packed form of ``row``, whose digits must lie in the guard interval."""
+        code = _STRUCT_CODES.get(self.width)
+        if code:
+            data = struct.pack(f"<{len(row)}{code}", *[x + self.bias for x in row])
+        else:
+            data = b"".join([(x + self.bias).to_bytes(self.width, "little") for x in row])
+        return int.from_bytes(data, "little")
+
+    def unpack(self, g: int) -> list[int]:
+        """The digits of the biased packed row ``g``."""
+        data = g.to_bytes(self.width * self.n, "little")
+        code = _STRUCT_CODES.get(self.width)
+        if code:
+            return [x - self.bias for x in struct.unpack(f"<{self.n}{code}", data)]
+        step = self.width
+        return [int.from_bytes(data[s : s + step], "little") - self.bias for s in range(0, len(data), step)]
+
+    def biased(self, rows: list[int]) -> list[int] | None:
+        """The biased forms of ``rows``, or None when a digit leaves the guard interval."""
+        out = [x + self.biases for x in rows]
+        acc = reduce(or_, out, 0)  # negative if any row is, and with a high bit wherever any row has one
+        return None if acc < 0 or acc & self.high else out
+
+    def digits(self, packed: list[int], j: int) -> list[int]:
+        """Digit j of each biased packed row."""
+        shift, mask, bias = self.bits * j, self.mask, self.bias
+        return [((g >> shift) & mask) - bias for g in packed]
+
+
 # ---------------------------------------------------------------------------
 # inertia and Smith form containers
 
@@ -273,8 +360,12 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
     the columns left of it by ``p / scale``.  Each step therefore updates
     ``row[col:]`` only, and each column left behind is multiplied once at the
     end by the product of those factors, ``final scale / its scale then``;
-    every entry comes out as the full update would leave it.
+    every entry comes out as the full update would leave it.  With at least
+    ``_PACKED_MIN_DIM`` rows and columns the steps run on packed rows
+    (``_packed_gauss_jordan``).
     """
+    if min(len(m), len(m[0]) if m else 0) >= _PACKED_MIN_DIM:
+        return _packed_gauss_jordan(m)
     pivots: list[int] = []
     scale = sign = 1
     frozen: list[int] = []  # frozen[c]: the scale when the loop moved past column c
@@ -304,6 +395,60 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, scale, sign
 
 
+def _packed_gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """``_gauss_jordan`` with each row one integer (``_Slots``), so a row update runs in C.
+
+    Slot 0 of every packed row is the current column.  A step reads slot 0
+    of each row and updates every other row at once, ``(P p - f T) // scale``;
+    the division is exact slot by slot, as in Bareiss (1968), so it is exact
+    on the packed integer.  The column is then 0 in every non-pivot row, and
+    each row is shifted down one slot, leaving the column behind to be scaled
+    once at the end as in the loop.  The first slot width is the narrowest
+    whose guard interval holds every quotient of the first step.  When a
+    quotient digit leaves the guard interval, the step's unchanged input rows
+    are repacked at twice the slot width and that step alone is redone.
+    """
+    nrows, ncols = len(m), len(m[0])
+    slots = _Slots.for_entries(chain.from_iterable(m), ncols)
+    biased, rows = slots.pack_rows(m)
+    pivots: list[int] = []
+    scale = sign = 1
+    left: list[tuple[list[int], int]] = []  # each column moved past, with the scale then
+    while len(left) < ncols and len(pivots) < nrows:
+        r = len(pivots)
+        col = slots.digits(biased, 0)
+        rest = _Slots(slots.width, slots.n - 1)
+        sel = next((i for i in range(r, nrows) if col[i]), None)
+        if sel is None:
+            rows = [(x - f) >> slots.bits for x, f in zip(rows, col)]
+            biased = [g >> slots.bits for g in biased]
+            left.append((col, scale))
+            slots = rest
+            continue
+        if sel != r:
+            for v in (rows, biased, col):
+                v[r], v[sel] = v[sel], v[r]
+            sign = -sign
+        p = col[r]
+        while True:
+            t = rows[r]
+            new = [(x * p - f * t) // scale >> slots.bits for x, f in zip(rows, col)]
+            new[r] = (t - p) >> slots.bits
+            new_biased = rest.biased(new)
+            if new_biased is not None:
+                break
+            slots, biased, rows = slots.widened(biased)
+            rest = _Slots(slots.width, slots.n - 1)
+        rows, biased, slots = new, new_biased, rest
+        pivots.append(len(left))
+        left.append(([p if i == r else 0 for i in range(nrows)], p))
+        scale = p
+    tails = [slots.unpack(g) for g in biased]
+    heads = [[x * scale // then if x else 0 for x in col] for col, then in left]
+    m[:] = [[col[i] for col in heads] + tail for i, tail in enumerate(tails)]
+    return pivots, scale, sign
+
+
 def det_bareiss(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not a.is_square:
@@ -322,7 +467,7 @@ def _det_and_inverse(a: IntMatrix) -> tuple[int, IntMatrix | None]:
     det = sign * scale if pivots == list(range(n)) else 0
     if det not in (1, -1):
         return det, None
-    inv = IntMatrix.from_rows([[scale * x for x in row[n:]] for row in m])  # 1 / scale == scale
+    inv = IntMatrix(n, n, tuple(scale * x for row in m for x in row[n:]))  # 1 / scale == scale
     if a @ inv != IntMatrix.identity(n):
         raise AlgorithmMismatchError("inverse verification failed")
     return det, inv
@@ -556,7 +701,11 @@ def _symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[l
     columns and its transform coefficients on the processed pivots, in pivot
     order.  A 1x1 pivot ``p`` appends ``-f`` to a row with ``f`` in column p;
     a 2x2 pivot ``(p, q)`` appends ``-b f_q / scale`` and ``-b f_p / scale``.
+    From ``_PACKED_MIN_DIM`` rows on the steps run on packed rows
+    (``_packed_symmetric_bareiss``).
     """
+    if a.rows >= _PACKED_MIN_DIM:
+        return _packed_symmetric_bareiss(a)
     live = list(range(a.rows))
     rows = a.to_rows()  # rows[t]: row live[t] over the live columns
     coefs: list[list[int]] = [[] for _ in live]  # coefs[t]: over the processed pivots
@@ -610,6 +759,97 @@ def _symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[l
     return order, x, blocks
 
 
+def _packed_symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
+    """``_symmetric_bareiss`` with each live row one integer (``_Slots``), so a row update runs in C.
+
+    A live row keeps its entry in column c while c is live and its transform
+    coefficient on c once c is a pivot, so it fills n slots.  A step adds
+    ``scale`` to the pivot rows' own slots, so the packed update leaves ``-f``
+    (1x1) or ``-b f_q / scale`` and ``-b f_p / scale`` (2x2) in the pivot
+    slots of every other row.  With the digits and ``scale`` at most 2**e in
+    absolute value, a 1x1 update ``x d - f y`` is at most 2**(2e + 1) in every
+    slot, as in ``_Slots``, and a 2x2 update ``b**2 x - b (f_q y + f_p z)``
+    below 3 * 2**(3e), which needs 3e + 3 bits of slot.  So a step first
+    widens when ``scale`` is outside the guard interval, and a 2x2 step when
+    a digit or ``scale`` is outside the narrower interval 3e + 3 bits allow.
+    A step whose quotient leaves the guard interval is redone on its
+    unchanged input rows at twice the slot width, as in ``_packed_gauss_jordan``.
+    """
+    n = a.rows
+    slots = _Slots.for_entries(a.entries, n)
+    biased, rows = slots.pack_rows(a.row(i) for i in range(n))
+    live = list(range(n))
+    order: list[int] = []
+    x: list[list[int]] = []
+    blocks: list[list[list[int]]] = []
+    scale = 1
+
+    def transform(g: int, own: list[tuple[int, int]]) -> list[int]:
+        """Row of X from a packed row: its coefficients on the pivots so far, then ``own``."""
+        digits = slots.unpack(g)
+        out = [0] * n
+        for c in order:
+            out[c] = digits[c]
+        for c, v in own:
+            out[c] = v
+        return out
+
+    while live:
+        while abs(scale) > slots.bias:
+            slots, biased, rows = slots.widened(biased)
+        k = next((t for t, i in enumerate(live) if slots.digits([biased[t]], i)[0]), None)
+        if k is not None:
+            p = live[k]
+            (d,) = slots.digits([biased[k]], p)
+            while True:
+                others, fs = rows[:k] + rows[k + 1 :], slots.digits(biased[:k] + biased[k + 1 :], p)
+                t = rows[k] + (scale << slots.bits * p)
+                new = [(y * d - f * t) // scale for y, f in zip(others, fs)]
+                new_biased = slots.biased(new)
+                if new_biased is not None:
+                    break
+                slots, biased, rows = slots.widened(biased)
+            x.append(transform(biased[k], [(p, scale)]))
+            blocks.append([[scale * d]])  # the transform row of p has scale at p
+            order.append(live.pop(k))
+            rows, biased, scale = new, new_biased, d
+            continue
+        pair = None
+        for k, g in enumerate(biased):
+            row = slots.unpack(g)
+            l = next((l for l in range(k + 1, len(live)) if row[live[l]]), None)
+            if l is not None:
+                pair = k, l
+                break
+        if pair is None:
+            break
+        k, l = pair
+        p, q = live[k], live[l]
+        narrow = _Slots(slots.width, n, (slots.bits - 3) // 3)
+        if abs(scale) > narrow.bias or narrow.biased(rows) is None:
+            slots, biased, rows = slots.widened(biased)
+        (b,) = slots.digits([biased[k]], q)
+        b2, s2 = b * b, scale * scale
+        while True:
+            kept = [t for t in range(len(live)) if t not in pair]
+            others, kept_biased = [rows[t] for t in kept], [biased[t] for t in kept]
+            fps, fqs = slots.digits(kept_biased, p), slots.digits(kept_biased, q)
+            y, z = rows[k] + (scale << slots.bits * p), rows[l] + (scale << slots.bits * q)
+            new = [(b2 * w - b * (fq * y + fp * z)) // s2 for w, fp, fq in zip(others, fps, fqs)]
+            new_biased = slots.biased(new)
+            if new_biased is not None:
+                break
+            slots, biased, rows = slots.widened(biased)
+        x += [transform(biased[k], [(p, scale), (q, 0)]), transform(biased[l], [(p, 0), (q, scale)])]
+        blocks.append([[0, scale * b], [scale * b, 0]])
+        order += [live.pop(k), live.pop(l - 1)]
+        rows, biased, scale = new, new_biased, b2 // scale
+    x += [transform(g, [(i, scale)]) for g, i in zip(biased, live)]
+    order += live
+    blocks += [[[0]] for _ in live]
+    return order, x, blocks
+
+
 def inertia_ldlt(a: IntMatrix) -> Inertia:
     """Inertia by fraction-free symmetric elimination, certified by congruence.
 
@@ -622,7 +862,7 @@ def inertia_ldlt(a: IntMatrix) -> Inertia:
     _require_symmetric(a)
     n = a.rows
     order, x, blocks = _symmetric_bareiss(a)
-    xm = IntMatrix.from_rows(x)
+    xm = IntMatrix(len(x), n, tuple(chain.from_iterable(x)))
     d = IntMatrix.block_diagonal(IntMatrix(len(block), len(block), tuple(chain(*block))) for block in blocks)
     if (xm.rows, xm.cols) != (n, n) or congruence_apply(xm, a) != d:
         raise AlgorithmMismatchError("inertia certificate failed: X A X^T != D")

@@ -168,17 +168,12 @@ def derived_linking_matrix(a: BilinearForm) -> IntMatrix:
     """
     inv = a.inverse  # raises NotUnimodularError otherwise
     d = a.dim
-    eps = a.epsilon
-    out = [[0] * (d + 1) for _ in range(d + 1)]
-    for i in range(d):
-        for j in range(d):
-            out[i + 1][j + 1] = inv.at(i, j)
-    for j in range(d):
-        col_sum = sum(inv.at(t, j) for t in range(d))
-        out[0][j + 1] = -col_sum
-        out[j + 1][0] = -eps * col_sum
-    out[0][0] = sum(inv.entries)
-    return IntMatrix.from_rows(out)
+    rows = [inv.row(i) for i in range(d)]
+    col_sums = [sum(col) for col in zip(*rows)]
+    entries = [sum(col_sums), *(-c for c in col_sums)]
+    for c, row in zip(col_sums, rows):
+        entries += [-a.epsilon * c, *row]
+    return IntMatrix(d + 1, d + 1, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, nullspace_rational
@@ -75,7 +76,7 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
             for e_idx, e_comp in here:
                 for f_idx, f_comp in here:
                     block[e_idx][f_idx] += lk.at(e_comp, f_comp)
-        blocks.append(IntMatrix.from_rows(block))
+        blocks.append(IntMatrix(m, m, tuple(chain.from_iterable(block))))
     assert eps is not None
     return BilinearForm(IntMatrix.block_diagonal(blocks), eps)
 

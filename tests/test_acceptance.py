@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one PASS line per
 criterion.  Every assertion is exact (tolerance zero).
 """
 
-import json
 import random
 import time
 
@@ -13,7 +12,6 @@ import pytest
 from hopfcalc.cli import main
 from hopfcalc.exactlinalg import (
     Inertia,
-    IntMatrix,
     det_bareiss,
     inertia,
     inertia_charpoly,

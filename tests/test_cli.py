@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hopfcalc
-from hopfcalc import exactlinalg, graphmodel, hopflink, invariants
+from hopfcalc import cli, exactlinalg, graphmodel, hopflink, invariants
 from hopfcalc.cli import (
     SpecFileError,
     build_report,
@@ -230,7 +230,30 @@ def report_stdout(argv, capsys):
     return capsys.readouterr().out
 
 
+json_scalars = st.one_of(
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.text(max_size=6),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(st.integers(-(1 << 40), 1 << 40), max_size=5),
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
 class TestEmit:
+    @settings(deadline=None, max_examples=300)
+    @given(json_documents)
+    def test_json_renderer_matches_the_indented_encoder(self, doc):
+        assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
     def test_deterministic_bytes(self, capsys):
         for name in fixture_names():
             for fmt in ("text", "json"):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import signal
@@ -325,6 +324,200 @@ class TestKernelsMatchReferences:
         r, k, c = shape
         assert IntMatrix.zeros(r, k) @ IntMatrix.zeros(k, c) == IntMatrix.zeros(r, c)
         assert IntMatrix.zeros(r, k) @ IntMatrix(k, c, tuple(range(k * c))) == IntMatrix.zeros(r, c)
+
+
+PACKED = exactlinalg._PACKED_MIN_DIM
+
+
+@st.composite
+def packed_elimination_rows(draw):
+    """Rows for the packed ``_gauss_jordan``: at least ``_PACKED_MIN_DIM`` rows and columns, 1- to 300-bit entries.
+
+    As in ``elimination_rows`` a column may be zero or a multiple of another
+    and a row a combination of two others; ``inverse`` appends the identity.
+    """
+    m = draw(st.integers(PACKED, PACKED + 4))
+    n = draw(st.integers(PACKED, PACKED + 6))
+    bits = draw(st.sampled_from([1, 2, 3, 8, 24, 300]))
+    entries = st.integers(min_value=-(1 << bits), max_value=1 << bits)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[zero] = 0
+    if draw(st.booleans()):
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-3, 3))
+        for row in rows:
+            row[dst] = c * row[src]
+    if draw(st.booleans()):
+        i, j, t = draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True))
+        rows[t] = [x + y for x, y in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    return rows
+
+
+@st.composite
+def packed_symmetric_matrices(draw):
+    """Symmetric matrices from ``_PACKED_MIN_DIM`` to ``_PACKED_MIN_DIM + 4`` rows, with 2x2 pivots drawn explicitly.
+
+    ``zero_diagonal`` and ``hyperbolic`` (a sum of ``[[0, b], [b, 0]]``
+    blocks, every pivot 2x2) start with 2x2 pivots; ``sparse`` meets zero
+    live diagonals and zero rows later.
+    """
+    n = draw(st.integers(PACKED, PACKED + 4))
+    kind = draw(st.sampled_from(["general", "zero_diagonal", "hyperbolic", "sparse"]))
+    bits = draw(st.sampled_from([1, 2, 4, 16, 300]))
+    flat = draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=n * n, max_size=n * n))
+    if kind == "sparse":
+        flat = [x if i % 3 == 0 else 0 for i, x in enumerate(flat)]
+    rows = [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if kind == "zero_diagonal" and i == j or kind == "hyperbolic" and (i // 2 != j // 2 or i == j):
+                rows[i][j] = 0
+    return IntMatrix(n, n, tuple(x for row in rows for x in row))
+
+
+def pinned_slots(monkeypatch, width=1):
+    """Pin the packed kernels' first layout to ``width``-byte slots and count widenings.
+
+    One-byte slots guard [-4, 4) and two-byte slots [-64, 64).
+    """
+    assert (exactlinalg._Slots(1, 1).e, exactlinalg._Slots(2, 1).e) == (2, 6)
+    monkeypatch.setattr(exactlinalg._Slots, "for_entries", classmethod(lambda cls, entries, n: cls(width, n)))
+    widened = exactlinalg._Slots.widened
+    calls = []
+
+    def counted(self, packed):
+        calls.append(self.n)
+        return widened(self, packed)
+
+    monkeypatch.setattr(exactlinalg._Slots, "widened", counted)
+    return calls
+
+
+class TestPackedKernels:
+    """The packed eliminations against the reference kernels, at the guard's edges and past the first width."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(packed_elimination_rows())
+    def test_gauss_jordan(self, rows):
+        m, expected = [list(r) for r in rows], [list(r) for r in rows]
+        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
+        assert m == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(packed_symmetric_matrices())
+    def test_symmetric_bareiss(self, a):
+        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+    def test_guard_accepts_exactly_the_guard_interval(self, width):
+        slots = exactlinalg._Slots(width, 5)
+        top = 1 << slots.e
+        for slot in (0, 2, 4):
+            for value, inside in ((top - 1, True), (-(top - 1), True), (-top, True), (top, False), (-top - 1, False)):
+                row = [top - 1, -top, 0, 1, -1]
+                row[slot] = value
+                packed = sum(x << (slots.bits * j) for j, x in enumerate(row))
+                assert (slots.biased([0, packed]) is not None) == inside, (slot, value)
+                if inside:
+                    assert slots.unpack(slots.pack(row)) == row
+
+    @pytest.mark.parametrize("t, widenings", [(-4, 0), (-3, 0), (3, 0), (4, 1)])
+    def test_gauss_jordan_at_guard_edge(self, monkeypatch, t, widenings):
+        # the first step turns row 1 into (0, t): t = b - f with |b|, |f| <= 2
+        calls = pinned_slots(monkeypatch)
+        rows = [[int(i == j) for j in range(PACKED)] for i in range(PACKED)]
+        rows[0][1] = 1
+        rows[1][:2] = [t // 2 - t, t // 2]
+        m, expected = [list(r) for r in rows], [list(r) for r in rows]
+        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
+        assert m == expected
+        assert len(calls) == widenings
+
+    @pytest.mark.parametrize("a, c, g, widenings", [(2, 0, 1, 0), (1, -2, 1, 0), (0, 3, -1, 0), (2, 0, -1, 1)])
+    def test_symmetric_bareiss_at_guard_edge(self, monkeypatch, a, c, g, widenings):
+        # [[1, a], [a, c]] + diag(g, 1, ...): the second pivot is t = c - a**2, then row 2 holds g t
+        calls = pinned_slots(monkeypatch)
+        rows = [[0] * PACKED for _ in range(PACKED)]
+        rows[0][:2], rows[1][:2] = [1, a], [a, c]
+        for i in range(2, PACKED):
+            rows[i][i] = g if i == 2 else 1
+        m = IntMatrix.from_rows(rows)
+        assert exactlinalg._symmetric_bareiss(m) == reference_symmetric_bareiss(m)
+        assert len(calls) == widenings
+
+    def test_two_by_two_pivot_first_checks_its_wider_bound(self, monkeypatch):
+        # two-byte slots: b = -64 and 16 are in [-64, 64), but b**2 * 16 = 2**16 would carry
+        # into the next slot and read back as a guard-passing 1 there
+        calls = pinned_slots(monkeypatch, width=2)
+        rows = [[0] * PACKED for _ in range(PACKED)]
+        rows[0][1] = rows[1][0] = -64
+        rows[2][3] = rows[3][2] = 16
+        a = IntMatrix.from_rows(rows)
+        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+        assert calls
+
+    def test_scale_past_the_guard_widens_before_the_next_step(self, monkeypatch):
+        # a 2x2 pivot b = -16 makes the scale b**2 = 256, past two-byte slots' guard of 64
+        calls = pinned_slots(monkeypatch, width=2)
+        rows = [[0] * PACKED for _ in range(PACKED)]
+        rows[0][1] = rows[1][0] = -16
+        a = IntMatrix.from_rows(rows)
+        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+        assert len(calls) == 1
+
+    def test_overflow_mid_elimination_redoes_one_step(self, monkeypatch):
+        calls = pinned_slots(monkeypatch)
+        a = zero_diagonal_model(1, 1).matrix
+        rows = [row + [int(i == j) for j in range(a.rows)] for i, row in enumerate(a.to_rows())]
+        m, expected = [list(r) for r in rows], [list(r) for r in rows]
+        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
+        assert m == expected
+        # the layout drops a slot per column, so each widening happened after the first step
+        assert calls and all(n < 2 * a.rows for n in calls)
+        calls.clear()
+        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+        assert calls
+
+    def test_300_bit_entries(self):
+        rng = random.Random(300)
+        for n in (PACKED, PACKED + 3):
+            rows = [[rng.randint(-(1 << 300), 1 << 300) for _ in range(n)] for _ in range(n)]
+            for m in (rows, [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]):
+                got, expected = [list(r) for r in m], [list(r) for r in m]
+                assert exactlinalg._gauss_jordan(got) == reference_gauss_jordan(expected)
+                assert got == expected
+            sym = IntMatrix(n, n, tuple(rows[min(i, j)][max(i, j)] * (i != j) for i in range(n) for j in range(n)))
+            assert exactlinalg._symmetric_bareiss(sym) == reference_symmetric_bareiss(sym)
+
+    def test_det_of_non_unimodular_matrix_with_large_intermediates(self):
+        rng = random.Random(12)
+        a = IntMatrix(12, 12, tuple(rng.randint(-(1 << 20), 1 << 20) for _ in range(144)))
+        pivots, scale, sign = reference_gauss_jordan(a.to_rows())
+        assert len(pivots) == 12 and abs(scale).bit_length() > 200
+        assert det_bareiss(a) == sign * scale
+        singular = IntMatrix.from_rows(a.to_rows()[:-1] + [[x - y for x, y in zip(a.row(0), a.row(1))]])
+        assert det_bareiss(singular) == 0
+
+    @pytest.mark.parametrize("n", [PACKED - 1, PACKED])
+    def test_sizes_at_the_packed_cutoff(self, monkeypatch, n):
+        packed = []
+        for name in ("_packed_gauss_jordan", "_packed_symmetric_bareiss"):
+            kernel = getattr(exactlinalg, name)
+            monkeypatch.setattr(exactlinalg, name, lambda m, kernel=kernel, name=name: packed.append(name) or kernel(m))
+        rng = random.Random(n)
+        for _ in range(20):
+            a = random_symmetric(rng, n, bound=3)
+            rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a.to_rows())]
+            m, expected = [list(r) for r in rows], [list(r) for r in rows]
+            assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
+            assert m == expected
+            assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+        assert len(packed) == (40 if n >= PACKED else 0)
 
 
 class TestIntMatrix:

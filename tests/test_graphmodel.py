@@ -21,7 +21,6 @@ from hopfcalc.hopflink import (
     HopfLinkSpec,
     cylinder,
     disk,
-    holed_disk,
     projection_filler,
     sphere,
 )

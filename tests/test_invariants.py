@@ -9,7 +9,6 @@ from hopfcalc.exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, ine
 from hopfcalc.forms import (
     BilinearForm,
     H_MATRIX,
-    build_standard,
     direct_sum,
     skew,
     zero_diagonal_model,
