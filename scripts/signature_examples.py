@@ -6,7 +6,6 @@ assemble the cup-product form, and print the invariants that rule out a
 fibration over the even-dimensional target sphere.
 """
 
-from hopfcalc.exactlinalg import inertia
 from hopfcalc.forms import classify_indefinite, zero_diagonal_model
 from hopfcalc.graphmodel import BlackVertex, DecoratedGraph, Edge, WhiteVertex, graph_counts
 from hopfcalc.hopflink import HopfLinkSpec, disk
@@ -22,7 +21,7 @@ def tree(link: HopfLinkSpec) -> DecoratedGraph:
 def main() -> None:
     for p, q in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         model = zero_diagonal_model(p, q)
-        ine = inertia(model.matrix)
+        ine = model.inertia
         print(f"model(p={p}, q={q}): rank {model.dim}, det {model.det()}, sigma {ine.sigma}, "
               f"classification {classify_indefinite(model)}")
         link = HopfLinkSpec(model, n=4)

@@ -373,7 +373,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
         if report.homology_ranks is None
         else {str(i): r for i, r in sorted(report.homology_ranks.items())},
         "phi": None if report.phi is None else {"lower": report.phi.lower, "upper": report.phi.upper},
-        "notes": list(report.notes),
+        "notes": [*report.notes, *(report.phi.notes if report.phi else ())],
         "verdicts": list(report.verdicts),
     }
     for g_idx, graph in enumerate(spec.graphs):

@@ -2,15 +2,17 @@
 
 Every computation in this package is exact: entries are Python ints
 (arbitrary precision) or ``fractions.Fraction``.  No floating point enters
-anywhere.  The operations provided here are the substrate for everything
-else: determinants, integer inverses of unimodular matrices and rational
-nullspaces, all read from one fraction-free Gauss-Jordan elimination; Smith
-normal form with transforms, the tests' reference for the oracle's
-presentations, kept while ``perfbench/tracer.py`` patches it; and the
-inertia of symmetric matrices from a fraction-free symmetric elimination
-certified by a verified congruence.
-The inertia from the characteristic polynomial is the independent check
-that ``selftest`` and the tests run.
+anywhere.  Each epsilon-symmetric form is eliminated once: a fraction-free
+symmetric elimination with 1x1 and 2x2 pivots gives a congruence
+X A X^T = D (``Congruence``), and the determinant, the integer inverse, the
+inertia and the rational kernel are all read from it, each behind an exact
+check: A A^-1 = I for the inverse, X A X^T = D with X invertible before the
+inertia or the kernel, and A v = 0 for every kernel vector.  The
+references are kept for the selftest, the tests and ``perfbench/tracer.py``:
+fraction-free Gauss-Jordan elimination behind ``det_bareiss``,
+``inverse_unimodular`` and ``nullspace_rational``, Smith normal form with
+transforms for the oracle's presentations, and the inertia from the
+characteristic polynomial.
 
 The kernels stay exact and spend their Python bytecode on live entries
 only.  A product with every dimension large enough packs each row of the
@@ -19,14 +21,15 @@ runs in CPython's big-integer code.  The eliminations update only the
 entries that can still change: Gauss-Jordan skips the columns left of the
 pivot and scales them once at the end, and the symmetric elimination keeps
 each live row's live columns and its transform on the processed pivots.
-From ``_PACKED_MIN_DIM`` rows and columns on they pack too: each working
-row is one integer of signed digits in byte-aligned slots (``_Slots``), and
-a step updates a row with a few big-integer operations.  The slots leave no
-room for a carry: with every digit below 2**e in absolute value, a 1x1
-pivot's update needs 2e + 3 bits of slot and a 2x2 pivot's 3e + 3.  After
-each step one add, one AND and one sign test check every new digit against
-2**e; when one is outside, that step's unchanged input rows are repacked at
-twice the slot width and the step alone is redone.
+From ``_PACKED_MIN_DIM`` rows on the symmetric elimination packs too: each
+working row is one integer of signed digits in byte-aligned slots
+(``_Slots``), and a step updates a row with a few big-integer operations.
+The slots leave no room for a carry: with every digit below 2**e in
+absolute value, a 1x1 pivot's update needs 2e + 3 bits of slot and a 2x2
+pivot's 3e + 3.  After each step one add, one AND and one sign test check
+every new digit against 2**e; when one is outside, that step's unchanged
+input rows are repacked at twice the slot width and the step alone is
+redone.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import mul, or_
 from typing import Iterable, Sequence
@@ -143,8 +146,8 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if min(self.rows, self.cols, other.cols) < _PACKED_MIN_DIM:
-            cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-            entries = tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in cols)
+            rows, cols = map(self.row, range(self.rows)), [other.entries[j :: other.cols] for j in range(other.cols)]
+            entries = tuple(sum(map(mul, row, col)) for row in rows for col in cols)
         else:
             entries = _packed_product(self, other)
         return IntMatrix(self.rows, other.cols, entries)
@@ -153,9 +156,6 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in addition")
         return IntMatrix(self.rows, self.cols, tuple(x + y for x, y in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
@@ -183,41 +183,31 @@ class IntMatrix:
 # A packed product beats the per-entry dot products once every dimension
 # is this large.  Packing the right factor costs about as much as one row
 # of dot products per four to eight rows, so one or a few rows stay on dot
-# products.  Python 3.11, x86-64, small entries: 14 against 6 us at 2x2x2,
-# 88 against 82 us at 8x8x8, 1.7 against 5.4 ms at 40x40x40, and 0.39
-# against 0.14 ms for the kernel check's 1x41 by 41x41.
+# products.  Python 3.11, x86-64, small entries: 10 against 4 us at 2x2x2,
+# 41 against 48 us at 8x8x8, 0.8 against 5.1 ms at 40x40x40, and 0.32
+# against 0.10 ms for the kernel check's 1x41 by 41x41.
 _PACKED_MIN_DIM = 8
 
 
 def _packed_product(a: IntMatrix, b: IntMatrix) -> tuple[int, ...]:
     """Entries of ``a @ b`` by Kronecker substitution, so the inner loop runs in C.
 
-    Row t of ``b`` becomes one integer with entry j in the w-bit slot j.  Row
-    i of the product is then the one integer sum over t of ``a[i][t]`` times
-    packed row t.  Every product entry has absolute value at most
-    ``k * max|a| * max|b|`` < 2**(w - 1), so with 2**(w - 1) added to every
-    slot each slot holds its entry plus that offset, with no carry between
-    slots, and reads back exactly from the integer's bytes.
+    Row t of ``b`` becomes one integer with entry j in slot j (``_Slots``).
+    Row i of the product is then the one integer sum over t of ``a[i][t]``
+    times packed row t.  Every entry of ``b`` and of the product has absolute
+    value at most ``k * max|a| * max|b|`` < 2**e, so with 2**e added to every
+    slot of e + 1 bits or more each slot holds its entry plus that bias, with
+    no carry between slots, and reads back exactly.
     """
     k, n = a.cols, b.cols
     amax, bmax = max(map(abs, a.entries)), max(map(abs, b.entries))
     if not amax or not bmax:
         return (0,) * (a.rows * n)
-    # slot bytes: 8 * width bits exceed the bound's bit length, so the bound is
-    # below half; |b| is at most the bound, so each x + half below fits a slot
-    width = (k * amax * bmax).bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
-    packed = [
-        int.from_bytes(b"".join([(x + half).to_bytes(width, "little") for x in b.row(t)]), "little") - offset
-        for t in range(k)
-    ]
-    size = width * n
-    out: list[int] = []
-    for i in range(a.rows):
-        data = (sum(map(mul, a.row(i), packed)) + offset).to_bytes(size, "little")
-        out += [int.from_bytes(data[s : s + width], "little") - half for s in range(0, size, width)]
-    return tuple(out)
+    e = (k * amax * bmax).bit_length()
+    width = (e + 8) // 8
+    slots = _Slots(next((w for w in _STRUCT_CODES if w >= width), width), n, e)  # struct reads the narrow slots
+    _, packed = slots.pack_rows(b.row(t) for t in range(k))
+    return tuple(chain.from_iterable(slots.unpack(sum(map(mul, a.row(i), packed)) + slots.biases) for i in range(a.rows)))
 
 
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -343,7 +333,7 @@ class SmithForm:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination: determinant, inverse, kernel
+# fraction-free Gauss-Jordan elimination: the reference determinant, inverse and kernel
 
 
 def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
@@ -360,12 +350,8 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
     the columns left of it by ``p / scale``.  Each step therefore updates
     ``row[col:]`` only, and each column left behind is multiplied once at the
     end by the product of those factors, ``final scale / its scale then``;
-    every entry comes out as the full update would leave it.  With at least
-    ``_PACKED_MIN_DIM`` rows and columns the steps run on packed rows
-    (``_packed_gauss_jordan``).
+    every entry comes out as the full update would leave it.
     """
-    if min(len(m), len(m[0]) if m else 0) >= _PACKED_MIN_DIM:
-        return _packed_gauss_jordan(m)
     pivots: list[int] = []
     scale = sign = 1
     frozen: list[int] = []  # frozen[c]: the scale when the loop moved past column c
@@ -395,60 +381,6 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, scale, sign
 
 
-def _packed_gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
-    """``_gauss_jordan`` with each row one integer (``_Slots``), so a row update runs in C.
-
-    Slot 0 of every packed row is the current column.  A step reads slot 0
-    of each row and updates every other row at once, ``(P p - f T) // scale``;
-    the division is exact slot by slot, as in Bareiss (1968), so it is exact
-    on the packed integer.  The column is then 0 in every non-pivot row, and
-    each row is shifted down one slot, leaving the column behind to be scaled
-    once at the end as in the loop.  The first slot width is the narrowest
-    whose guard interval holds every quotient of the first step.  When a
-    quotient digit leaves the guard interval, the step's unchanged input rows
-    are repacked at twice the slot width and that step alone is redone.
-    """
-    nrows, ncols = len(m), len(m[0])
-    slots = _Slots.for_entries(chain.from_iterable(m), ncols)
-    biased, rows = slots.pack_rows(m)
-    pivots: list[int] = []
-    scale = sign = 1
-    left: list[tuple[list[int], int]] = []  # each column moved past, with the scale then
-    while len(left) < ncols and len(pivots) < nrows:
-        r = len(pivots)
-        col = slots.digits(biased, 0)
-        rest = _Slots(slots.width, slots.n - 1)
-        sel = next((i for i in range(r, nrows) if col[i]), None)
-        if sel is None:
-            rows = [(x - f) >> slots.bits for x, f in zip(rows, col)]
-            biased = [g >> slots.bits for g in biased]
-            left.append((col, scale))
-            slots = rest
-            continue
-        if sel != r:
-            for v in (rows, biased, col):
-                v[r], v[sel] = v[sel], v[r]
-            sign = -sign
-        p = col[r]
-        while True:
-            t = rows[r]
-            new = [(x * p - f * t) // scale >> slots.bits for x, f in zip(rows, col)]
-            new[r] = (t - p) >> slots.bits
-            new_biased = rest.biased(new)
-            if new_biased is not None:
-                break
-            slots, biased, rows = slots.widened(biased)
-            rest = _Slots(slots.width, slots.n - 1)
-        rows, biased, slots = new, new_biased, rest
-        pivots.append(len(left))
-        left.append(([p if i == r else 0 for i in range(nrows)], p))
-        scale = p
-    tails = [slots.unpack(g) for g in biased]
-    heads = [[x * scale // then if x else 0 for x in col] for col, then in left]
-    m[:] = [[col[i] for col in heads] + tail for i, tail in enumerate(tails)]
-    return pivots, scale, sign
-
-
 def det_bareiss(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not a.is_square:
@@ -457,8 +389,8 @@ def det_bareiss(a: IntMatrix) -> int:
     return sign * scale if len(pivots) == a.rows else 0
 
 
-def _det_and_inverse(a: IntMatrix) -> tuple[int, IntMatrix | None]:
-    """Determinant and, when it is +-1, the verified integer inverse, from one elimination on [A | I]."""
+def inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Exact integer inverse of a matrix with determinant +-1, by elimination on [A | I]."""
     if not a.is_square:
         raise DimensionError("inverse of non-square matrix")
     n = a.rows
@@ -466,18 +398,13 @@ def _det_and_inverse(a: IntMatrix) -> tuple[int, IntMatrix | None]:
     pivots, scale, sign = _gauss_jordan(m)
     det = sign * scale if pivots == list(range(n)) else 0
     if det not in (1, -1):
-        return det, None
-    inv = IntMatrix(n, n, tuple(scale * x for row in m for x in row[n:]))  # 1 / scale == scale
-    if a @ inv != IntMatrix.identity(n):
-        raise AlgorithmMismatchError("inverse verification failed")
-    return det, inv
-
-
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1, by elimination on [A | I]."""
-    det, inv = _det_and_inverse(a)
-    if inv is None:
         raise NotUnimodularError(f"matrix has determinant {det}")
+    return _checked_inverse(a, IntMatrix(n, n, tuple(scale * x for row in m for x in row[n:])))  # 1 / scale == scale
+
+
+def _checked_inverse(a: IntMatrix, inv: IntMatrix) -> IntMatrix:
+    if a @ inv != IntMatrix.identity(a.rows):
+        raise AlgorithmMismatchError("inverse verification failed")
     return inv
 
 
@@ -496,8 +423,13 @@ def nullspace_rational(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
         vec[free] = scale
         for row, pc in zip(m, pivots):
             vec[pc] = -row[free]
-        lead = next(x for x in vec if x)
-        basis.append(tuple(Fraction(x, lead) for x in vec))
+        basis.append(vec)
+    return _checked_kernel(a, basis)
+
+
+def _checked_kernel(a: IntMatrix, vecs: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """``vecs`` each divided by its first nonzero entry, once ``A v = 0`` is verified for every one."""
+    basis = [tuple(Fraction(x, next(y for y in vec if y)) for x in vec) for vec in vecs]
     ints = IntMatrix(len(basis), a.cols, tuple(x for v in basis for x in clear_denominators(v)))
     if ints @ a.transpose() != IntMatrix.zeros(len(basis), a.rows):
         raise AlgorithmMismatchError("kernel verification failed")
@@ -683,12 +615,13 @@ def inertia_charpoly(a: IntMatrix) -> Inertia:
     return Inertia(n_plus, n_minus, n_zero)
 
 
-def _symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
-    """Fraction-free symmetric elimination of ``A`` on the rows of ``[A | I]``.
+def _symmetric_bareiss(a: IntMatrix, epsilon: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
+    """Fraction-free elimination of the epsilon-symmetric ``A`` on the rows of ``[A | I]``.
 
     Each step pivots on a nonzero live diagonal entry or, when every live
-    diagonal entry is zero, on a 2x2 block ``[[0, b], [b, 0]]`` (Bunch and
-    Kaufman 1977).  The live block is ``scale`` times the Schur complement,
+    diagonal entry is zero (always, for a skew A), on a 2x2 block
+    ``[[0, b], [epsilon b, 0]]`` (Bunch and Kaufman 1977; Bunch 1982 for the
+    skew blocks).  The live block is ``scale`` times the Schur complement,
     so every division is exact as in Bareiss (1968): by ``scale`` after a
     1x1 pivot ``d`` (new scale ``d``) and by ``scale**2`` after a 2x2 pivot
     ``b`` (new scale ``b**2 / scale``).  Returns (pivot order, X, D): row t
@@ -700,12 +633,13 @@ def _symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[l
     where it is ``scale``; so a live row keeps its entries in the live
     columns and its transform coefficients on the processed pivots, in pivot
     order.  A 1x1 pivot ``p`` appends ``-f`` to a row with ``f`` in column p;
-    a 2x2 pivot ``(p, q)`` appends ``-b f_q / scale`` and ``-b f_p / scale``.
-    From ``_PACKED_MIN_DIM`` rows on the steps run on packed rows
-    (``_packed_symmetric_bareiss``).
+    a 2x2 pivot ``(p, q)`` updates ``b**2 x - b (f_q y + epsilon f_p z)``
+    over ``scale**2`` and appends ``-b f_q / scale`` and
+    ``-epsilon b f_p / scale``.  From ``_PACKED_MIN_DIM`` rows on the steps
+    run on packed rows (``_packed_symmetric_bareiss``).
     """
     if a.rows >= _PACKED_MIN_DIM:
-        return _packed_symmetric_bareiss(a)
+        return _packed_symmetric_bareiss(a, epsilon)
     live = list(range(a.rows))
     rows = a.to_rows()  # rows[t]: row live[t] over the live columns
     coefs: list[list[int]] = [[] for _ in live]  # coefs[t]: over the processed pivots
@@ -739,41 +673,40 @@ def _symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[l
             del row[l], row[k]
         b2, s2 = b * b, scale * scale
         for row, coef in zip(rows, coefs):
-            fq, fp = row.pop(l), row.pop(k)
+            fq, fp = row.pop(l), epsilon * row.pop(k)
             row[:] = [(b2 * x - b * (fq * y + fp * z)) // s2 for x, y, z in zip(row, row_p, row_q)]
             coef[:] = [(b2 * x - b * (fq * y + fp * z)) // s2 for x, y, z in zip(coef, coef_p, coef_q)]
             coef += [-b * fq // scale, -b * fp // scale]
         order += [live.pop(k), live.pop(l - 1)]
         done += [coef_p + [scale], coef_q + [0, scale]]
-        blocks.append([[0, scale * b], [scale * b, 0]])
+        blocks.append([[0, scale * b], [epsilon * scale * b, 0]])
         scale = b2 // scale
     order += live
     done += [coef + [0] * t + [scale] for t, coef in enumerate(coefs)]
     blocks += [[[0]] for _ in live]
-    x = []
-    for row in done:
-        out = [0] * a.rows
+    x = [[0] * a.rows for _ in done]
+    for out, row in zip(x, done):
         for i, c in zip(order, row):
             out[i] = c
-        x.append(out)
     return order, x, blocks
 
 
-def _packed_symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
+def _packed_symmetric_bareiss(a: IntMatrix, epsilon: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
     """``_symmetric_bareiss`` with each live row one integer (``_Slots``), so a row update runs in C.
 
     A live row keeps its entry in column c while c is live and its transform
     coefficient on c once c is a pivot, so it fills n slots.  A step adds
     ``scale`` to the pivot rows' own slots, so the packed update leaves ``-f``
-    (1x1) or ``-b f_q / scale`` and ``-b f_p / scale`` (2x2) in the pivot
-    slots of every other row.  With the digits and ``scale`` at most 2**e in
-    absolute value, a 1x1 update ``x d - f y`` is at most 2**(2e + 1) in every
-    slot, as in ``_Slots``, and a 2x2 update ``b**2 x - b (f_q y + f_p z)``
-    below 3 * 2**(3e), which needs 3e + 3 bits of slot.  So a step first
-    widens when ``scale`` is outside the guard interval, and a 2x2 step when
-    a digit or ``scale`` is outside the narrower interval 3e + 3 bits allow.
-    A step whose quotient leaves the guard interval is redone on its
-    unchanged input rows at twice the slot width, as in ``_packed_gauss_jordan``.
+    (1x1) or ``-b f_q / scale`` and ``-epsilon b f_p / scale`` (2x2) in the
+    pivot slots of every other row.  With the digits and ``scale`` at most
+    2**e in absolute value, a 1x1 update ``x d - f y`` is at most 2**(2e + 1)
+    in every slot, as in ``_Slots``, and a 2x2 update
+    ``b**2 x - b (f_q y + epsilon f_p z)`` below 3 * 2**(3e), which needs
+    3e + 3 bits of slot.  So a step first widens when ``scale`` is outside
+    the guard interval, and a 2x2 step when a digit or ``scale`` is outside
+    the narrower interval 3e + 3 bits allow.  A step whose quotient leaves
+    the guard interval is redone on its unchanged input rows at twice the
+    slot width.
     """
     n = a.rows
     slots = _Slots.for_entries(a.entries, n)
@@ -835,13 +768,13 @@ def _packed_symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]],
             others, kept_biased = [rows[t] for t in kept], [biased[t] for t in kept]
             fps, fqs = slots.digits(kept_biased, p), slots.digits(kept_biased, q)
             y, z = rows[k] + (scale << slots.bits * p), rows[l] + (scale << slots.bits * q)
-            new = [(b2 * w - b * (fq * y + fp * z)) // s2 for w, fp, fq in zip(others, fps, fqs)]
+            new = [(b2 * w - b * (fq * y + epsilon * fp * z)) // s2 for w, fp, fq in zip(others, fps, fqs)]
             new_biased = slots.biased(new)
             if new_biased is not None:
                 break
             slots, biased, rows = slots.widened(biased)
         x += [transform(biased[k], [(p, scale), (q, 0)]), transform(biased[l], [(p, 0), (q, scale)])]
-        blocks.append([[0, scale * b], [scale * b, 0]])
+        blocks.append([[0, scale * b], [epsilon * scale * b, 0]])
         order += [live.pop(k), live.pop(l - 1)]
         rows, biased, scale = new, new_biased, b2 // scale
     x += [transform(g, [(i, scale)]) for g, i in zip(biased, live)]
@@ -850,43 +783,93 @@ def _packed_symmetric_bareiss(a: IntMatrix) -> tuple[list[int], list[list[int]],
     return order, x, blocks
 
 
-def inertia_ldlt(a: IntMatrix) -> Inertia:
-    """Inertia by fraction-free symmetric elimination, certified by congruence.
+class Congruence:
+    """``X A X^T = D`` for an epsilon-symmetric A from one ``_symmetric_bareiss``, and four facts read from it.
 
-    ``_symmetric_bareiss`` gives an integer X and a block diagonal D of 1x1
-    and 2x2 blocks.  The inertia is read from D only after two exact checks:
-    ``X A X^T == D``, and X is triangular in pivot order with a nonzero
-    diagonal, so X is invertible over Q.  By Sylvester's law of inertia A and
-    D then have the same inertia.
+    X is triangular in pivot order with a nonzero diagonal, and D is block
+    diagonal, of 1x1 blocks and 2x2 blocks ``[[0, c], [epsilon c, 0]]``.  The
+    determinant is det D / det(X)**2 and the inverse ``X^T D^-1 X``, verified
+    by ``A A^-1 = I``.  The inertia (Sylvester's law) and the kernel are read
+    only once ``X A X^T = D`` and those shapes are verified.  X is then
+    invertible, so rank A = rank D and the rows t of X at D's zero blocks are
+    independent and as many as the nullity; ``X_t A X^T = 0`` gives
+    ``X_t A = 0``, and ``A = epsilon A^T`` gives ``A X_t^T = 0``.
     """
+
+    def __init__(self, a: IntMatrix, epsilon: int) -> None:
+        self.a, self.epsilon = a, epsilon
+        self.order, self.x, self.blocks = _symmetric_bareiss(a, epsilon)
+
+    @cached_property
+    def det(self) -> int:
+        det_d = math.prod(b[0][0] if len(b) == 1 else b[0][0] * b[1][1] - b[0][1] * b[1][0] for b in self.blocks)
+        # det X is the product of its diagonal, up to the sign of the pivot order
+        return det_d // math.prod(row[i] for row, i in zip(self.x, self.order)) ** 2 if det_d else 0
+
+    @cached_property
+    def inverse(self) -> IntMatrix:
+        """``X^T D^-1 X`` as one integer product over the lcm of D's entries; raises NotUnimodularError unless det = +-1."""
+        if self.det not in (1, -1):
+            raise NotUnimodularError(f"matrix has determinant {self.det}")
+        n, x = self.a.rows, self.x
+        lcm = math.lcm(*(v for b in self.blocks for row in b for v in row if v))
+        scaled: list[list[int]] = []  # the rows of lcm D^-1 X
+        for b in self.blocks:
+            t = len(scaled)
+            if len(b) == 1:
+                scaled.append([lcm // b[0][0] * v for v in x[t]])
+            else:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
+                scaled += [[lcm // b[1][0] * v for v in x[t + 1]], [lcm // b[0][1] * v for v in x[t]]]
+        product = IntMatrix(n, n, tuple(chain.from_iterable(zip(*x)))) @ IntMatrix(n, n, tuple(chain(*scaled)))
+        return _checked_inverse(self.a, IntMatrix(n, n, tuple(v // lcm for v in product.entries)))
+
+    @cached_property
+    def _certified_blocks(self) -> list[list[list[int]]]:
+        """D's blocks, once ``X A X^T = D`` holds exactly and X and D have the shapes the reading needs."""
+        n, order, x, blocks = self.a.rows, self.order, self.x, self.blocks
+        xm = IntMatrix(len(x), n, tuple(chain.from_iterable(x)))
+        d = IntMatrix.block_diagonal(IntMatrix(len(b), len(b), tuple(chain(*b))) for b in blocks)
+        if (xm.rows, xm.cols) != (n, n) or congruence_apply(xm, self.a) != d:
+            raise AlgorithmMismatchError("congruence certificate failed: X A X^T != D")
+        if sorted(order) != list(range(n)) or not all(
+            x[t][order[t]] and not any(x[t][j] for j in order[t + 1 :]) for t in range(n)
+        ):
+            raise AlgorithmMismatchError("congruence certificate failed: X is not triangular with nonzero diagonal")
+        if not all(len(b) == 1 or len(b) == 2 and b[0][0] == b[1][1] == 0 != b[0][1] for b in blocks):
+            raise AlgorithmMismatchError("congruence certificate failed: D has a block not 1x1 or [[0, c], [epsilon c, 0]]")
+        return blocks
+
+    @cached_property
+    def inertia(self) -> Inertia:
+        if self.epsilon != 1:
+            raise SymmetryError("inertia requires a symmetric matrix")
+        # a 1x1 block has its own sign; [[0, c], [c, 0]] has inertia (1, 1, 0)
+        signs = [s for b in self._certified_blocks for s in ([b[0][0]] if len(b) == 1 else [1, -1])]
+        return Inertia(sum(s > 0 for s in signs), sum(s < 0 for s in signs), sum(s == 0 for s in signs))
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The basis ``nullspace_rational`` returns, from the rows of X at D's zero blocks, verified by ``A v = 0``.
+
+        Brought to reduced echelon form with its columns reversed, the basis
+        is the identity on the free columns of A, ordered by free column.
+        """
+        rows = [row for row, b in zip(self.x, (b for b in self._certified_blocks for _ in b)) if b == [[0]]]
+        if len(rows) > 1:
+            m = [row[::-1] for row in rows]
+            _gauss_jordan(m)
+            rows = [row[::-1] for row in reversed(m)]
+        return _checked_kernel(self.a, rows)
+
+
+def inertia_ldlt(a: IntMatrix) -> Inertia:
+    """Inertia by fraction-free symmetric elimination, certified by congruence (``Congruence.inertia``)."""
     _require_symmetric(a)
-    n = a.rows
-    order, x, blocks = _symmetric_bareiss(a)
-    xm = IntMatrix(len(x), n, tuple(chain.from_iterable(x)))
-    d = IntMatrix.block_diagonal(IntMatrix(len(block), len(block), tuple(chain(*block))) for block in blocks)
-    if (xm.rows, xm.cols) != (n, n) or congruence_apply(xm, a) != d:
-        raise AlgorithmMismatchError("inertia certificate failed: X A X^T != D")
-    if sorted(order) != list(range(n)) or not all(
-        x[t][order[t]] and not any(x[t][j] for j in order[t + 1 :]) for t in range(n)
-    ):
-        raise AlgorithmMismatchError("inertia certificate failed: X is not triangular with nonzero diagonal")
-    signs: list[int] = []
-    for block in blocks:
-        if len(block) == 1:
-            signs.append(block[0][0])
-        elif len(block) == 2 and block[0][0] * block[1][1] < block[0][1] * block[1][0]:
-            signs += [1, -1]  # a 2x2 block of negative determinant has inertia (1, 1, 0)
-        else:
-            raise AlgorithmMismatchError("inertia certificate failed: D has a block that is not 1x1 or indefinite 2x2")
-    return Inertia(sum(s > 0 for s in signs), sum(s < 0 for s in signs), sum(s == 0 for s in signs))
+    return Congruence(a, 1).inertia
 
 
 def inertia(a: IntMatrix) -> Inertia:
-    """Exact inertia from the certified elimination ``inertia_ldlt``.
-
-    ``inertia_charpoly`` is the independent check, run by ``selftest`` and
-    the tests.
-    """
+    """Exact inertia, ``inertia_ldlt``; ``inertia_charpoly`` is the independent check the selftest and tests run."""
     return inertia_ldlt(a)
 
 

@@ -10,18 +10,17 @@ zero-diagonal model obtained from an isotropic change of basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from .exactlinalg import (
+    Congruence,
     DimensionError,
     Inertia,
     IntMatrix,
-    NotUnimodularError,
     SymmetryError,
-    _det_and_inverse,
     congruence_apply,
-    inertia,
 )
 
 
@@ -51,8 +50,9 @@ H_MATRIX = IntMatrix.from_rows([[0, 1], [1, 0]])
 class BilinearForm:
     """Square integer matrix with symmetry sign epsilon in {+1, -1}.
 
-    The form is immutable, so its determinant, inertia and integer inverse
-    are computed the first time they are asked for and kept.
+    The form is immutable, so its one elimination, the congruence
+    ``X A X^T = D``, runs the first time a fact is asked for and is kept.
+    Determinant, integer inverse, inertia and kernel are all read from it.
     """
 
     matrix: IntMatrix
@@ -77,30 +77,27 @@ class BilinearForm:
     def dim(self) -> int:
         return self.matrix.rows
 
+    @cached_property
+    def _congruence(self) -> Congruence:
+        return Congruence(self.matrix, self.epsilon)
+
     @property
-    def is_symmetric(self) -> bool:
-        return self.epsilon == 1
-
-    @cached_property
-    def _elimination(self) -> tuple[int, Optional[IntMatrix]]:
-        """Determinant and, when it is +-1, the verified inverse: one elimination per form."""
-        return _det_and_inverse(self.matrix)
-
-    @cached_property
     def inertia(self) -> Inertia:
-        """Inertia of a symmetric form, certified by ``exactlinalg.inertia``."""
-        return inertia(self.matrix)
+        """Certified inertia of a symmetric form; raises SymmetryError for a skew one."""
+        return self._congruence.inertia
+
+    @property
+    def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Certified rational kernel, as ``exactlinalg.nullspace_rational`` orders and normalizes it."""
+        return self._congruence.kernel
 
     @property
     def inverse(self) -> IntMatrix:
         """Verified integer inverse; raises NotUnimodularError unless det = +-1."""
-        det, inv = self._elimination
-        if inv is None:
-            raise NotUnimodularError(f"matrix has determinant {det}")
-        return inv
+        return self._congruence.inverse
 
     def det(self) -> int:
-        return self._elimination[0]
+        return self._congruence.det
 
     def is_unimodular(self) -> bool:
         return self.det() in (1, -1)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, nullspace_rational
+from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix
 from .forms import BilinearForm
 from .graphmodel import (
     BlackVertex,
@@ -118,7 +118,7 @@ class CupFormAnalysis:
     kernel_basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        # the kernel comes from an elimination independent of the inertia's
+        # both come from the form's one certified congruence; they must still agree
         if self.inertia is not None and self.inertia.n_zero != self.kernel_dim:
             raise AlgorithmMismatchError("inertia nullity must match the kernel dimension")
 
@@ -138,8 +138,7 @@ def analyze_cup_form(f: BilinearForm) -> CupFormAnalysis:
     The signature of a skew form is zero by convention; its kernel is still
     computed (left and right kernels coincide for epsilon-symmetric forms).
     """
-    kernel = nullspace_rational(f.matrix)
-    return CupFormAnalysis(f.inertia if f.epsilon == 1 else None, kernel)
+    return CupFormAnalysis(f.inertia if f.epsilon == 1 else None, f.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +362,7 @@ class InvariantReport:
     chi: int
     homology_ranks: Optional[dict[int, int]]
     phi: Optional[PhiBounds]  # None unless cobounding is asserted
-    notes: tuple[str, ...]
+    notes: tuple[str, ...]  # the phi bounds keep their own notes
     verdicts: tuple[str, ...]
 
 
@@ -376,7 +375,8 @@ def invariant_report(
     """Full invariant pipeline for a validated graph family.
 
     The report keeps the cup form it analyzed, so callers need not assemble
-    it again.  Every note is assembled here.
+    it again.  Every note but the phi bounds' own is assembled here.  When
+    the canonical homology ranks apply, chi must equal their alternating sum.
     """
     form = cup_form_for_family(graphs, k)
     notes: list[str] = []
@@ -393,12 +393,14 @@ def invariant_report(
     if canonical is not None:
         family, d = canonical
         homology = canonical_homology_ranks(family, n, k, d)
+        alternating = sum((-1) ** i * b for i, b in homology.items())
+        if chi != alternating:
+            raise AlgorithmMismatchError(f"chi = {chi}, but the homology ranks give {alternating}")
         notes.append(f"canonical family {family} with d = {d}")
 
     phi = None
     if assume_cobounding:
         phi = phi_bounds(graphs, n, k, analysis.sigma, canonical)
-        notes.extend(phi.notes)
     else:
         notes.append("cobounding not asserted; no critical-point bounds emitted")
 

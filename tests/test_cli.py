@@ -22,6 +22,7 @@ from hopfcalc.cli import (
     parse_spec_data,
 )
 from hopfcalc.fixtures import fixture_names, fixture_path
+from hopfcalc.forms import zero_diagonal_model
 from hopfcalc.sampling import random_zero_diagonal_form
 
 TREE = fixture_path("tree_h.json")
@@ -43,6 +44,25 @@ def one_vertex_tree(matrix, n):
             }
         ],
     }
+
+
+def counted_calls(monkeypatch, targets):
+    """Count the calls of each (module, name) in ``targets``, in every hopfcalc namespace that binds it."""
+    calls = Counter()
+    for home, func in targets:
+        original = getattr(home, func)
+
+        def counted(*args, _original=original, _func=func):
+            calls[_func] += 1
+            return _original(*args)
+
+        # modules import these by name, so patch every namespace that binds one
+        for key, module in list(sys.modules.items()):
+            if key == "hopfcalc" or key.startswith("hopfcalc."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def load(path):
@@ -492,41 +512,41 @@ class TestMain:
         spec = parse_spec(fixture_path(name))
         blacks = sum(len(graphmodel.black_vertices(graph)) for graph in spec.graphs)
         projected = sum(1 for graph in spec.graphs if graph.dimensions[1] > 0)
-        calls = Counter()
-        for home, func in ((graphmodel, "graph_counts"), (graphmodel, "_connected_components"),
-                           (graphmodel, "validate_graph"), (graphmodel, "black_vertices"),
-                           (graphmodel, "projected_pair"),
-                           (hopflink, "derived_linking_matrix"), (hopflink, "presentation_oracle"),
-                           (exactlinalg, "_det_and_inverse"), (exactlinalg, "_gauss_jordan"),
-                           (invariants, "detect_canonical_family")):
-            original = getattr(home, func)
-
-            def counted(*args, _original=original, _func=func):
-                calls[_func] += 1
-                return _original(*args)
-
-            # modules import these by name, so patch every namespace that binds one
-            for key, module in list(sys.modules.items()):
-                if key == "hopfcalc" or key.startswith("hopfcalc."):
-                    for attr, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, attr, counted)
+        symmetric = sum(v.link.form.epsilon == 1 for graph in spec.graphs for _, v in graphmodel.black_vertices(graph))
+        calls = counted_calls(monkeypatch, (
+            (graphmodel, "graph_counts"), (graphmodel, "_connected_components"),
+            (graphmodel, "validate_graph"), (graphmodel, "black_vertices"), (graphmodel, "projected_pair"),
+            (hopflink, "derived_linking_matrix"), (hopflink, "presentation_oracle"),
+            (exactlinalg, "_symmetric_bareiss"), (exactlinalg, "_gauss_jordan"),
+            (exactlinalg, "congruence_apply"), (invariants, "detect_canonical_family")))
         counts = {}
         for command in ("report", "report --oracle", "oracle"):
             calls.clear()
             assert main([*command.split(), fixture_path(name)]) == 0
             counts[command] = Counter(calls)
         graphs = len(spec.graphs)
-        # validate_graph: once per graph, when it is built; black_vertices: the link and oracle sections
+        # validate_graph: once per graph, when it is built; black_vertices: the link and oracle sections;
+        # one elimination per form, each decoration and the cup form, and X A X^T = D checked once for
+        # each form whose inertia or kernel is read: the symmetric decorations and the cup form
         assert counts["report --oracle"] == Counter({
             "graph_counts": graphs, "_connected_components": graphs,
             "detect_canonical_family": graphs, "validate_graph": graphs,
             "black_vertices": 2 * graphs, "projected_pair": projected,
             "derived_linking_matrix": blacks, "presentation_oracle": blacks,
-            "_det_and_inverse": blacks, "_gauss_jordan": counts["report"]["_gauss_jordan"]})
+            "_symmetric_bareiss": blacks + 1, "congruence_apply": symmetric + 1})
         assert counts["report"]["validate_graph"] == counts["oracle"]["validate_graph"] == graphs
-        # one elimination per decoration: the oracle reads the inverse the parse computed
-        assert counts["oracle"]["_gauss_jordan"] == blacks
+        # the oracle reads the determinant and inverse of the parse's elimination, with no X A X^T = D
+        assert counts["oracle"]["_symmetric_bareiss"] == blacks and counts["oracle"]["congruence_apply"] == 0
+
+    @pytest.mark.parametrize("rows, n", [(zero_diagonal_model(1, 1).matrix.to_rows(), 4), (JJ_ROWS, 3)])
+    def test_check_link_and_classify_eliminate_once(self, rows, n, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(rows))
+        calls = counted_calls(monkeypatch, ((exactlinalg, "_symmetric_bareiss"), (exactlinalg, "_gauss_jordan")))
+        for argv in (["check-link", "--matrix", str(path), "--n", str(n)], ["classify", "--matrix", str(path)]):
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == Counter({"_symmetric_bareiss": 1})
 
     def test_oracle_json_on_product_spec(self, capsys):
         assert main(["oracle", PRODUCTS, "--format", "json"]) == 0
@@ -538,6 +558,18 @@ class TestMain:
         monkeypatch.setattr(graphmodel, "_glue_piece_euler", lambda graph, e, n, k: 99)
         assert main(["report", TREE]) == 2
         assert "fiber self-check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["tree_h.json", "tree_e8h.json", "proj_blackwhite.json"])
+    def test_homology_ranks_disagreeing_with_chi_exit_two(self, name, monkeypatch, capsys):
+        ranks = invariants.canonical_homology_ranks
+
+        def off_by_one(family, n, k, d):
+            table = ranks(family, n, k, d)
+            return {**table, n: table[n] + 1}
+
+        monkeypatch.setattr(invariants, "canonical_homology_ranks", off_by_one)
+        assert main(["report", fixture_path(name)]) == 2
+        assert "internal invariant violation: chi = " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["oracle"], ["report", "--oracle"]], ids=["oracle", "report-oracle"])
     def test_oracle_mismatch_exit_two(self, argv, monkeypatch, capsys):

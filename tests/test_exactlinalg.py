@@ -28,7 +28,14 @@ from hopfcalc.exactlinalg import (
     smith_normal_form,
 )
 from hopfcalc.forms import E8_MATRIX, H_MATRIX, build_standard, zero_diagonal_model
-from hopfcalc.sampling import random_square, random_symmetric, random_unimodular
+from hopfcalc.sampling import (
+    hyperbolic_seed,
+    random_congruence,
+    random_square,
+    random_symmetric,
+    random_unimodular,
+    skew_seed,
+)
 from test_cli import one_vertex_tree
 
 
@@ -83,23 +90,34 @@ matmul_pairs = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3).flatmap(
 )
 
 
-@st.composite
-def symmetric_matrices(draw):
-    """Symmetric matrices up to 8x8; zero-diagonal, rank-deficient and zero ones drawn explicitly.
+def epsilon_rows(flat, n, epsilon):
+    """The epsilon-symmetric n x n rows whose upper triangle is read from the row-major ``flat``."""
+    return [[flat[i * n + j] if i <= j else epsilon * flat[j * n + i] for j in range(n)] for i in range(n)]
 
-    A ``direct_sum`` matrix is a general block plus a zero-diagonal block, so
-    the elimination meets a zero live diagonal after 1x1 pivots.  A
-    ``zero_tail`` matrix is a general block plus a zero block, so the
-    elimination ends with zero rows still live.  A ``zero_schur`` matrix has
-    first row ``d (1, g)`` and diagonal ``d g_i**2``, so after the 1x1 pivot
-    ``d`` every live diagonal entry is zero: 2x2 pivots follow at scale ``d``
-    with nonzero entries in the other live rows.
+
+@st.composite
+def symmetric_matrices(draw, epsilons=(1, -1)):
+    """(A, epsilon): epsilon-symmetric A up to 8x8; zero-diagonal, rank-deficient and zero ones drawn explicitly.
+
+    A skew A has zero diagonal, so every pivot is 2x2.  A ``direct_sum``
+    matrix is a general block plus a zero-diagonal block, so the elimination
+    meets a zero live diagonal after 1x1 pivots.  A ``zero_tail`` matrix is
+    a general block plus a zero block, so the elimination ends with zero rows
+    still live.  A symmetric ``zero_schur`` matrix has first row ``d (1, g)``
+    and diagonal ``d g_i**2``, so after the 1x1 pivot ``d`` every live
+    diagonal entry is zero: 2x2 pivots follow at scale ``d`` with nonzero
+    entries in the other live rows.  A skew one is ``u v^T - v u^T``, so
+    after the first 2x2 pivot every live entry is zero.
     """
     n = draw(st.integers(min_value=0, max_value=8))
+    epsilon = draw(st.sampled_from(epsilons))
     kinds = ["general", "zero_diagonal", "direct_sum", "duplicated", "zero", "zero_tail", "zero_schur"]
     kind = draw(st.sampled_from(kinds))
     flat = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n * n, max_size=n * n))
-    rows = [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    rows = epsilon_rows(flat, n, epsilon)
+    if epsilon == -1:
+        for i in range(n):
+            rows[i][i] = 0
     if kind in ("zero_diagonal", "direct_sum"):
         split = 0 if kind == "zero_diagonal" else draw(st.integers(0, n))
         for i in range(n):
@@ -116,13 +134,16 @@ def symmetric_matrices(draw):
     elif kind == "zero_tail":
         split = draw(st.integers(0, n))
         rows = [[x if max(i, j) < split else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    elif kind == "zero_schur" and n >= 1:
+    elif kind == "zero_schur" and n >= 1 and epsilon == 1:
         d = draw(st.sampled_from([-3, -2, 2, 3, 4]))
         g = [1] + draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
         for i in range(n):
             rows[0][i] = rows[i][0] = d * g[i]
             rows[i][i] = d * g[i] * g[i]
-    return IntMatrix(n, n, tuple(x for row in rows for x in row))
+    elif kind == "zero_schur":
+        u, v = flat[:n], flat[-n:]
+        rows = [[u[i] * v[j] - v[i] * u[j] for j in range(n)] for i in range(n)]
+    return IntMatrix(n, n, tuple(x for row in rows for x in row)), epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +174,8 @@ def reference_gauss_jordan(m):
     return pivots, scale, sign
 
 
-def reference_symmetric_bareiss(a):
-    """Symmetric Bareiss on every entry of the rows of [A | I]."""
+def reference_symmetric_bareiss(a, epsilon):
+    """Epsilon-symmetric Bareiss on every entry of the rows of [A | I]."""
     n = a.rows
     m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a.to_rows())]
     live = list(range(n))
@@ -182,9 +203,9 @@ def reference_symmetric_bareiss(a):
         b2, s2 = b * b, scale * scale
         for i in live:
             row, fp, fq = m[i], m[i][p], m[i][q]
-            m[i] = [(b2 * x - b * (fq * y + fp * z)) // s2 for x, y, z in zip(row, row_p, row_q)]
+            m[i] = [(b2 * x - b * (fq * y + epsilon * fp * z)) // s2 for x, y, z in zip(row, row_p, row_q)]
         order += [p, q]
-        blocks.append([[0, scale * b], [scale * b, 0]])
+        blocks.append([[0, scale * b], [epsilon * scale * b, 0]])
         scale = b2 // scale
     order += live
     blocks += [[[0]] for _ in live]
@@ -281,8 +302,9 @@ class TestKernelsMatchReferences:
 
     @settings(deadline=None, max_examples=300)
     @given(symmetric_matrices())
-    def test_symmetric_bareiss(self, a):
-        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+    def test_symmetric_bareiss(self, pair):
+        a, epsilon = pair
+        assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
 
     @pytest.mark.parametrize(
         "rows",
@@ -296,8 +318,21 @@ class TestKernelsMatchReferences:
     )
     def test_symmetric_bareiss_examples(self, rows):
         a = IntMatrix.from_rows(rows)
-        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+        assert exactlinalg._symmetric_bareiss(a, 1) == reference_symmetric_bareiss(a, 1)
         assert inertia_ldlt(a) == inertia_charpoly(a)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 3], [-3, 0]],
+            [[0, 0, 2], [0, 0, 0], [-2, 0, 0]],  # a 2x2 pivot past a zero row, which stays live
+            [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]],  # the second 2x2 pivot at scale 1
+            [[0, 2, 0, 4], [-2, 0, 6, 0], [0, -6, 0, 8], [-4, 0, -8, 0]],  # singular: 2x2 pivot, then a zero block
+        ],
+    )
+    def test_skew_bareiss_examples(self, rows):
+        a = IntMatrix.from_rows(rows)
+        assert exactlinalg._symmetric_bareiss(a, -1) == reference_symmetric_bareiss(a, -1)
 
     @settings(deadline=None, max_examples=300)
     @given(wide_products())
@@ -309,9 +344,13 @@ class TestKernelsMatchReferences:
             assert exactlinalg._packed_product(a, b) == expected.entries
 
     @pytest.mark.parametrize("k", [exactlinalg._PACKED_MIN_DIM - 1, exactlinalg._PACKED_MIN_DIM])
-    @pytest.mark.parametrize("a_max, b_max", [(64, 63), (64, 64), (127, 1), (1, 128), ((1 << 300) - 1, 1 << 300)])
+    @pytest.mark.parametrize(
+        "a_max, b_max",
+        [(64, 63), (64, 64), (127, 1), (1, 128), ((1 << 60) - 1, 1), (1 << 60, 1), ((1 << 300) - 1, 1 << 300)],
+    )
     def test_product_at_slot_width_edges(self, k, a_max, b_max):
-        # k * 64 * 63 fills 15 bits of a 2-byte slot; 8 * 64 * 64 needs a 3-byte slot
+        # an entry below 2**e and its bias 2**e fill a slot of e + 1 bits: k * 64 * 63 < 2**15 fills two
+        # bytes and k * (2**60 - 1) < 2**63 eight, the widest struct code; 8 * 64 * 64 and 8 * 2**60 need wider
         signs = (1, -1, 0)
         a = IntMatrix(k, k, tuple((-1) ** i * a_max for i in range(k) for _ in range(k)))
         b = IntMatrix(k, k, tuple(signs[j % 3] * b_max for _ in range(k) for j in range(k)))
@@ -330,58 +369,42 @@ PACKED = exactlinalg._PACKED_MIN_DIM
 
 
 @st.composite
-def packed_elimination_rows(draw):
-    """Rows for the packed ``_gauss_jordan``: at least ``_PACKED_MIN_DIM`` rows and columns, 1- to 300-bit entries.
+def packed_symmetric_matrices(draw, epsilons=(1, -1)):
+    """(A, epsilon): epsilon-symmetric A from ``_PACKED_MIN_DIM`` to ``_PACKED_MIN_DIM + 4`` rows, 1- to 300-bit entries.
 
-    As in ``elimination_rows`` a column may be zero or a multiple of another
-    and a row a combination of two others; ``inverse`` appends the identity.
-    """
-    m = draw(st.integers(PACKED, PACKED + 4))
-    n = draw(st.integers(PACKED, PACKED + 6))
-    bits = draw(st.sampled_from([1, 2, 3, 8, 24, 300]))
-    entries = st.integers(min_value=-(1 << bits), max_value=1 << bits)
-    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
-    if draw(st.booleans()):
-        zero = draw(st.integers(0, n - 1))
-        for row in rows:
-            row[zero] = 0
-    if draw(st.booleans()):
-        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        c = draw(st.integers(-3, 3))
-        for row in rows:
-            row[dst] = c * row[src]
-    if draw(st.booleans()):
-        i, j, t = draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True))
-        rows[t] = [x + y for x, y in zip(rows[i], rows[j])]
-    if draw(st.booleans()):
-        rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-    return rows
-
-
-@st.composite
-def packed_symmetric_matrices(draw):
-    """Symmetric matrices from ``_PACKED_MIN_DIM`` to ``_PACKED_MIN_DIM + 4`` rows, with 2x2 pivots drawn explicitly.
-
-    ``zero_diagonal`` and ``hyperbolic`` (a sum of ``[[0, b], [b, 0]]``
-    blocks, every pivot 2x2) start with 2x2 pivots; ``sparse`` meets zero
-    live diagonals and zero rows later.
+    ``zero_diagonal`` and ``hyperbolic`` (a sum of ``[[0, b], [epsilon b, 0]]``
+    blocks, every pivot 2x2) start with 2x2 pivots, as every skew A does;
+    ``sparse`` meets zero live diagonals and zero rows later.  ``duplicated``
+    repeats a row and its column, and ``zero_tail`` ends in a zero block, so
+    A is singular, with a kernel of dimension two or more in ``zero_tail``.
     """
     n = draw(st.integers(PACKED, PACKED + 4))
-    kind = draw(st.sampled_from(["general", "zero_diagonal", "hyperbolic", "sparse"]))
+    epsilon = draw(st.sampled_from(epsilons))
+    kind = draw(st.sampled_from(["general", "zero_diagonal", "hyperbolic", "sparse", "duplicated", "zero_tail"]))
     bits = draw(st.sampled_from([1, 2, 4, 16, 300]))
     flat = draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=n * n, max_size=n * n))
     if kind == "sparse":
         flat = [x if i % 3 == 0 else 0 for i, x in enumerate(flat)]
-    rows = [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    rows = epsilon_rows(flat, n, epsilon)
+    split = draw(st.integers(0, n - 2)) if kind == "zero_tail" else n
     for i in range(n):
         for j in range(n):
-            if kind == "zero_diagonal" and i == j or kind == "hyperbolic" and (i // 2 != j // 2 or i == j):
+            if (
+                i == j and (kind == "zero_diagonal" or epsilon == -1)
+                or kind == "hyperbolic" and (i // 2 != j // 2 or i == j)
+                or max(i, j) >= split
+            ):
                 rows[i][j] = 0
-    return IntMatrix(n, n, tuple(x for row in rows for x in row))
+    if kind == "duplicated":
+        src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[dst] = list(rows[src])
+        for row in rows:
+            row[dst] = row[src]
+    return IntMatrix(n, n, tuple(x for row in rows for x in row)), epsilon
 
 
 def pinned_slots(monkeypatch, width=1):
-    """Pin the packed kernels' first layout to ``width``-byte slots and count widenings.
+    """Pin the packed kernel's first layout to ``width``-byte slots and count widenings.
 
     One-byte slots guard [-4, 4) and two-byte slots [-64, 64).
     """
@@ -399,19 +422,13 @@ def pinned_slots(monkeypatch, width=1):
 
 
 class TestPackedKernels:
-    """The packed eliminations against the reference kernels, at the guard's edges and past the first width."""
-
-    @settings(deadline=None, max_examples=150)
-    @given(packed_elimination_rows())
-    def test_gauss_jordan(self, rows):
-        m, expected = [list(r) for r in rows], [list(r) for r in rows]
-        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
-        assert m == expected
+    """The packed elimination against the reference kernel, at the guard's edges and past the first width."""
 
     @settings(deadline=None, max_examples=150)
     @given(packed_symmetric_matrices())
-    def test_symmetric_bareiss(self, a):
-        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+    def test_symmetric_bareiss(self, pair):
+        a, epsilon = pair
+        assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
     def test_guard_accepts_exactly_the_guard_interval(self, width):
@@ -426,18 +443,6 @@ class TestPackedKernels:
                 if inside:
                     assert slots.unpack(slots.pack(row)) == row
 
-    @pytest.mark.parametrize("t, widenings", [(-4, 0), (-3, 0), (3, 0), (4, 1)])
-    def test_gauss_jordan_at_guard_edge(self, monkeypatch, t, widenings):
-        # the first step turns row 1 into (0, t): t = b - f with |b|, |f| <= 2
-        calls = pinned_slots(monkeypatch)
-        rows = [[int(i == j) for j in range(PACKED)] for i in range(PACKED)]
-        rows[0][1] = 1
-        rows[1][:2] = [t // 2 - t, t // 2]
-        m, expected = [list(r) for r in rows], [list(r) for r in rows]
-        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
-        assert m == expected
-        assert len(calls) == widenings
-
     @pytest.mark.parametrize("a, c, g, widenings", [(2, 0, 1, 0), (1, -2, 1, 0), (0, 3, -1, 0), (2, 0, -1, 1)])
     def test_symmetric_bareiss_at_guard_edge(self, monkeypatch, a, c, g, widenings):
         # [[1, a], [a, c]] + diag(g, 1, ...): the second pivot is t = c - a**2, then row 2 holds g t
@@ -447,52 +452,58 @@ class TestPackedKernels:
         for i in range(2, PACKED):
             rows[i][i] = g if i == 2 else 1
         m = IntMatrix.from_rows(rows)
-        assert exactlinalg._symmetric_bareiss(m) == reference_symmetric_bareiss(m)
+        assert exactlinalg._symmetric_bareiss(m, 1) == reference_symmetric_bareiss(m, 1)
         assert len(calls) == widenings
 
     def test_two_by_two_pivot_first_checks_its_wider_bound(self, monkeypatch):
         # two-byte slots: b = -64 and 16 are in [-64, 64), but b**2 * 16 = 2**16 would carry
         # into the next slot and read back as a guard-passing 1 there
         calls = pinned_slots(monkeypatch, width=2)
-        rows = [[0] * PACKED for _ in range(PACKED)]
-        rows[0][1] = rows[1][0] = -64
-        rows[2][3] = rows[3][2] = 16
-        a = IntMatrix.from_rows(rows)
-        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
-        assert calls
+        for epsilon in (1, -1):
+            rows = [[0] * PACKED for _ in range(PACKED)]
+            rows[0][1], rows[1][0] = -64, -64 * epsilon
+            rows[2][3], rows[3][2] = 16, 16 * epsilon
+            a = IntMatrix.from_rows(rows)
+            calls.clear()
+            assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
+            assert calls
 
     def test_scale_past_the_guard_widens_before_the_next_step(self, monkeypatch):
         # a 2x2 pivot b = -16 makes the scale b**2 = 256, past two-byte slots' guard of 64
         calls = pinned_slots(monkeypatch, width=2)
-        rows = [[0] * PACKED for _ in range(PACKED)]
-        rows[0][1] = rows[1][0] = -16
-        a = IntMatrix.from_rows(rows)
-        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
-        assert len(calls) == 1
+        for epsilon in (1, -1):
+            rows = [[0] * PACKED for _ in range(PACKED)]
+            rows[0][1], rows[1][0] = -16, -16 * epsilon
+            a = IntMatrix.from_rows(rows)
+            calls.clear()
+            assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
+            assert len(calls) == 1
 
     def test_overflow_mid_elimination_redoes_one_step(self, monkeypatch):
         calls = pinned_slots(monkeypatch)
         a = zero_diagonal_model(1, 1).matrix
-        rows = [row + [int(i == j) for j in range(a.rows)] for i, row in enumerate(a.to_rows())]
-        m, expected = [list(r) for r in rows], [list(r) for r in rows]
-        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
-        assert m == expected
-        # the layout drops a slot per column, so each widening happened after the first step
-        assert calls and all(n < 2 * a.rows for n in calls)
+        assert exactlinalg._symmetric_bareiss(a, 1) == reference_symmetric_bareiss(a, 1)
+        assert calls
         calls.clear()
-        assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+        # entries in {-1, 0, 1} pass the first 2x2 step's narrower guard of one-byte slots, [-2, 2)
+        rng, rows = random.Random(0), [[0] * PACKED for _ in range(PACKED)]
+        for i in range(PACKED):
+            for j in range(i + 1, PACKED):
+                rows[i][j] = rng.choice([-1, 0, 1])
+                rows[j][i] = -rows[i][j]
+        skew = IntMatrix.from_rows(rows)
+        assert exactlinalg._symmetric_bareiss(skew, -1) == reference_symmetric_bareiss(skew, -1)
         assert calls
 
     def test_300_bit_entries(self):
         rng = random.Random(300)
         for n in (PACKED, PACKED + 3):
             rows = [[rng.randint(-(1 << 300), 1 << 300) for _ in range(n)] for _ in range(n)]
-            for m in (rows, [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]):
-                got, expected = [list(r) for r in m], [list(r) for r in m]
-                assert exactlinalg._gauss_jordan(got) == reference_gauss_jordan(expected)
-                assert got == expected
-            sym = IntMatrix(n, n, tuple(rows[min(i, j)][max(i, j)] * (i != j) for i in range(n) for j in range(n)))
-            assert exactlinalg._symmetric_bareiss(sym) == reference_symmetric_bareiss(sym)
+            for epsilon in (1, -1):
+                flat = [x for row in rows for x in row]
+                a = IntMatrix(n, n, tuple(x * (i != j) for i, row in enumerate(epsilon_rows(flat, n, epsilon))
+                                          for j, x in enumerate(row)))
+                assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
 
     def test_det_of_non_unimodular_matrix_with_large_intermediates(self):
         rng = random.Random(12)
@@ -506,17 +517,16 @@ class TestPackedKernels:
     @pytest.mark.parametrize("n", [PACKED - 1, PACKED])
     def test_sizes_at_the_packed_cutoff(self, monkeypatch, n):
         packed = []
-        for name in ("_packed_gauss_jordan", "_packed_symmetric_bareiss"):
-            kernel = getattr(exactlinalg, name)
-            monkeypatch.setattr(exactlinalg, name, lambda m, kernel=kernel, name=name: packed.append(name) or kernel(m))
+        kernel = exactlinalg._packed_symmetric_bareiss
+        monkeypatch.setattr(exactlinalg, "_packed_symmetric_bareiss", lambda a, epsilon: packed.append(n) or kernel(a, epsilon))
         rng = random.Random(n)
         for _ in range(20):
-            a = random_symmetric(rng, n, bound=3)
-            rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a.to_rows())]
-            m, expected = [list(r) for r in rows], [list(r) for r in rows]
-            assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
-            assert m == expected
-            assert exactlinalg._symmetric_bareiss(a) == reference_symmetric_bareiss(a)
+            flat = random_symmetric(rng, n, bound=3).entries
+            for epsilon in (1, -1):
+                a = IntMatrix(n, n, tuple(x for row in epsilon_rows(flat, n, epsilon) for x in row))
+                if epsilon == -1:
+                    a = a + IntMatrix.diagonal([-x for x in a.entries[:: n + 1]])
+                assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
         assert len(packed) == (40 if n >= PACKED else 0)
 
 
@@ -752,16 +762,17 @@ class TestInertia:
         assert inertia_ldlt(a) == Inertia(2, 1, 0)
 
     @settings(deadline=None, max_examples=200)
-    @given(symmetric_matrices())
-    def test_algorithms_agree(self, a):
+    @given(symmetric_matrices(epsilons=(1,)))
+    def test_algorithms_agree(self, pair):
+        a, _ = pair
         assert inertia_ldlt(a) == inertia_charpoly(a)
 
     @pytest.mark.parametrize("corrupt", ["transform_row", "d_entry", "singular_transform"])
     def test_corrupted_certificate_is_caught(self, monkeypatch, corrupt):
         elimination = exactlinalg._symmetric_bareiss
 
-        def corrupted(m):
-            order, x, blocks = elimination(m)
+        def corrupted(m, epsilon):
+            order, x, blocks = elimination(m, epsilon)
             if corrupt == "transform_row":
                 x[-1] = [v + 1 for v in x[-1]]
             elif corrupt == "d_entry":
@@ -809,6 +820,62 @@ class TestInertia:
                 if det_bareiss(scaled) != 0:
                     break
             assert inertia(congruence_apply(scaled, a)) == base
+
+
+@st.composite
+def unimodular_forms(draw):
+    """(A, epsilon): a sum of hyperbolic or skew planes under a random unimodular congruence, 2 to 14 rows."""
+    epsilon = draw(st.sampled_from([1, -1]))
+    seed = (hyperbolic_seed if epsilon == 1 else skew_seed)(draw(st.integers(1, 7)))
+    return random_congruence(random.Random(draw(st.integers(0, 2**32))), seed).matrix, epsilon
+
+
+class TestEpsilonCongruence:
+    """One ``Congruence`` per form against the references: ``det_bareiss``, ``nullspace_rational``, ``inverse_unimodular``."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(symmetric_matrices(), packed_symmetric_matrices(), unimodular_forms()))
+    def test_facts_match_the_references(self, pair):
+        a, epsilon = pair
+        congruence = exactlinalg.Congruence(a, epsilon)
+        assert congruence.det == det_bareiss(a)
+        assert congruence.kernel == nullspace_rational(a)
+        if congruence.det in (1, -1):
+            assert congruence.inverse == inverse_unimodular(a)
+        else:
+            with pytest.raises(NotUnimodularError):
+                congruence.inverse
+        if epsilon == 1:
+            assert congruence.inertia.n_zero == len(congruence.kernel)
+
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_corrupted_zero_block_row_is_caught(self, monkeypatch, epsilon):
+        elimination = exactlinalg._symmetric_bareiss
+
+        def corrupted(m, epsilon):
+            order, x, blocks = elimination(m, epsilon)
+            t = sum(len(b) for b in blocks[: blocks.index([[0]])])  # the row of X at D's first zero block
+            x[t][order[0]] += 1  # below the diagonal, so X stays triangular
+            return order, x, blocks
+
+        monkeypatch.setattr(exactlinalg, "_symmetric_bareiss", corrupted)
+        # the derived linking matrix of a hyperbolic or skew plane: kernel (1, 1, 1)
+        rows = [[2, -1, -1], [-1, 0, 1], [-1, 1, 0]] if epsilon == 1 else [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+        with pytest.raises(AlgorithmMismatchError, match=r"X A X\^T != D"):
+            exactlinalg.Congruence(IntMatrix.from_rows(rows), epsilon).kernel
+
+    def test_corrupted_kernel_normalisation_is_caught(self, monkeypatch):
+        elimination = exactlinalg._gauss_jordan
+
+        def corrupted(m):
+            result = elimination(m)
+            m[0][-1] += 1  # column 0 of A, once the columns are reversed back
+            return result
+
+        monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
+        a = IntMatrix.block_diagonal([H_MATRIX, IntMatrix.zeros(2, 2)])  # a two-dimensional kernel
+        with pytest.raises(AlgorithmMismatchError, match="kernel verification failed"):
+            exactlinalg.Congruence(a, 1).kernel
 
 
 class TestCharpoly:
