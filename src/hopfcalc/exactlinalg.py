@@ -17,19 +17,11 @@ characteristic polynomial.
 The kernels stay exact and spend their Python bytecode on live entries
 only.  A product with every dimension large enough packs each row of the
 right factor into one integer (Kronecker substitution), so the inner loop
-runs in CPython's big-integer code.  The eliminations update only the
-entries that can still change: Gauss-Jordan skips the columns left of the
-pivot and scales them once at the end, and the symmetric elimination keeps
-each live row's live columns and its transform on the processed pivots.
-From ``_PACKED_MIN_DIM`` rows on the symmetric elimination packs too: each
-working row is one integer of signed digits in byte-aligned slots
-(``_Slots``), and a step updates a row with a few big-integer operations.
-The slots leave no room for a carry: with every digit below 2**e in
-absolute value, a 1x1 pivot's update needs 2e + 3 bits of slot and a 2x2
-pivot's 3e + 3.  After each step one add, one AND and one sign test check
-every new digit against 2**e; when one is outside, that step's unchanged
-input rows are repacked at twice the slot width and the step alone is
-redone.
+runs in CPython's big-integer code.  Gauss-Jordan skips the columns left of
+the pivot and scales them once at the end.  The symmetric elimination is one
+pivot loop over one row layout (``_symmetric_bareiss``) on lists or, with
+many rows and small entries, on integers of byte-aligned slots (``_Slots``),
+where an exact guard redoes at twice the width a step that outgrew them.
 """
 
 from __future__ import annotations
@@ -615,6 +607,14 @@ def inertia_charpoly(a: IntMatrix) -> Inertia:
     return Inertia(n_plus, n_minus, n_zero)
 
 
+# Packed rows beat lists from about this many rows on, while the first slot
+# is at most eight bytes.  Python 3.11, x86-64, list against packed: 101
+# against 158 us at 8 rows and 695 against 555 at 18 on unimodular forms, 4.6
+# against 13.6 s at 40 rows with 100-digit entries.
+_PACKED_ROWS_MIN_DIM = 18
+_PACKED_ROWS_MAX_WIDTH = 8
+
+
 def _symmetric_bareiss(a: IntMatrix, epsilon: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
     """Fraction-free elimination of the epsilon-symmetric ``A`` on the rows of ``[A | I]``.
 
@@ -628,159 +628,154 @@ def _symmetric_bareiss(a: IntMatrix, epsilon: int) -> tuple[list[int], list[list
     of X is the transform row of ``order[t]``, and ``X A X^T`` should equal
     the block diagonal matrix with the blocks D.
 
-    Only live entries are stored.  A live row is 0 in every eliminated
-    column, and its transform row is 0 on every unprocessed row but its own,
-    where it is ``scale``; so a live row keeps its entries in the live
-    columns and its transform coefficients on the processed pivots, in pivot
-    order.  A 1x1 pivot ``p`` appends ``-f`` to a row with ``f`` in column p;
-    a 2x2 pivot ``(p, q)`` updates ``b**2 x - b (f_q y + epsilon f_p z)``
-    over ``scale**2`` and appends ``-b f_q / scale`` and
-    ``-epsilon b f_p / scale``.  From ``_PACKED_MIN_DIM`` rows on the steps
-    run on packed rows (``_packed_symmetric_bareiss``).
-    """
-    if a.rows >= _PACKED_MIN_DIM:
-        return _packed_symmetric_bareiss(a, epsilon)
-    live = list(range(a.rows))
-    rows = a.to_rows()  # rows[t]: row live[t] over the live columns
-    coefs: list[list[int]] = [[] for _ in live]  # coefs[t]: over the processed pivots
-    order: list[int] = []
-    blocks: list[list[list[int]]] = []
-    done: list[list[int]] = []  # the transform row of order[t], over order[: len(row)]
-    scale = 1
-    while live:
-        k = next((t for t, row in enumerate(rows) if row[t]), None)
-        if k is not None:
-            pivot_row, pivot_coefs = rows.pop(k), coefs.pop(k)
-            d = pivot_row.pop(k)
-            for row, coef in zip(rows, coefs):
-                f = row.pop(k)
-                row[:] = [(x * d - f * y) // scale for x, y in zip(row, pivot_row)]
-                coef[:] = [(x * d - f * y) // scale for x, y in zip(coef, pivot_coefs)]
-                coef.append(-f)
-            order.append(live.pop(k))
-            done.append(pivot_coefs + [scale])
-            blocks.append([[scale * d]])  # the transform row of p has scale at p
-            scale = d
-            continue
-        pair = next(((t, u) for t, row in enumerate(rows) for u in range(t + 1, len(row)) if row[u]), None)
-        if pair is None:
-            break
-        k, l = pair
-        row_q, coef_q = rows.pop(l), coefs.pop(l)
-        row_p, coef_p = rows.pop(k), coefs.pop(k)
-        b = row_p[l]
-        for row in (row_p, row_q):
-            del row[l], row[k]
-        b2, s2 = b * b, scale * scale
-        for row, coef in zip(rows, coefs):
-            fq, fp = row.pop(l), epsilon * row.pop(k)
-            row[:] = [(b2 * x - b * (fq * y + fp * z)) // s2 for x, y, z in zip(row, row_p, row_q)]
-            coef[:] = [(b2 * x - b * (fq * y + fp * z)) // s2 for x, y, z in zip(coef, coef_p, coef_q)]
-            coef += [-b * fq // scale, -b * fp // scale]
-        order += [live.pop(k), live.pop(l - 1)]
-        done += [coef_p + [scale], coef_q + [0, scale]]
-        blocks.append([[0, scale * b], [epsilon * scale * b, 0]])
-        scale = b2 // scale
-    order += live
-    done += [coef + [0] * t + [scale] for t, coef in enumerate(coefs)]
-    blocks += [[[0]] for _ in live]
-    x = [[0] * a.rows for _ in done]
-    for out, row in zip(x, done):
-        for i, c in zip(order, row):
-            out[i] = c
-    return order, x, blocks
-
-
-def _packed_symmetric_bareiss(a: IntMatrix, epsilon: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
-    """``_symmetric_bareiss`` with each live row one integer (``_Slots``), so a row update runs in C.
-
-    A live row keeps its entry in column c while c is live and its transform
-    coefficient on c once c is a pivot, so it fills n slots.  A step adds
-    ``scale`` to the pivot rows' own slots, so the packed update leaves ``-f``
-    (1x1) or ``-b f_q / scale`` and ``-epsilon b f_p / scale`` (2x2) in the
-    pivot slots of every other row.  With the digits and ``scale`` at most
-    2**e in absolute value, a 1x1 update ``x d - f y`` is at most 2**(2e + 1)
-    in every slot, as in ``_Slots``, and a 2x2 update
-    ``b**2 x - b (f_q y + epsilon f_p z)`` below 3 * 2**(3e), which needs
-    3e + 3 bits of slot.  So a step first widens when ``scale`` is outside
-    the guard interval, and a 2x2 step when a digit or ``scale`` is outside
-    the narrower interval 3e + 3 bits allow.  A step whose quotient leaves
-    the guard interval is redone on its unchanged input rows at twice the
-    slot width.
+    A live row is 0 in every eliminated column, and its transform row is 0
+    on every unprocessed row but its own, where it is ``scale``.  So a live
+    row keeps n entries: column c holds its entry while c is live and its
+    transform coefficient on c once c is a pivot.  With ``scale`` added to
+    the pivot rows' own columns, one update of every other row gives both:
+    ``x d - f y`` over ``scale`` for a 1x1 pivot p leaves ``-f`` in column p,
+    and ``b**2 x - b (f_q y + epsilon f_p z)`` over ``scale**2`` for a 2x2
+    pivot (p, q) leaves ``-b f_q / scale`` and ``-epsilon b f_p / scale``.
+    The rows are lists (``_ListRows``) or packed integers (``_PackedRows``).
     """
     n = a.rows
-    slots = _Slots.for_entries(a.entries, n)
-    biased, rows = slots.pack_rows(a.row(i) for i in range(n))
+    packed = n >= _PACKED_ROWS_MIN_DIM and (slots := _Slots.for_entries(a.entries, n)).width <= _PACKED_ROWS_MAX_WIDTH
+    rows = _PackedRows(a, slots) if packed else _ListRows(a)
     live = list(range(n))
     order: list[int] = []
     x: list[list[int]] = []
     blocks: list[list[list[int]]] = []
     scale = 1
 
-    def transform(g: int, own: list[tuple[int, int]]) -> list[int]:
-        """Row of X from a packed row: its coefficients on the pivots so far, then ``own``."""
-        digits = slots.unpack(g)
+    def transform(row: list[int], own: list[tuple[int, int]]) -> list[int]:
+        """Row of X from a live row's entries: its coefficients on the pivots so far, then ``own``."""
         out = [0] * n
         for c in order:
-            out[c] = digits[c]
+            out[c] = row[c]
         for c, v in own:
             out[c] = v
         return out
 
     while live:
-        while abs(scale) > slots.bias:
-            slots, biased, rows = slots.widened(biased)
-        k = next((t for t, i in enumerate(live) if slots.digits([biased[t]], i)[0]), None)
+        k = next((t for t, i in enumerate(live) if rows.entry(t, i)), None)
         if k is not None:
             p = live[k]
-            (d,) = slots.digits([biased[k]], p)
-            while True:
-                others, fs = rows[:k] + rows[k + 1 :], slots.digits(biased[:k] + biased[k + 1 :], p)
-                t = rows[k] + (scale << slots.bits * p)
-                new = [(y * d - f * t) // scale for y, f in zip(others, fs)]
-                new_biased = slots.biased(new)
-                if new_biased is not None:
-                    break
-                slots, biased, rows = slots.widened(biased)
-            x.append(transform(biased[k], [(p, scale)]))
+            row = rows.row(k)
+            d = row[p]
+            x.append(transform(row, [(p, scale)]))
             blocks.append([[scale * d]])  # the transform row of p has scale at p
+            rows.pivot(k, p, d, scale)
             order.append(live.pop(k))
-            rows, biased, scale = new, new_biased, d
+            scale = d
             continue
-        pair = None
-        for k, g in enumerate(biased):
-            row = slots.unpack(g)
-            l = next((l for l in range(k + 1, len(live)) if row[live[l]]), None)
-            if l is not None:
-                pair = k, l
-                break
+        pair = next(((k, l, row) for k, row in enumerate(map(rows.row, range(len(live))))
+                     for l in range(k + 1, len(live)) if row[live[l]]), None)
         if pair is None:
             break
-        k, l = pair
+        k, l, row = pair
         p, q = live[k], live[l]
-        narrow = _Slots(slots.width, n, (slots.bits - 3) // 3)
-        if abs(scale) > narrow.bias or narrow.biased(rows) is None:
-            slots, biased, rows = slots.widened(biased)
-        (b,) = slots.digits([biased[k]], q)
-        b2, s2 = b * b, scale * scale
-        while True:
-            kept = [t for t in range(len(live)) if t not in pair]
-            others, kept_biased = [rows[t] for t in kept], [biased[t] for t in kept]
-            fps, fqs = slots.digits(kept_biased, p), slots.digits(kept_biased, q)
-            y, z = rows[k] + (scale << slots.bits * p), rows[l] + (scale << slots.bits * q)
-            new = [(b2 * w - b * (fq * y + epsilon * fp * z)) // s2 for w, fp, fq in zip(others, fps, fqs)]
-            new_biased = slots.biased(new)
-            if new_biased is not None:
-                break
-            slots, biased, rows = slots.widened(biased)
-        x += [transform(biased[k], [(p, scale), (q, 0)]), transform(biased[l], [(p, 0), (q, scale)])]
+        b = row[q]
+        x += [transform(row, [(p, scale), (q, 0)]), transform(rows.row(l), [(p, 0), (q, scale)])]
         blocks.append([[0, scale * b], [epsilon * scale * b, 0]])
+        rows.pivot2(k, l, p, q, b, scale, epsilon)
         order += [live.pop(k), live.pop(l - 1)]
-        rows, biased, scale = new, new_biased, b2 // scale
-    x += [transform(g, [(i, scale)]) for g, i in zip(biased, live)]
+        scale = b * b // scale
+    x += [transform(rows.row(t), [(i, scale)]) for t, i in enumerate(live)]
     order += live
     blocks += [[[0]] for _ in live]
     return order, x, blocks
+
+
+class _ListRows:
+    """The live rows of ``_symmetric_bareiss`` as lists; a step updates a row with one comprehension."""
+
+    def __init__(self, a: IntMatrix) -> None:
+        self.rows = a.to_rows()
+
+    def entry(self, t: int, c: int) -> int:
+        return self.rows[t][c]
+
+    def row(self, t: int) -> list[int]:
+        return self.rows[t]
+
+    def pivot(self, k: int, p: int, d: int, scale: int) -> None:
+        """Eliminate with the 1x1 pivot ``d`` of live row k, column p."""
+        y = self.rows.pop(k)
+        y[p] += scale
+        for row in self.rows:
+            f = row[p]
+            row[:] = [(w * d - f * v) // scale for w, v in zip(row, y)]
+
+    def pivot2(self, k: int, l: int, p: int, q: int, b: int, scale: int, epsilon: int) -> None:
+        """Eliminate with the 2x2 pivot ``b`` of live rows k and l, columns p and q."""
+        z, y = self.rows.pop(l), self.rows.pop(k)
+        y[p] += scale
+        z[q] += scale
+        b2, s2 = b * b, scale * scale
+        for row in self.rows:
+            fq, fp = row[q], epsilon * row[p]
+            row[:] = [(b2 * w - b * (fq * u + fp * v)) // s2 for w, u, v in zip(row, y, z)]
+
+
+class _PackedRows:
+    """The live rows of ``_symmetric_bareiss`` as packed integers (``_Slots``), so a row update runs in C.
+
+    With the digits and ``scale`` at most 2**e in absolute value, a 1x1 update
+    is at most 2**(2e + 1) in every slot, as in ``_Slots``, and a 2x2 update
+    below 3 * 2**(3e), which needs 3e + 3 bits.  So a step first widens when
+    ``scale``, or for a 2x2 step a digit, is outside the interval its update
+    allows; a step whose quotient leaves the guard interval is redone on its
+    unchanged input rows at twice the slot width.
+    """
+
+    def __init__(self, a: IntMatrix, slots: _Slots) -> None:
+        self.slots = slots
+        self.biased, self.rows = slots.pack_rows(a.row(i) for i in range(a.rows))
+
+    def entry(self, t: int, c: int) -> int:
+        return ((self.biased[t] >> self.slots.bits * c) & self.slots.mask) - self.slots.bias
+
+    def row(self, t: int) -> list[int]:
+        return self.slots.unpack(self.biased[t])
+
+    def widen(self) -> None:
+        self.slots, self.biased, self.rows = self.slots.widened(self.biased)
+
+    def fit(self, scale: int) -> None:
+        while abs(scale) > self.slots.bias:
+            self.widen()
+
+    def keep(self, new: list[int]) -> bool:
+        """Take ``new`` as the live rows if every digit is inside the guard interval; else widen for a redo."""
+        biased = self.slots.biased(new)
+        if biased is None:
+            self.widen()
+            return False
+        self.rows, self.biased = new, biased
+        return True
+
+    def pivot(self, k: int, p: int, d: int, scale: int) -> None:
+        self.fit(scale)
+        while True:
+            fs = self.slots.digits(self.biased[:k] + self.biased[k + 1 :], p)
+            y = self.rows[k] + (scale << self.slots.bits * p)
+            if self.keep([(w * d - f * y) // scale for w, f in zip(self.rows[:k] + self.rows[k + 1 :], fs)]):
+                return
+
+    def pivot2(self, k: int, l: int, p: int, q: int, b: int, scale: int, epsilon: int) -> None:
+        self.fit(scale)
+        narrow = _Slots(self.slots.width, self.slots.n, (self.slots.bits - 3) // 3)
+        if abs(scale) > narrow.bias or narrow.biased(self.rows) is None:
+            self.widen()
+        b2, s2 = b * b, scale * scale
+        kept = [t for t in range(len(self.rows)) if t not in (k, l)]
+        while True:
+            slots, rows = self.slots, [self.rows[t] for t in kept]
+            kept_biased = [self.biased[t] for t in kept]
+            fps, fqs = slots.digits(kept_biased, p), slots.digits(kept_biased, q)
+            y, z = self.rows[k] + (scale << slots.bits * p), self.rows[l] + (scale << slots.bits * q)
+            if self.keep([(b2 * w - b * (fq * y + epsilon * fp * z)) // s2 for w, fp, fq in zip(rows, fps, fqs)]):
+                return
 
 
 class Congruence:

@@ -376,7 +376,8 @@ def invariant_report(
 
     The report keeps the cup form it analyzed, so callers need not assemble
     it again.  Every note but the phi bounds' own is assembled here.  When
-    the canonical homology ranks apply, chi must equal their alternating sum.
+    the canonical homology ranks apply, chi must equal their alternating sum,
+    and for an even family with n even sigma must have the parity of chi.
     """
     form = cup_form_for_family(graphs, k)
     notes: list[str] = []
@@ -396,6 +397,9 @@ def invariant_report(
         alternating = sum((-1) ** i * b for i, b in homology.items())
         if chi != alternating:
             raise AlgorithmMismatchError(f"chi = {chi}, but the homology ranks give {alternating}")
+        # a closed oriented 4m-manifold has sigma = b_2m = chi (mod 2), by Poincare duality
+        if family in (EVEN_K0, EVEN_KPOS) and n % 2 == 0 and (analysis.sigma - chi) % 2:
+            raise AlgorithmMismatchError(f"sigma = {analysis.sigma}, but chi = {chi} has the other parity")
         notes.append(f"canonical family {family} with d = {d}")
 
     phi = None

@@ -571,6 +571,14 @@ class TestMain:
         assert main(["report", fixture_path(name)]) == 2
         assert "internal invariant violation: chi = " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["tree_e8h.json", "proj_sig.json"])
+    def test_signature_disagreeing_with_chi_parity_exit_two(self, name, monkeypatch, capsys):
+        # both are canonical even families with n = 4: closed 8-manifolds, where sigma = chi (mod 2)
+        sigma = invariants.CupFormAnalysis.sigma
+        monkeypatch.setattr(invariants.CupFormAnalysis, "sigma", property(lambda self: sigma.fget(self) + 1))
+        assert main(["report", fixture_path(name)]) == 2
+        assert "internal invariant violation: sigma = " in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["oracle"], ["report", "--oracle"]], ids=["oracle", "report-oracle"])
     def test_oracle_mismatch_exit_two(self, argv, monkeypatch, capsys):
         import hopfcalc.cli as cli_mod

@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -365,12 +366,13 @@ class TestKernelsMatchReferences:
         assert IntMatrix.zeros(r, k) @ IntMatrix(k, c, tuple(range(k * c))) == IntMatrix.zeros(r, c)
 
 
-PACKED = exactlinalg._PACKED_MIN_DIM
+GUARD_ROWS = 8  # the size of the guard tests' matrices; they force packed rows at any size
+PACKED_ROWS = exactlinalg._PACKED_ROWS_MIN_DIM
 
 
 @st.composite
-def packed_symmetric_matrices(draw, epsilons=(1, -1)):
-    """(A, epsilon): epsilon-symmetric A from ``_PACKED_MIN_DIM`` to ``_PACKED_MIN_DIM + 4`` rows, 1- to 300-bit entries.
+def big_entry_symmetric_matrices(draw, rows=(1, 24), epsilons=(1, -1)):
+    """(A, epsilon): epsilon-symmetric A with ``rows`` rows (inclusive bounds) and 1- to 300-bit entries.
 
     ``zero_diagonal`` and ``hyperbolic`` (a sum of ``[[0, b], [epsilon b, 0]]``
     blocks, every pivot 2x2) start with 2x2 pivots, as every skew A does;
@@ -378,7 +380,7 @@ def packed_symmetric_matrices(draw, epsilons=(1, -1)):
     repeats a row and its column, and ``zero_tail`` ends in a zero block, so
     A is singular, with a kernel of dimension two or more in ``zero_tail``.
     """
-    n = draw(st.integers(PACKED, PACKED + 4))
+    n = draw(st.integers(*rows))
     epsilon = draw(st.sampled_from(epsilons))
     kind = draw(st.sampled_from(["general", "zero_diagonal", "hyperbolic", "sparse", "duplicated", "zero_tail"]))
     bits = draw(st.sampled_from([1, 2, 4, 16, 300]))
@@ -386,7 +388,7 @@ def packed_symmetric_matrices(draw, epsilons=(1, -1)):
     if kind == "sparse":
         flat = [x if i % 3 == 0 else 0 for i, x in enumerate(flat)]
     rows = epsilon_rows(flat, n, epsilon)
-    split = draw(st.integers(0, n - 2)) if kind == "zero_tail" else n
+    split = draw(st.integers(0, max(n - 2, 0))) if kind == "zero_tail" else n
     for i in range(n):
         for j in range(n):
             if (
@@ -395,7 +397,7 @@ def packed_symmetric_matrices(draw, epsilons=(1, -1)):
                 or max(i, j) >= split
             ):
                 rows[i][j] = 0
-    if kind == "duplicated":
+    if kind == "duplicated" and n >= 2:
         src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         rows[dst] = list(rows[src])
         for row in rows:
@@ -403,12 +405,42 @@ def packed_symmetric_matrices(draw, epsilons=(1, -1)):
     return IntMatrix(n, n, tuple(x for row in rows for x in row)), epsilon
 
 
+def counted_formats(mp):
+    """Count the row formats ``_symmetric_bareiss`` builds, by class name, under the MonkeyPatch ``mp``."""
+    made = Counter()
+
+    def counting(fmt):
+        init = fmt.__init__
+        return lambda self, *args: made.update([fmt.__name__]) or init(self, *args)
+
+    for fmt in (exactlinalg._ListRows, exactlinalg._PackedRows):
+        mp.setattr(fmt, "__init__", counting(fmt))
+    return made
+
+
+def force_packed_rows(mp, packed=True):
+    """Make ``_symmetric_bareiss`` run on packed rows (or on lists) whatever the size and entries."""
+    mp.setattr(exactlinalg, "_PACKED_ROWS_MIN_DIM", 1 if packed else math.inf)
+    mp.setattr(exactlinalg, "_PACKED_ROWS_MAX_WIDTH", math.inf)
+
+
+def eliminate_on(packed, a, epsilon):
+    """``_symmetric_bareiss(a, epsilon)`` on packed rows or on lists, checked to have run on that format."""
+    with pytest.MonkeyPatch.context() as mp:
+        force_packed_rows(mp, packed)
+        made = counted_formats(mp)
+        result = exactlinalg._symmetric_bareiss(a, epsilon)
+    assert made == {"_PackedRows" if packed else "_ListRows": 1}
+    return result
+
+
 def pinned_slots(monkeypatch, width=1):
-    """Pin the packed kernel's first layout to ``width``-byte slots and count widenings.
+    """Force packed rows, pin their first layout to ``width``-byte slots and count widenings.
 
     One-byte slots guard [-4, 4) and two-byte slots [-64, 64).
     """
     assert (exactlinalg._Slots(1, 1).e, exactlinalg._Slots(2, 1).e) == (2, 6)
+    force_packed_rows(monkeypatch)
     monkeypatch.setattr(exactlinalg._Slots, "for_entries", classmethod(lambda cls, entries, n: cls(width, n)))
     widened = exactlinalg._Slots.widened
     calls = []
@@ -422,13 +454,16 @@ def pinned_slots(monkeypatch, width=1):
 
 
 class TestPackedKernels:
-    """The packed elimination against the reference kernel, at the guard's edges and past the first width."""
+    """The packed rows against the reference kernel, at the guard's edges and past the first width."""
 
     @settings(deadline=None, max_examples=150)
-    @given(packed_symmetric_matrices())
+    @given(big_entry_symmetric_matrices())
     def test_symmetric_bareiss(self, pair):
+        # each row format on the same input, whatever the dispatch would choose
         a, epsilon = pair
-        assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
+        expected = reference_symmetric_bareiss(a, epsilon)
+        assert eliminate_on(True, a, epsilon) == expected
+        assert eliminate_on(False, a, epsilon) == expected
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
     def test_guard_accepts_exactly_the_guard_interval(self, width):
@@ -447,9 +482,9 @@ class TestPackedKernels:
     def test_symmetric_bareiss_at_guard_edge(self, monkeypatch, a, c, g, widenings):
         # [[1, a], [a, c]] + diag(g, 1, ...): the second pivot is t = c - a**2, then row 2 holds g t
         calls = pinned_slots(monkeypatch)
-        rows = [[0] * PACKED for _ in range(PACKED)]
+        rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
         rows[0][:2], rows[1][:2] = [1, a], [a, c]
-        for i in range(2, PACKED):
+        for i in range(2, GUARD_ROWS):
             rows[i][i] = g if i == 2 else 1
         m = IntMatrix.from_rows(rows)
         assert exactlinalg._symmetric_bareiss(m, 1) == reference_symmetric_bareiss(m, 1)
@@ -460,7 +495,7 @@ class TestPackedKernels:
         # into the next slot and read back as a guard-passing 1 there
         calls = pinned_slots(monkeypatch, width=2)
         for epsilon in (1, -1):
-            rows = [[0] * PACKED for _ in range(PACKED)]
+            rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
             rows[0][1], rows[1][0] = -64, -64 * epsilon
             rows[2][3], rows[3][2] = 16, 16 * epsilon
             a = IntMatrix.from_rows(rows)
@@ -469,14 +504,21 @@ class TestPackedKernels:
             assert calls
 
     def test_scale_past_the_guard_widens_before_the_next_step(self, monkeypatch):
-        # a 2x2 pivot b = -16 makes the scale b**2 = 256, past two-byte slots' guard of 64
+        # a 2x2 pivot b = -16 makes the scale b**2 = 256, past two-byte slots' guard of 64, while every
+        # digit stays inside it: rows 2 and 3, tied to rows 0 and 1 by ones, come out with coefficients
+        # of 16, and the next pivot is the 1x1 pivot 32 (symmetric) or the 2x2 pivot 16 (skew)
         calls = pinned_slots(monkeypatch, width=2)
         for epsilon in (1, -1):
-            rows = [[0] * PACKED for _ in range(PACKED)]
+            rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
             rows[0][1], rows[1][0] = -16, -16 * epsilon
+            rows[2][0], rows[0][2] = 1, epsilon
+            rows[2][1], rows[1][2] = 1, epsilon
+            rows[3][1], rows[1][3] = 1, epsilon
             a = IntMatrix.from_rows(rows)
             calls.clear()
-            assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
+            expected = reference_symmetric_bareiss(a, epsilon)
+            assert exactlinalg._symmetric_bareiss(a, epsilon) == expected
+            assert expected[2][1] == ([[256 * 32]] if epsilon == 1 else [[0, 256 * 16], [-256 * 16, 0]])
             assert len(calls) == 1
 
     def test_overflow_mid_elimination_redoes_one_step(self, monkeypatch):
@@ -486,9 +528,9 @@ class TestPackedKernels:
         assert calls
         calls.clear()
         # entries in {-1, 0, 1} pass the first 2x2 step's narrower guard of one-byte slots, [-2, 2)
-        rng, rows = random.Random(0), [[0] * PACKED for _ in range(PACKED)]
-        for i in range(PACKED):
-            for j in range(i + 1, PACKED):
+        rng, rows = random.Random(0), [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
+        for i in range(GUARD_ROWS):
+            for j in range(i + 1, GUARD_ROWS):
                 rows[i][j] = rng.choice([-1, 0, 1])
                 rows[j][i] = -rows[i][j]
         skew = IntMatrix.from_rows(rows)
@@ -497,13 +539,13 @@ class TestPackedKernels:
 
     def test_300_bit_entries(self):
         rng = random.Random(300)
-        for n in (PACKED, PACKED + 3):
+        for n in (GUARD_ROWS, GUARD_ROWS + 3):
             rows = [[rng.randint(-(1 << 300), 1 << 300) for _ in range(n)] for _ in range(n)]
             for epsilon in (1, -1):
                 flat = [x for row in rows for x in row]
                 a = IntMatrix(n, n, tuple(x * (i != j) for i, row in enumerate(epsilon_rows(flat, n, epsilon))
                                           for j, x in enumerate(row)))
-                assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
+                assert eliminate_on(True, a, epsilon) == reference_symmetric_bareiss(a, epsilon)
 
     def test_det_of_non_unimodular_matrix_with_large_intermediates(self):
         rng = random.Random(12)
@@ -514,20 +556,30 @@ class TestPackedKernels:
         singular = IntMatrix.from_rows(a.to_rows()[:-1] + [[x - y for x, y in zip(a.row(0), a.row(1))]])
         assert det_bareiss(singular) == 0
 
-    @pytest.mark.parametrize("n", [PACKED - 1, PACKED])
-    def test_sizes_at_the_packed_cutoff(self, monkeypatch, n):
-        packed = []
-        kernel = exactlinalg._packed_symmetric_bareiss
-        monkeypatch.setattr(exactlinalg, "_packed_symmetric_bareiss", lambda a, epsilon: packed.append(n) or kernel(a, epsilon))
+    @pytest.mark.parametrize(
+        "n, top, packed",
+        [
+            (PACKED_ROWS - 1, 3, False),
+            (PACKED_ROWS, 3, True),
+            (20, (1 << 14) - 1, True),  # 14-bit entries: eight-byte slots
+            (20, 1 << 14, False),  # 15-bit entries need sixteen
+            (20, (1 << 40) - 1, False),
+        ],
+    )
+    def test_sizes_at_the_packed_cutoff(self, monkeypatch, n, top, packed):
+        made = counted_formats(monkeypatch)
         rng = random.Random(n)
-        for _ in range(20):
-            flat = random_symmetric(rng, n, bound=3).entries
+        for _ in range(5):
+            flat = [rng.randint(-top, top) for _ in range(n * n)]
+            flat[n - 1] = top
             for epsilon in (1, -1):
-                a = IntMatrix(n, n, tuple(x for row in epsilon_rows(flat, n, epsilon) for x in row))
+                rows = epsilon_rows(flat, n, epsilon)
                 if epsilon == -1:
-                    a = a + IntMatrix.diagonal([-x for x in a.entries[:: n + 1]])
+                    for i in range(n):
+                        rows[i][i] = 0
+                a = IntMatrix.from_rows(rows)
                 assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
-        assert len(packed) == (40 if n >= PACKED else 0)
+        assert made == {"_PackedRows" if packed else "_ListRows": 10}
 
 
 class TestIntMatrix:
@@ -834,7 +886,7 @@ class TestEpsilonCongruence:
     """One ``Congruence`` per form against the references: ``det_bareiss``, ``nullspace_rational``, ``inverse_unimodular``."""
 
     @settings(deadline=None, max_examples=300)
-    @given(st.one_of(symmetric_matrices(), packed_symmetric_matrices(), unimodular_forms()))
+    @given(st.one_of(symmetric_matrices(), big_entry_symmetric_matrices(rows=(8, 12)), unimodular_forms()))
     def test_facts_match_the_references(self, pair):
         a, epsilon = pair
         congruence = exactlinalg.Congruence(a, epsilon)
