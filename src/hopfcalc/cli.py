@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Collection, Optional, Sequence
 
@@ -140,14 +141,13 @@ def _check_dimensions(n: int, k: int, theta: int, prefix: str) -> None:
         raise SpecFileError(f"{prefix}{exc}") from exc
 
 
-def _determinant(form: BilinearForm, locus: str) -> int:
-    """``form.det()``, which every command prints; one too long to print is the input's fault."""
-    det = form.det()
+def _printable(value: int, locus: str) -> int:
+    """``value``, which a command prints; a number too long to print is the input's fault."""
     try:
-        str(det)
+        str(value)
     except ValueError as exc:
-        raise SpecFileError(f"{locus}: determinant: {exc}") from None
-    return det
+        raise SpecFileError(f"{locus}: {exc}") from None
+    return value
 
 
 def _parse_link(value: Any, n: int, k: int, theta: int, locus: str) -> HopfLinkSpec:
@@ -157,7 +157,9 @@ def _parse_link(value: Any, n: int, k: int, theta: int, locus: str) -> HopfLinkS
         link = HopfLinkSpec(BilinearForm(matrix, (-1) ** n), n=n, k=k, theta=theta)
     except ValueError as exc:
         raise SpecFileError(f"{locus}: {exc}") from exc
-    _determinant(link.form, locus)
+    _printable(link.form.det(), f"{locus}: determinant")
+    # the admissibility note prints theta * d + 1 components
+    _printable(theta * link.d + 1, f"{locus}: theta: component count theta * {link.d} + 1")
     return link
 
 
@@ -553,7 +555,7 @@ def _cmd_classify(args) -> int:
     else:
         raise SpecFileError(f"{args.matrix}: matrix is neither symmetric nor skew-symmetric")
     form = BilinearForm(matrix, eps)
-    det = _determinant(form, args.matrix)
+    det = _printable(form.det(), f"{args.matrix}: determinant")
     klass = form_type(form)
     doc: dict[str, Any] = {
         "size": form.dim,
@@ -657,6 +659,7 @@ class _Parser(argparse.ArgumentParser):
         raise SpecFileError(message)
 
 
+@cache  # built once per process: argparse setup costs about as much as a small report
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hopfcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

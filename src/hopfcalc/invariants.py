@@ -266,32 +266,41 @@ def detect_canonical_family(
     return None
 
 
+def euler_obstructs(chi: int, target: int) -> bool:
+    """Whether chi rules out a fibration over S^target.
+
+    A fibration F -> M -> S^m has chi(M) = chi(S^m) * chi(F), which is 0 over
+    an odd sphere and even over an even one.
+    """
+    return chi != 0 if target % 2 else chi % 2 == 1
+
+
 def phi_bounds(
     graphs: Sequence[DecoratedGraph],
     n: int,
     k: int,
+    chi: int,
     sigma: int,
     canonical: Optional[tuple[str, int]],
 ) -> PhiBounds:
     """Bounds on the minimal number of critical points of maps to S^{n-k}, given cobounding.
 
     The construction realizes a map with one critical point per black vertex,
-    so s (the total black count) is an upper bound once the boundary
-    fibrations are assumed to cobound; the caller asserts that.  The lower
-    bound 1 holds when a fibration is obstructed: always for odd n - k
-    (nonzero Euler characteristic), for even n - k when s is odd (odd Euler
-    characteristic) or when the signature ``sigma`` is nonzero.  The
+    so s (the total black count) is the upper bound once the boundary
+    fibrations are assumed to cobound; the caller asserts that.  The
     canonical one-singularity shapes (``canonical``, a
-    ``detect_canonical_family`` result) achieve exactly 1.  When no
-    obstruction is certified the lower bound is the trivial 0.
+    ``detect_canonical_family`` result) achieve exactly 1.  Otherwise the
+    lower bound is 1 when a fibration is obstructed: by the Euler
+    characteristic ``chi`` (``euler_obstructs``) or by a nonzero signature
+    ``sigma`` (Chern-Hirzebruch-Serre), and the trivial 0 when neither
+    applies.
     """
     s = sum(graph.counts.s_black for graph in graphs)
     if canonical is not None:
         return PhiBounds(1, 1, ("canonical one-singularity shape: exactly one critical point",))
-    if (n - k) % 2 == 1:
-        note = "odd n-k: the glued manifold has nonzero Euler characteristic, no fibration"
-    elif s % 2 == 1:
-        note = "even n-k with an odd number of black vertices: odd Euler characteristic"
+    if euler_obstructs(chi, n - k):
+        parity, kind = ("odd", "nonzero") if (n - k) % 2 else ("even", "odd")
+        note = f"{parity} n-k: the glued manifold has {kind} Euler characteristic, no fibration"
     elif sigma != 0:
         note = f"nonzero signature {sigma} obstructs fibering over any sphere"
     else:
@@ -387,7 +396,6 @@ def invariant_report(
     analysis = analyze_cup_form(form)
 
     chi = euler_characteristic(graphs, n, k)
-    s_black = sum(g.counts.s_black for g in graphs)
 
     canonical = detect_canonical_family(graphs, n, k)
     homology = None
@@ -404,37 +412,25 @@ def invariant_report(
 
     phi = None
     if assume_cobounding:
-        phi = phi_bounds(graphs, n, k, analysis.sigma, canonical)
+        phi = phi_bounds(graphs, n, k, chi, analysis.sigma, canonical)
     else:
         notes.append("cobounding not asserted; no critical-point bounds emitted")
 
     verdicts: list[str] = []
     target = n - k
-    if target % 2 == 1:
-        if chi != 0:
-            verdicts.append(
-                f"chi = {chi} is nonzero: the manifold does not fiber over S^{target}"
-            )
-        else:
-            verdicts.append(f"chi = 0: no Euler-characteristic obstruction to fibering over S^{target}")
+    if euler_obstructs(chi, target):
+        kind = "nonzero" if target % 2 else "odd"
+        verdicts.append(f"chi = {chi} is {kind}: the manifold does not fiber over S^{target}")
+    elif target % 2:
+        verdicts.append(f"chi = 0: no Euler-characteristic obstruction to fibering over S^{target}")
     else:
-        if chi % 2 == 1:
-            verdicts.append(
-                f"chi = {chi} is odd: the manifold does not fiber over S^{target}"
-            )
-        else:
-            verdicts.append(f"chi = {chi} is even: no Euler-characteristic obstruction over S^{target}")
+        verdicts.append(f"chi = {chi} is even: no Euler-characteristic obstruction over S^{target}")
     if analysis.sigma != 0:
         verdicts.append(
             f"sigma = {analysis.sigma} is nonzero: the manifold does not fiber over any sphere"
         )
     verdicts.append(
         f"signature additivity: the closed manifold inherits sigma = {analysis.sigma} from the block"
-    )
-    parity_agrees = (analysis.sigma - s_black) % 2 == 0
-    verdicts.append(
-        f"parity check (reported, not asserted): sigma = {analysis.sigma}, "
-        f"black vertices s = {s_black}, parity {'agrees' if parity_agrees else 'disagrees'}"
     )
 
     return InvariantReport(form, analysis, chi, homology, phi, tuple(notes), tuple(verdicts))

@@ -97,6 +97,28 @@ def black_pair(n):
     return {"n": n, "k": 0, "graphs": [{"vertices": [black, black], "edges": edges}]}
 
 
+# n = 4: one black H vertex, a disk on component 0 and a cylinder looping back to components 1 and 2;
+# s = 1 is odd, yet chi = 2 is even and sigma = 0, so nothing obstructs a fibration over S^4
+CYLINDER_LOOP = {"n": 4, "k": 0, "assume_cobounding": True, "graphs": [{"vertices": [
+    {"color": "black", "matrix": [[0, 1], [1, 0]]},
+    {"color": "white", "fiber": {"betti": [1, 0, 0, 0, 0], "boundary_components": 1}},
+    {"color": "white", "fiber": {"betti": [1, 0, 0, 1, 0], "boundary_components": 2}}], "edges": [
+    {"u": 0, "v": 1, "u_comp": 0, "v_comp": 0},
+    {"u": 0, "v": 2, "u_comp": 1, "v_comp": 0},
+    {"u": 0, "v": 2, "u_comp": 2, "v_comp": 1}]}]}
+
+
+def cylinder_loop(matrix):
+    """``CYLINDER_LOOP`` decorated by ``matrix``, a disk on each component past the first three."""
+    doc = copy.deepcopy(CYLINDER_LOOP)
+    graph = doc["graphs"][0]
+    graph["vertices"][0]["matrix"] = matrix.to_rows()
+    for c in range(3, matrix.rows + 1):
+        graph["vertices"].append(graph["vertices"][1])
+        graph["edges"].append({"u": 0, "v": len(graph["vertices"]) - 1, "u_comp": c, "v_comp": 0})
+    return doc
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 OVERSIZED = "9" * (DIGIT_LIMIT + 700)  # an integer literal past the limit
 needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="interpreter has no integer digit limit")
@@ -316,6 +338,30 @@ class TestEmit:
         for name in ("tree_e8h.json", "proj_sig.json"):
             doc = build_report(parse_spec(fixture_path(name)))
             assert (doc["chi"] - doc["sigma"]) % 2 == 0
+
+
+class TestObstruction:
+    """The lower bound on critical points reads chi and sigma, never the parity of the black count."""
+
+    def test_cylinder_loop_has_no_certified_obstruction(self, tmp_path, capsys):
+        path = tmp_path / "cylinder_loop.json"
+        path.write_text(json.dumps(CYLINDER_LOOP))
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "black vertices s = 1" in out
+        assert "  critical points over S^4: between 0 and 1\n" in out
+        assert "  note: no obstruction certified; 0 is the unconditional lower bound\n" in out
+        assert "  verdict: chi = 2 is even: no Euler-characteristic obstruction over S^4\n" in out
+        assert "odd number of black vertices" not in out and "parity check" not in out
+        assert main(["report", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["chi"], doc["sigma"], doc["phi"]) == (2, 0, {"lower": 0, "upper": 1})
+
+    def test_signature_certifies_the_same_shape(self):
+        doc = build_report(parse_spec_data(cylinder_loop(zero_diagonal_model(1, 1).matrix)))
+        assert doc["chi"] % 2 == 0 and doc["sigma"] != 0
+        assert doc["phi"] == {"lower": 1, "upper": 1}
+        assert f"nonzero signature {doc['sigma']} obstructs fibering over any sphere" in doc["notes"]
 
 
 class TestMain:
@@ -633,6 +679,23 @@ class TestMain:
             locus = str(path)
         assert main([*argv, str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {locus}: determinant: Exceeds the limit")
+
+    @needs_digit_limit
+    def test_theta_past_digit_limit_check_link_exit_one(self, tmp_path, capsys):
+        # theta itself is printable; the admissibility note's theta * 4 + 1 components are not
+        path = tmp_path / "hh.json"
+        path.write_text("[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]")
+        assert main(["check-link", "--matrix", str(path), "--n", "4", "--theta", "9" * DIGIT_LIMIT]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: theta: ") and "Exceeds the limit" in err and err.count("\n") == 1
+
+    @needs_digit_limit
+    def test_theta_past_digit_limit_spec_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps({**black_pair(4), "theta": int("9" * DIGIT_LIMIT)}))
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}.graphs[0].vertices[0].matrix: theta: ") and err.count("\n") == 1
 
 
 def _nodes(doc):

@@ -44,6 +44,7 @@ from hopfcalc.invariants import (
     cup_form_for_family,
     detect_canonical_family,
     euler_characteristic,
+    euler_obstructs,
     invariant_report,
     phi_bounds,
     product_phi_bound,
@@ -312,9 +313,10 @@ class TestHomologyTables:
 
 
 def family_phi_bounds(graphs, n, k):
-    """``phi_bounds`` with the signature and canonical shape that ``invariant_report`` passes."""
+    """``phi_bounds`` with the chi, signature and canonical shape that ``invariant_report`` passes."""
+    chi = euler_characteristic(graphs, n, k)
     sigma = analyze_cup_form(cup_form_for_family(graphs, k)).sigma
-    return phi_bounds(graphs, n, k, sigma, detect_canonical_family(graphs, n, k))
+    return phi_bounds(graphs, n, k, chi, sigma, detect_canonical_family(graphs, n, k))
 
 
 class TestPhiBounds:
@@ -346,11 +348,25 @@ class TestPhiBounds:
         [(0, None, (0, 2)), (-8, None, (1, 2)), (0, (EVEN_K0, 2), (1, 1))],
     )
     def test_rule_reads_only_what_it_is_passed(self, sigma, canonical, expected):
-        # even target, s = 2: the passed signature and canonical shape decide the lower bound
+        # even target, s = 2, even chi: the passed signature and canonical shape decide the lower bound
         pair = [parallel_pair(HopfLinkSpec(HF, n=4))]
-        bounds = phi_bounds(pair, 4, 0, sigma, canonical)
+        bounds = phi_bounds(pair, 4, 0, 6, sigma, canonical)
         assert (bounds.lower, bounds.upper) == expected
         assert sigma == 0 or bounds.notes == (f"nonzero signature {sigma} obstructs fibering over any sphere",)
+
+    def test_odd_chi_over_even_sphere_obstructs(self):
+        # no spec reaches this branch: every accepted decoration has even rank, so chi is even here
+        tree = [single_black_tree(HopfLinkSpec(HF, n=4))]
+        bounds = phi_bounds(tree, 4, 0, 3, 0, None)
+        assert (bounds.lower, bounds.upper) == (1, 1)
+        assert bounds.notes == ("even n-k: the glued manifold has odd Euler characteristic, no fibration",)
+
+    @pytest.mark.parametrize(
+        "chi, target, obstructed",
+        [(0, 3, False), (-4, 3, True), (1, 3, True), (0, 4, False), (14, 4, False), (-3, 4, True), (1, 2, True)],
+    )
+    def test_euler_obstruction(self, chi, target, obstructed):
+        assert euler_obstructs(chi, target) is obstructed
 
     def test_detect_canonical(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
