@@ -1,82 +1,3 @@
 """Exact-arithmetic invariants of generalized Hopf links and decorated graphs."""
 
-from .exactlinalg import (
-    AlgorithmMismatchError,
-    DimensionError,
-    Inertia,
-    IntMatrix,
-    NotUnimodularError,
-    SmithForm,
-    SymmetryError,
-    charpoly,
-    clear_denominators,
-    congruence_apply,
-    det_bareiss,
-    inertia,
-    inertia_charpoly,
-    inertia_ldlt,
-    inverse_unimodular,
-    nullspace_rational,
-    smith_normal_form,
-)
-from .forms import (
-    BilinearForm,
-    ClassificationError,
-    E8_MATRIX,
-    FormClass,
-    H_MATRIX,
-    build_standard,
-    classified_form_type,
-    classify_indefinite,
-    direct_sum,
-    form_type,
-    skew,
-    symmetric,
-    zero_diagonal_model,
-)
-from .hopflink import (
-    AdmissibilityReport,
-    FiberDescriptor,
-    HopfLinkSpec,
-    PresentationResult,
-    admissibility_check,
-    cylinder,
-    derived_linking_matrix,
-    disk,
-    holed_disk,
-    oracle_matches_column,
-    presentation_oracle,
-    project_link_descriptor,
-    projection_filler,
-    spin_link_descriptor,
-    sphere,
-)
-from .graphmodel import (
-    BlackVertex,
-    DecoratedGraph,
-    Edge,
-    GraphCounts,
-    GraphValidationError,
-    UnsupportedShapeError,
-    WhiteVertex,
-    assemble_global_fiber,
-    graph_counts,
-    validate_graph,
-)
-from .invariants import (
-    CupFormAnalysis,
-    InvariantReport,
-    PhiBounds,
-    ProductBound,
-    ProductFactor,
-    analyze_cup_form,
-    assemble_cup_form,
-    assemble_cup_form_k,
-    canonical_homology_ranks,
-    euler_characteristic,
-    invariant_report,
-    phi_bounds,
-    product_phi_bound,
-)
-
 __version__ = "0.1.0"

@@ -50,7 +50,6 @@ from .invariants import (
     invariant_report,
     product_phi_bound,
 )
-from . import sampling
 
 
 class SpecFileError(ValueError):
@@ -596,6 +595,7 @@ def _cmd_oracle(args) -> int:
 def _selftest(seed: int, trials: int) -> list[str]:
     import random
 
+    from . import sampling
     from .exactlinalg import inertia_charpoly, inertia_ldlt, nullspace_rational
 
     rng = random.Random(seed)

@@ -17,8 +17,7 @@ characteristic polynomial.
 The kernels stay exact and spend their Python bytecode on live entries
 only.  A product with every dimension large enough packs each row of the
 right factor into one integer (Kronecker substitution), so the inner loop
-runs in CPython's big-integer code.  Gauss-Jordan skips the columns left of
-the pivot and scales them once at the end.  The symmetric elimination is one
+runs in CPython's big-integer code.  The symmetric elimination is one
 pivot loop over one row layout (``_symmetric_bareiss``) on lists or, with
 many rows and small entries, on integers of byte-aligned slots (``_Slots``),
 where an exact guard redoes at twice the width a step that outgrew them.
@@ -168,9 +167,6 @@ class IntMatrix:
     def has_zero_diagonal(self) -> bool:
         return self.is_square and not any(self.entries[:: self.cols + 1])
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
 
 # A packed product beats the per-entry dot products once every dimension
 # is this large.  Packing the right factor costs about as much as one row
@@ -299,10 +295,6 @@ class Inertia:
     def sigma(self) -> int:
         return self.n_plus - self.n_minus
 
-    @property
-    def dim(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
-
 
 @dataclass(frozen=True)
 class SmithForm:
@@ -337,39 +329,25 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int, int]:
     other row holds 0 there: ``m / scale`` is the reduced row echelon form,
     and ``scale`` is the last pivot.  Returns (pivot columns, scale, sign of
     the row permutation).
-
-    The pivot row is 0 left of its pivot column, so a step only multiplies
-    the columns left of it by ``p / scale``.  Each step therefore updates
-    ``row[col:]`` only, and each column left behind is multiplied once at the
-    end by the product of those factors, ``final scale / its scale then``;
-    every entry comes out as the full update would leave it.
     """
     pivots: list[int] = []
     scale = sign = 1
-    frozen: list[int] = []  # frozen[c]: the scale when the loop moved past column c
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
-        if r == len(m):
-            break  # no pivot is left, and the remaining columns are at the final scale
         sel = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if sel is not None:
-            if sel != r:
-                m[r], m[sel] = m[sel], m[r]
-                sign = -sign
-            tail = m[r][col:]
-            p = tail[0]
-            for i, row in enumerate(m):
-                if i != r:
-                    f = row[col]
-                    row[col:] = [(x * p - f * y) // scale for x, y in zip(row[col:], tail)]
-            pivots.append(col)
-            scale = p
-        frozen.append(scale)
-    for col, then in enumerate(frozen):
-        if then != scale:
-            for row in m:
-                if row[col]:
-                    row[col] = row[col] * scale // then
+        if sel is None:
+            continue
+        if sel != r:
+            m[r], m[sel] = m[sel], m[r]
+            sign = -sign
+        pivot_row = m[r]
+        p = pivot_row[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(x * p - f * y) // scale for x, y in zip(row, pivot_row)]
+        pivots.append(col)
+        scale = p
     return pivots, scale, sign
 
 

@@ -11,12 +11,11 @@ certified against its unreduced presentation by sparse checks and one exact
 product; with |det A| = 1 that proves each component's group infinite
 cyclic, so a result is just the component and its linking vector), decides
 fiberedness admissibility, and produces fiber/link descriptors for
-projected and spun links.
+projected links.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -185,8 +184,7 @@ class PresentationResult:
     """Certified outcome of the filling presentation for one component.
 
     The group is infinite cyclic (the certificate and |det A| = 1 prove it),
-    and ``linking_vector`` is its free coordinate on the link components,
-    defined up to one global sign.
+    and ``linking_vector`` is its free coordinate on the link components.
     """
 
     component: int
@@ -210,9 +208,9 @@ def presentation_oracle(a: BilinearForm) -> tuple[PresentationResult, ...]:
     relation and takes 1 on the set-aside one.  With |det A| = 1 that proves
     the cokernel infinite cyclic with y as its coordinate, however y was
     found, so a result holds only the component and its linking vector: the
-    images of the link components, column s of ``derived_linking_matrix`` up
-    to one global sign.  A non-unimodular A raises ``NotUnimodularError``,
-    as ``derived_linking_matrix`` does.
+    images of the link components, column s of ``derived_linking_matrix``.
+    A non-unimodular A raises ``NotUnimodularError``, as
+    ``derived_linking_matrix`` does.
     """
     d = a.dim
     coordinates = _coordinates(a.inverse)
@@ -262,9 +260,8 @@ def _failing_components(a: IntMatrix, coordinates: list[list[int]]) -> list[int]
 
 
 def oracle_matches_column(result: PresentationResult, column: tuple[int, ...]) -> bool:
-    """True when the oracle vector equals the column up to one global sign."""
-    v = result.linking_vector
-    return v == tuple(column) or tuple(-x for x in v) == tuple(column)
+    """True when the oracle vector equals the column."""
+    return result.linking_vector == tuple(column)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +314,7 @@ def admissibility_check(link: HopfLinkSpec) -> AdmissibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# projection and spinning descriptors
+# projection descriptors
 
 
 def project_link_descriptor(link: HopfLinkSpec) -> tuple[FiberDescriptor, FiberDescriptor]:
@@ -336,44 +333,3 @@ def project_link_descriptor(link: HopfLinkSpec) -> tuple[FiberDescriptor, FiberD
     fiber = _from_betti_map({0: 1, n - 1: d}.items(), n + k, 1)
     link_desc = _from_betti_map([(0, 1), (k, d), (n - 1, d), (n + k - 1, 1)], n + k - 1, 0)
     return fiber, link_desc
-
-
-def _torus_times_sphere(k: int, n: int) -> FiberDescriptor:
-    """(S^1)^k x S^{n-1}: Betti numbers by the product formula."""
-    dim = k + n - 1
-    bmap: dict[int, int] = {}
-    for j in range(k + 1):
-        c = math.comb(k, j)
-        bmap[j] = bmap.get(j, 0) + c
-        bmap[j + n - 1] = bmap.get(j + n - 1, 0) + c
-    return _from_betti_map(bmap.items(), dim, 0)
-
-
-def spin_link_descriptor(
-    link: HopfLinkSpec, i: int, times: int = 1
-) -> tuple[FiberDescriptor, tuple[FiberDescriptor, ...]]:
-    """Descriptors after spinning component i of a k = 0 link, ``times`` times.
-
-    Spinning once turns component i into an n-sphere and every other
-    component into S^1 x S^{n-1}; iterating with the same choice yields one
-    S^{n+times-1} plus d copies of (S^1)^times x S^{n-1}.  The fiber is the
-    complement in S^{n+times} of a disk neighborhood of the spun component
-    and of d thickened tori; its Betti numbers follow by duality and it
-    always has Euler characteristic 1.
-    """
-    if link.k != 0:
-        raise ValueError("spinning applies to unprojected (k = 0) links")
-    if not 0 <= i <= link.d:
-        raise ValueError(f"component index {i} out of range 0..{link.d}")
-    if times < 1:
-        raise ValueError("times >= 1")
-    n, d, k = link.n, link.d, times
-    components = [sphere(n + k - 1)] + [_torus_times_sphere(k, n)] * d
-    # complement of (point + d tori) in S^{n+k}: duality pairs cohomology of
-    # the removed set in degree j with fiber homology in degree n+k-1-j
-    bmap: dict[int, int] = {0: 1}
-    for j in range(k + 1):
-        idx = n + k - 1 - j
-        bmap[idx] = bmap.get(idx, 0) + d * math.comb(k, j)
-    fiber = _from_betti_map(bmap.items(), n + k, d + 1)
-    return fiber, tuple(components)

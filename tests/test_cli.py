@@ -540,6 +540,14 @@ class TestMain:
             errors.add(proc.stderr)
         assert len(errors) == 1 and "edges[0]: missing field 'u'" in errors.pop()
 
+    def test_sampling_is_loaded_by_selftest_only(self):
+        # a fresh interpreter, since this process has imported every module
+        src = os.path.dirname(os.path.dirname(hopfcalc.__file__))
+        code = "import sys, hopfcalc.cli; print('hopfcalc.sampling' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"
+
     @pytest.mark.parametrize("seed", range(20))
     def test_random_decoration_linking_matrix_matches_oracle(self, seed, tmp_path, capsys):
         # the linking matrix comes from the decoration's inverse; the oracle certifies each column against

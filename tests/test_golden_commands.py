@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from hopfcalc import E8_MATRIX, H_MATRIX, zero_diagonal_model
+from hopfcalc.forms import E8_MATRIX, H_MATRIX, zero_diagonal_model
 from hopfcalc.cli import main
 from hopfcalc.fixtures import fixture_names, fixture_path
 

@@ -35,7 +35,6 @@ from hopfcalc.hopflink import (
     presentation_oracle,
     project_link_descriptor,
     projection_filler,
-    spin_link_descriptor,
     sphere,
 )
 from hopfcalc.sampling import random_zero_diagonal_form
@@ -234,6 +233,13 @@ class TestPresentationOracle:
         lk = derived_linking_matrix(HF)
         result = presentation_oracle(HF)[0]
         assert oracle_matches_column(result, tuple(lk.at(j, 0) for j in range(3)))
+
+    def test_negated_column_is_rejected(self):
+        lk = derived_linking_matrix(HF)
+        for s, result in enumerate(presentation_oracle(HF)):
+            column = tuple(lk.at(j, s) for j in range(3))
+            assert oracle_matches_column(result, column)
+            assert not oracle_matches_column(result, tuple(-x for x in column))
 
     def test_non_unimodular_reports_torsion(self):
         form = symmetric([[0, 2], [2, 0]])
@@ -438,40 +444,6 @@ class TestProjection:
             fiber, _ = project_link_descriptor(HopfLinkSpec(form, n=n))
             glue = (d + 1) * (1 + (-1) ** (n - 1))
             assert fiber.euler + (d + 1) - glue == 1 + (-1) ** n
-
-
-class TestSpinning:
-    def test_components(self):
-        _, comps = spin_link_descriptor(HopfLinkSpec(skew([[0]]), n=3), 0)
-        assert comps[0] == sphere(3)
-        assert len(comps) == 2
-        assert comps[1].betti == (1, 1, 1, 1)  # S^1 x S^2
-
-    def test_fiber_euler_is_one(self):
-        for n, form in [(3, J), (4, BilinearForm(zero_diagonal_model(1, 1).matrix, 1))]:
-            fiber, _ = spin_link_descriptor(HopfLinkSpec(form, n=n), 0)
-            assert fiber.euler == 1
-
-    def test_fiber_boundary_matches_components(self):
-        spec = HopfLinkSpec(J, n=3)
-        fiber, comps = spin_link_descriptor(spec, 1)
-        assert fiber.boundary_components == len(comps) == 3
-
-    def test_iterated(self):
-        spec = HopfLinkSpec(J, n=3)
-        fiber, comps = spin_link_descriptor(spec, 0, times=2)
-        assert comps[0] == sphere(4)
-        # (S^1)^2 x S^2 has Betti (1, 2, 2, 2, 1)
-        assert comps[1].betti == (1, 2, 2, 2, 1)
-        assert fiber.euler == 1
-
-    def test_spun_index_range(self):
-        with pytest.raises(ValueError):
-            spin_link_descriptor(HopfLinkSpec(J, n=3), 5)
-
-    def test_projected_specs_not_spinnable(self):
-        with pytest.raises(ValueError):
-            spin_link_descriptor(HopfLinkSpec(J, n=3, k=1), 0)
 
 
 class TestDescriptors:
