@@ -5,14 +5,14 @@ Every computation in this package is exact: entries are Python ints
 anywhere.  Each epsilon-symmetric form is eliminated once: a fraction-free
 symmetric elimination with 1x1 and 2x2 pivots gives a congruence
 X A X^T = D (``Congruence``), and the determinant, the integer inverse, the
-inertia and the rational kernel are all read from it, each behind an exact
-check: A A^-1 = I for the inverse, X A X^T = D with X invertible before the
-inertia or the kernel, and A v = 0 for every kernel vector.  The
-references are kept for the selftest, the tests and ``perfbench/tracer.py``:
-fraction-free Gauss-Jordan elimination behind ``det_bareiss``,
-``inverse_unimodular`` and ``nullspace_rational``, Smith normal form with
-transforms for the oracle's presentations, and the inertia from the
-characteristic polynomial.
+inertia and the rational kernel are all read from it behind one exact
+certificate: a unimodular form is proved by its exactly divided inverse,
+checked by A A^-1 = I, and any other form by X A X^T = D with X
+invertible; every kernel vector is checked by A v = 0.  The references are
+kept for the selftest, the tests and ``perfbench/tracer.py``: fraction-free
+Gauss-Jordan elimination behind ``det_bareiss``, ``inverse_unimodular`` and
+``nullspace_rational``, Smith normal form with transforms for the oracle's
+presentations, and the inertia from the characteristic polynomial.
 
 The kernels stay exact and spend their Python bytecode on live entries
 only.  A product with every dimension large enough packs each row of the
@@ -759,14 +759,16 @@ class _PackedRows:
 class Congruence:
     """``X A X^T = D`` for an epsilon-symmetric A from one ``_symmetric_bareiss``, and four facts read from it.
 
-    X is triangular in pivot order with a nonzero diagonal, and D is block
-    diagonal, of 1x1 blocks and 2x2 blocks ``[[0, c], [epsilon c, 0]]``.  The
-    determinant is det D / det(X)**2 and the inverse ``X^T D^-1 X``, verified
-    by ``A A^-1 = I``.  The inertia (Sylvester's law) and the kernel are read
-    only once ``X A X^T = D`` and those shapes are verified.  X is then
-    invertible, so rank A = rank D and the rows t of X at D's zero blocks are
-    independent and as many as the nullity; ``X_t A X^T = 0`` gives
-    ``X_t A = 0``, and ``A = epsilon A^T`` gives ``A X_t^T = 0``.
+    D is block diagonal, of 1x1 blocks and 2x2 blocks ``[[0, c], [epsilon c,
+    0]]``, and X triangular in pivot order with a nonzero diagonal, so det A
+    is det D / det(X)**2, an exact division.  The inverse, the inertia and the
+    kernel read one certificate.  A form with det = +-1 is proved by its
+    inverse ``X^T D^-1 X``, divided exactly by the lcm of D's entries and
+    checked by ``A A^-1 = I``; any other by ``X A X^T = D`` and X's shape.
+    Either way X is invertible and ``X A X^T = D``, so the inertia is D's,
+    rank A = rank D, and the rows t of X at D's zero blocks are independent
+    and as many as the nullity; ``X_t A X^T = 0`` gives ``X_t A = 0``, and
+    ``A = epsilon A^T`` gives ``A X_t^T = 0``.
     """
 
     def __init__(self, a: IntMatrix, epsilon: int) -> None:
@@ -776,30 +778,31 @@ class Congruence:
     @cached_property
     def det(self) -> int:
         det_d = math.prod(b[0][0] if len(b) == 1 else b[0][0] * b[1][1] - b[0][1] * b[1][0] for b in self.blocks)
-        # det X is the product of its diagonal, up to the sign of the pivot order
-        return det_d // math.prod(row[i] for row, i in zip(self.x, self.order)) ** 2 if det_d else 0
+        # det X is the product of its diagonal, up to the sign of the pivot order, and det(X)**2 det A = det D
+        det, rest = divmod(det_d, math.prod(row[i] for row, i in zip(self.x, self.order)) ** 2) if det_d else (0, 0)
+        if rest:
+            raise AlgorithmMismatchError("congruence certificate failed: det(X)**2 does not divide det D")
+        return det
 
     @cached_property
-    def inverse(self) -> IntMatrix:
-        """``X^T D^-1 X`` as one integer product over the lcm of D's entries; raises NotUnimodularError unless det = +-1."""
-        if self.det not in (1, -1):
-            raise NotUnimodularError(f"matrix has determinant {self.det}")
-        n, x = self.a.rows, self.x
-        lcm = math.lcm(*(v for b in self.blocks for row in b for v in row if v))
-        scaled: list[list[int]] = []  # the rows of lcm D^-1 X
-        for b in self.blocks:
-            t = len(scaled)
-            if len(b) == 1:
-                scaled.append([lcm // b[0][0] * v for v in x[t]])
-            else:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
-                scaled += [[lcm // b[1][0] * v for v in x[t + 1]], [lcm // b[0][1] * v for v in x[t]]]
-        product = IntMatrix(n, n, tuple(chain.from_iterable(zip(*x)))) @ IntMatrix(n, n, tuple(chain(*scaled)))
-        return _checked_inverse(self.a, IntMatrix(n, n, tuple(v // lcm for v in product.entries)))
-
-    @cached_property
-    def _certified_blocks(self) -> list[list[list[int]]]:
-        """D's blocks, once ``X A X^T = D`` holds exactly and X and D have the shapes the reading needs."""
+    def _certificate(self) -> tuple[list[list[list[int]]], IntMatrix | None]:
+        """D's blocks once ``X A X^T = D`` is proved, and the checked inverse that proves it when det = +-1."""
         n, order, x, blocks = self.a.rows, self.order, self.x, self.blocks
+        if not all(len(b) == 1 or len(b) == 2 and b[0][0] == b[1][1] == 0 != b[0][1] for b in blocks):
+            raise AlgorithmMismatchError("congruence certificate failed: D has a block not 1x1 or [[0, c], [epsilon c, 0]]")
+        if self.det in (1, -1):  # X^T D^-1 X as one integer product over the lcm of D's entries
+            lcm = math.lcm(*(v for b in blocks for row in b for v in row if v))
+            scaled: list[list[int]] = []  # the rows of lcm D^-1 X
+            for b in blocks:
+                t = len(scaled)
+                if len(b) == 1:
+                    scaled.append([lcm // b[0][0] * v for v in x[t]])
+                else:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
+                    scaled += [[lcm // b[1][0] * v for v in x[t + 1]], [lcm // b[0][1] * v for v in x[t]]]
+            product = IntMatrix(n, n, tuple(chain.from_iterable(zip(*x)))) @ IntMatrix(n, n, tuple(chain(*scaled)))
+            if any(v % lcm for v in product.entries):
+                raise AlgorithmMismatchError("congruence certificate failed: X^T D^-1 X is not an integer matrix")
+            return blocks, _checked_inverse(self.a, IntMatrix(n, n, tuple(v // lcm for v in product.entries)))
         xm = IntMatrix(len(x), n, tuple(chain.from_iterable(x)))
         d = IntMatrix.block_diagonal(IntMatrix(len(b), len(b), tuple(chain(*b))) for b in blocks)
         if (xm.rows, xm.cols) != (n, n) or congruence_apply(xm, self.a) != d:
@@ -808,16 +811,21 @@ class Congruence:
             x[t][order[t]] and not any(x[t][j] for j in order[t + 1 :]) for t in range(n)
         ):
             raise AlgorithmMismatchError("congruence certificate failed: X is not triangular with nonzero diagonal")
-        if not all(len(b) == 1 or len(b) == 2 and b[0][0] == b[1][1] == 0 != b[0][1] for b in blocks):
-            raise AlgorithmMismatchError("congruence certificate failed: D has a block not 1x1 or [[0, c], [epsilon c, 0]]")
-        return blocks
+        return blocks, None
+
+    @cached_property
+    def inverse(self) -> IntMatrix:
+        """``X^T D^-1 X``, checked by ``A A^-1 = I``; raises NotUnimodularError, before any product, unless det = +-1."""
+        if self.det not in (1, -1):
+            raise NotUnimodularError(f"matrix has determinant {self.det}")
+        return self._certificate[1]
 
     @cached_property
     def inertia(self) -> Inertia:
         if self.epsilon != 1:
             raise SymmetryError("inertia requires a symmetric matrix")
         # a 1x1 block has its own sign; [[0, c], [c, 0]] has inertia (1, 1, 0)
-        signs = [s for b in self._certified_blocks for s in ([b[0][0]] if len(b) == 1 else [1, -1])]
+        signs = [s for b in self._certificate[0] for s in ([b[0][0]] if len(b) == 1 else [1, -1])]
         return Inertia(sum(s > 0 for s in signs), sum(s < 0 for s in signs), sum(s == 0 for s in signs))
 
     @cached_property
@@ -827,7 +835,7 @@ class Congruence:
         Brought to reduced echelon form with its columns reversed, the basis
         is the identity on the free columns of A, ordered by free column.
         """
-        rows = [row for row, b in zip(self.x, (b for b in self._certified_blocks for _ in b)) if b == [[0]]]
+        rows = [row for row, b in zip(self.x, (b for b in self._certificate[0] for _ in b)) if b == [[0]]]
         if len(rows) > 1:
             m = [row[::-1] for row in rows]
             _gauss_jordan(m)

@@ -29,6 +29,7 @@ from hopfcalc.exactlinalg import (
     smith_normal_form,
 )
 from hopfcalc.forms import E8_MATRIX, H_MATRIX, build_standard, zero_diagonal_model
+from hopfcalc.hopflink import derived_linking_matrix
 from hopfcalc.sampling import (
     hyperbolic_seed,
     random_congruence,
@@ -148,31 +149,54 @@ def symmetric_matrices(draw, epsilons=(1, -1)):
 
 
 # ---------------------------------------------------------------------------
-# reference kernels: the full-width eliminations and the per-entry product
-# that the kernels in exactlinalg must reproduce exactly
+# reference kernels: the full-width symmetric elimination and the per-entry
+# product that the kernels in exactlinalg must reproduce exactly, and the
+# reduced echelon form and determinant over Q that fix what the fraction-free
+# Gauss-Jordan elimination must return
 
 
-def reference_gauss_jordan(m):
-    """Bareiss Gauss-Jordan that updates every entry of every non-pivot row at every step."""
+def fraction_rref(rows):
+    """Pivot columns and reduced row echelon form of ``rows``, by Gauss-Jordan elimination over ``Fraction``."""
+    m = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    scale = sign = 1
     for col in range(len(m[0]) if m else 0):
         r = len(pivots)
         sel = next((i for i in range(r, len(m)) if m[i][col]), None)
         if sel is None:
             continue
-        if sel != r:
-            m[r], m[sel] = m[sel], m[r]
-            sign = -sign
-        pivot_row = m[r]
-        p = pivot_row[col]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[col]
-                m[i] = [(x * p - f * y) // scale for x, y in zip(row, pivot_row)]
+        m[r], m[sel] = m[sel], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        m = [row if i == r else [x - row[col] * y for x, y in zip(row, m[r])] for i, row in enumerate(m)]
         pivots.append(col)
-        scale = p
-    return pivots, scale, sign
+    return pivots, m
+
+
+def fraction_det(rows):
+    """Determinant of a square matrix over ``Fraction``: the pivots' product, negated for each row swap."""
+    m, det = [[Fraction(x) for x in row] for row in rows], Fraction(1)
+    for col in range(len(m)):
+        sel = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if sel is None:
+            return 0
+        if sel != col:
+            m[col], m[sel], det = m[sel], m[col], -det
+        det *= m[col][col]
+        m[col + 1 :] = [[x - row[col] / m[col][col] * y for x, y in zip(row, m[col])] for row in m[col + 1 :]]
+    return det
+
+
+def check_gauss_jordan(rows):
+    """``_gauss_jordan`` against ``fraction_rref`` and, with every row a pivot row, ``fraction_det``.
+
+    The rows over ``scale`` are the reduced row echelon form.  When every row
+    holds a pivot, the row swaps permute only pivot rows, so ``sign * scale``
+    is the determinant of the pivot columns.
+    """
+    m = [list(row) for row in rows]
+    pivots, scale, sign = exactlinalg._gauss_jordan(m)
+    assert (pivots, [[Fraction(x, scale) for x in row] for row in m]) == fraction_rref(rows)
+    if len(pivots) == len(rows):
+        assert sign * scale == fraction_det([[row[c] for c in pivots] for row in rows])
 
 
 def reference_symmetric_bareiss(a, epsilon):
@@ -282,9 +306,7 @@ class TestKernelsMatchReferences:
     @settings(deadline=None, max_examples=300)
     @given(elimination_rows())
     def test_gauss_jordan(self, rows):
-        m, expected = [list(r) for r in rows], [list(r) for r in rows]
-        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
-        assert m == expected
+        check_gauss_jordan(rows)
 
     @pytest.mark.parametrize(
         "rows",
@@ -297,9 +319,7 @@ class TestKernelsMatchReferences:
         ],
     )
     def test_gauss_jordan_examples(self, rows):
-        m, expected = [list(r) for r in rows], [list(r) for r in rows]
-        assert exactlinalg._gauss_jordan(m) == reference_gauss_jordan(expected)
-        assert m == expected
+        check_gauss_jordan(rows)
 
     @settings(deadline=None, max_examples=300)
     @given(symmetric_matrices())
@@ -550,9 +570,9 @@ class TestPackedKernels:
     def test_det_of_non_unimodular_matrix_with_large_intermediates(self):
         rng = random.Random(12)
         a = IntMatrix(12, 12, tuple(rng.randint(-(1 << 20), 1 << 20) for _ in range(144)))
-        pivots, scale, sign = reference_gauss_jordan(a.to_rows())
-        assert len(pivots) == 12 and abs(scale).bit_length() > 200
-        assert det_bareiss(a) == sign * scale
+        det = fraction_det(a.to_rows())
+        assert det != 0 and abs(det.numerator).bit_length() > 200
+        assert det_bareiss(a) == det
         singular = IntMatrix.from_rows(a.to_rows()[:-1] + [[x - y for x, y in zip(a.row(0), a.row(1))]])
         assert det_bareiss(singular) == 0
 
@@ -789,6 +809,23 @@ class TestNullspace:
             nullspace_rational(a)
 
 
+def corrupt_elimination(monkeypatch, corrupt):
+    """Make ``_symmetric_bareiss`` add 1 to X's last row or to D's first entry, or zero X's first row."""
+    elimination = exactlinalg._symmetric_bareiss
+
+    def corrupted(m, epsilon):
+        order, x, blocks = elimination(m, epsilon)
+        if corrupt == "transform_row":
+            x[-1] = [v + 1 for v in x[-1]]
+        elif corrupt == "d_entry":
+            blocks[0][0][0] += 1
+        else:
+            x[0] = [0] * len(x[0])
+        return order, x, blocks
+
+    monkeypatch.setattr(exactlinalg, "_symmetric_bareiss", corrupted)
+
+
 class TestInertia:
     def test_hyperbolic(self):
         assert inertia(H_MATRIX) == Inertia(1, 1, 0)
@@ -819,26 +856,38 @@ class TestInertia:
         a, _ = pair
         assert inertia_ldlt(a) == inertia_charpoly(a)
 
-    @pytest.mark.parametrize("corrupt", ["transform_row", "d_entry", "singular_transform"])
-    def test_corrupted_certificate_is_caught(self, monkeypatch, corrupt):
-        elimination = exactlinalg._symmetric_bareiss
-
-        def corrupted(m, epsilon):
-            order, x, blocks = elimination(m, epsilon)
-            if corrupt == "transform_row":
-                x[-1] = [v + 1 for v in x[-1]]
-            elif corrupt == "d_entry":
-                blocks[0][0][0] += 1
-            else:
-                x[0] = [0] * len(x[0])
-            return order, x, blocks
-
-        monkeypatch.setattr(exactlinalg, "_symmetric_bareiss", corrupted)
-        if corrupt == "singular_transform":
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # the decoration is unimodular: its determinant, det D / det(X)**2, is no longer an integer
+            ("transform_row", r"det\(X\)\*\*2 does not divide det D"),
+            # its zero diagonal makes D's first block [[0, c], [c, 0]], and a nonzero corner breaks that shape
+            ("d_entry", r"D has a block not 1x1"),
             # X A X^T == D still holds for A = 0, but X is not invertible
-            a, message = IntMatrix.zeros(3, 3), "triangular"
-        else:
-            a, message = zero_diagonal_model(1, 1).matrix, r"X A X\^T != D"
+            ("singular_transform", "triangular"),
+        ],
+        ids=["transform_row", "d_entry", "singular_transform"],
+    )
+    def test_corrupted_certificate_is_caught(self, monkeypatch, corrupt, message):
+        corrupt_elimination(monkeypatch, corrupt)
+        a = IntMatrix.zeros(3, 3) if corrupt == "singular_transform" else zero_diagonal_model(1, 1).matrix
+        with pytest.raises(AlgorithmMismatchError, match=message):
+            inertia_ldlt(a)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # every row of a linking matrix sums to 0, so adding 1 to a row of X leaves X A X^T = D; here
+            # it zeroes X's last row, -1 everywhere, and only the shape of X is left to catch it
+            ("transform_row", "triangular"),
+            ("d_entry", r"X A X\^T != D"),
+        ],
+        ids=["transform_row", "d_entry"],
+    )
+    def test_corrupted_certificate_of_singular_form_is_caught(self, monkeypatch, corrupt, message):
+        # the linking matrix of a decoration is singular, so its certificate is X A X^T = D and the shape of X
+        a = derived_linking_matrix(zero_diagonal_model(1, 1))
+        corrupt_elimination(monkeypatch, corrupt)
         with pytest.raises(AlgorithmMismatchError, match=message):
             inertia_ldlt(a)
 
@@ -915,6 +964,39 @@ class TestEpsilonCongruence:
         rows = [[2, -1, -1], [-1, 0, 1], [-1, 1, 0]] if epsilon == 1 else [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
         with pytest.raises(AlgorithmMismatchError, match=r"X A X\^T != D"):
             exactlinalg.Congruence(IntMatrix.from_rows(rows), epsilon).kernel
+
+    @staticmethod
+    def eliminate_to(monkeypatch, x, blocks):
+        """Make ``_symmetric_bareiss`` return pivot order [0, 1], ``x`` and ``blocks``."""
+        monkeypatch.setattr(exactlinalg, "_symmetric_bareiss", lambda m, epsilon: ([0, 1], x, blocks))
+
+    def test_determinant_division_is_exact(self, monkeypatch):
+        # det D / det(X)**2 = -3 / 4 is no integer: floor division read it as -1, the true determinant
+        self.eliminate_to(monkeypatch, [[-2, 0], [0, 1]], [[[3]], [[-1]]])
+        with pytest.raises(AlgorithmMismatchError, match=r"det\(X\)\*\*2 does not divide det D"):
+            exactlinalg.Congruence(IntMatrix.diagonal([1, -1]), 1).det
+        self.eliminate_to(monkeypatch, [[-2, 0], [0, 1]], [[[3]], [[0]]])
+        assert exactlinalg.Congruence(IntMatrix.diagonal([1, -1]), 1).det == 0
+
+    def test_inverse_must_divide_exactly(self, monkeypatch):
+        # det = (2 * -2) / (-2)**2 = -1 exactly and X A X^T = [[4, 2], [2, 0]] != D, but X^T D^-1 X is
+        # [[3/2, 1/2], [1/2, -1/2]], whose floor is A^-1: only the exact division catches it
+        self.eliminate_to(monkeypatch, [[-2, 0], [-1, 1]], [[[2]], [[-2]]])
+        a = IntMatrix.diagonal([1, -1])
+        assert exactlinalg.Congruence(a, 1).det == -1
+        for fact in ("inverse", "inertia"):
+            with pytest.raises(AlgorithmMismatchError, match=r"X\^T D\^-1 X is not an integer matrix"):
+                getattr(exactlinalg.Congruence(a, 1), fact)
+
+    def test_inverse_of_non_unimodular_form_runs_no_product(self, monkeypatch):
+        congruence = exactlinalg.Congruence(IntMatrix.diagonal([1, 2]), 1)
+        calls = Counter()
+        for home, name in ((exactlinalg, "congruence_apply"), (IntMatrix, "__matmul__")):
+            original = getattr(home, name)
+            monkeypatch.setattr(home, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
+        with pytest.raises(NotUnimodularError, match="determinant 2"):
+            congruence.inverse
+        assert calls == Counter()
 
     def test_corrupted_kernel_normalisation_is_caught(self, monkeypatch):
         elimination = exactlinalg._gauss_jordan
