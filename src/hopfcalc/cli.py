@@ -42,7 +42,6 @@ from .hopflink import (
     admissibility_check,
     check_dimensions,
     derived_linking_matrix,
-    oracle_matches_column,
     presentation_oracle,
 )
 from .invariants import (
@@ -325,12 +324,9 @@ def _oracle_section(spec: SpecFile) -> dict:
     checks = []
     for g_idx, graph in enumerate(spec.graphs):
         for v_idx, v in black_vertices(graph):
-            lk = v.link.linking_matrix
-            for result in presentation_oracle(v.link.form):
-                column = tuple(lk.at(j, result.component) for j in range(lk.rows))
-                # "Z": each component's certificate and |det A| = 1 prove the group infinite cyclic
-                checks.append({"graph": g_idx, "vertex": v_idx, "component": result.component,
-                               "group": "Z", "match": oracle_matches_column(result, column)})
+            # "Z": with |det A| = 1 each component's filling presentation is infinite cyclic
+            for s, match in enumerate(presentation_oracle(v.link.form, v.link.linking_matrix)):
+                checks.append({"graph": g_idx, "vertex": v_idx, "component": s, "group": "Z", "match": match})
     return {"checks": checks, "all_match": all(check["match"] for check in checks)}
 
 

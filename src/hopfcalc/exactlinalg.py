@@ -11,8 +11,10 @@ checked by A A^-1 = I, and any other form by X A X^T = D with X
 invertible; every kernel vector is checked by A v = 0.  The references are
 kept for the selftest, the tests and ``perfbench/tracer.py``: fraction-free
 Gauss-Jordan elimination behind ``det_bareiss``, ``inverse_unimodular`` and
-``nullspace_rational``, Smith normal form with transforms for the oracle's
-presentations, and the inertia from the characteristic polynomial.
+``nullspace_rational``, Smith normal form with transforms (the tests'
+reference for the filling presentations behind the oracle, which itself
+needs only one product), and the inertia from the characteristic
+polynomial.
 
 The kernels stay exact and spend their Python bytecode on live entries
 only.  A product with every dimension large enough packs each row of the

@@ -4,14 +4,12 @@ A link spec is a zero-diagonal epsilon-symmetric decoration matrix together
 with the ambient half-dimension n (the link lives in S^{2n-1}), a projection
 count k, and the externally supplied order of the relevant homotopy-sphere
 group.  This module derives the canonical-framing linking matrix of the
-surgered link, re-derives each of its columns by a homology-presentation
-oracle (the Tietze-reduced filling presentation, its free coordinates
-read off the certified inverse of the decoration, and every component
-certified against its unreduced presentation by sparse checks and one exact
-product; with |det A| = 1 that proves each component's group infinite
-cyclic, so a result is just the component and its linking vector), decides
-fiberedness admissibility, and produces fiber/link descriptors for
-projected links.
+surgered link, checks the printed matrix against a homology-presentation
+oracle (with |det A| = 1 the Tietze-reduced filling presentation of each
+component presents an infinite cyclic group whose free coordinate is the
+one solution of a system in A, so one product per decoration, A times the
+matrix's lower d rows, checks every column), decides fiberedness
+admissibility, and produces fiber/link descriptors for projected links.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactlinalg import AlgorithmMismatchError, IntMatrix
+from .exactlinalg import IntMatrix, NotUnimodularError
 from .forms import BilinearForm
 
 
@@ -179,20 +177,8 @@ def derived_linking_matrix(a: BilinearForm) -> IntMatrix:
 # homology-presentation oracle
 
 
-@dataclass(frozen=True)
-class PresentationResult:
-    """Certified outcome of the filling presentation for one component.
-
-    The group is infinite cyclic (the certificate and |det A| = 1 prove it),
-    and ``linking_vector`` is its free coordinate on the link components.
-    """
-
-    component: int
-    linking_vector: tuple[int, ...]
-
-
-def presentation_oracle(a: BilinearForm) -> tuple[PresentationResult, ...]:
-    """Independent re-derivation of every column of the linking matrix, one result per component.
+def presentation_oracle(a: BilinearForm, lk: IntMatrix) -> tuple[bool, ...]:
+    """Whether each column of the linking matrix ``lk`` is what the filling presentation of its component gives.
 
     For component s, fill every other component by surgery and present the
     middle homology of the result: generators mu_0..mu_d (meridians), then
@@ -201,67 +187,25 @@ def presentation_oracle(a: BilinearForm) -> tuple[PresentationResult, ...]:
     and the decorated ones (mu_0 for i = 0, row i of A on mu_1..mu_d plus
     mu_0 when s = 0).  Tietze moves drop the deltas, mu_0 = 0 (s != 0) and
     the delta_0 relation; the rest, completed by the relation set aside (row
-    s of A, or mu_0 for s = 0), is a square M_s with det M_s = +-det A.  The
-    free coordinate y of y M_s = e_last is read off the certified inverse
-    (``_coordinates``) and, lifted back to the deltas, certified against the
-    unreduced presentation (``_failing_components``): it kills every
-    relation and takes 1 on the set-aside one.  With |det A| = 1 that proves
-    the cokernel infinite cyclic with y as its coordinate, however y was
-    found, so a result holds only the component and its linking vector: the
-    images of the link components, column s of ``derived_linking_matrix``.
-    A non-unimodular A raises ``NotUnimodularError``, as
-    ``derived_linking_matrix`` does.
+    s of A, or mu_0 for s = 0), is a square M_s with det M_s = +-det A.  With
+    |det A| = 1 the cokernel is infinite cyclic, and its free coordinate y is
+    the unique solution of A y = e_s (s != 0), or of A y = -1 with mu_0 = 1
+    (s = 0).  The images of the link components are (-sum y, y), so column s
+    is right exactly when A lk[1:, s] is e_s, or -1 for s = 0, and
+    lk[0][s] = -sum lk[1:, s].  One product A lk[1:, :] checks all d + 1
+    columns.  A non-unimodular A raises ``NotUnimodularError`` before any
+    product.
     """
+    if not a.is_unimodular():
+        raise NotUnimodularError(f"matrix has determinant {a.det()}")
     d = a.dim
-    coordinates = _coordinates(a.inverse)
-    failed = _failing_components(a.matrix, coordinates)
-    if failed:
-        raise AlgorithmMismatchError(f"presentation oracle certificate failed for component {failed[0]}")
+    below = lk.entries[d + 1 :]
+    product = (a.matrix @ IntMatrix(d, d + 1, below)).entries
     return tuple(
-        PresentationResult(s, (-sum(x[1 : d + 1]),) + tuple(x[1 : d + 1])) for s, x in enumerate(coordinates)
+        lk.entries[s] == -sum(below[s :: d + 1])
+        and product[s :: d + 1] == tuple(-1 if s == 0 else int(i == s - 1) for i in range(d))
+        for s in range(d + 1)
     )
-
-
-def _coordinates(inv: IntMatrix) -> list[list[int]]:
-    """Free coordinate of each component on mu_0..mu_d, then on delta_i for i != s in increasing i.
-
-    M_s is A with row s last, so y_s is column s - 1 of A^-1 (mu_0 = 0); the
-    s = 0 system is mu_0 = 1 with A y' = -1, so y_0 = (1, -A^-1 1).  The
-    Tietze moves set delta_i = mu_i and delta_0 = -(mu_1 + ... + mu_d).
-    """
-    d = inv.rows
-    columns = [[-sum(inv.row(i)) for i in range(d)]] + [list(inv.entries[j::d]) for j in range(d)]
-    out = []
-    for s, column in enumerate(columns):
-        mu = [int(s == 0)] + column
-        out.append(mu + [mu[i] if i else -sum(column) for i in range(d + 1) if i != s])
-    return out
-
-
-def _failing_components(a: IntMatrix, coordinates: list[list[int]]) -> list[int]:
-    """Components whose lifted coordinate fails its unreduced presentation, in increasing order.
-
-    Core relations are checked entry by entry, O(d) per component; decorated
-    rows, set-aside ones included, by one product A X, column s of X holding
-    component s on mu_1..mu_d.  Component s != 0 needs mu_0 = 0 and column s
-    of A X equal to e_s (row s is set aside); component 0 needs mu_0 = 1 (set
-    aside) and every row of A to take -mu_0 = -1.
-    """
-    d = a.rows
-    product = (a @ IntMatrix(d, d + 1, tuple(x[i] for i in range(1, d + 1) for x in coordinates))).entries
-    failed = []
-    for s, x in enumerate(coordinates):
-        mu = x[1 : d + 1]
-        cores = [mu[i - 1] if i else -sum(mu) for i in range(d + 1) if i != s]
-        required = tuple(-1 if s == 0 else int(i == s - 1) for i in range(d))
-        if x[0] != int(s == 0) or x[d + 1 :] != cores or product[s :: d + 1] != required:
-            failed.append(s)
-    return failed
-
-
-def oracle_matches_column(result: PresentationResult, column: tuple[int, ...]) -> bool:
-    """True when the oracle vector equals the column."""
-    return result.linking_vector == tuple(column)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,10 @@ from .exactlinalg import IntMatrix, congruence_apply
 from .forms import BilinearForm, H_MATRIX, direct_sum, skew, zero_diagonal_model
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int | None = None) -> IntMatrix:
-    """Random determinant +-1 matrix: a product of shears, swaps and sign flips."""
-    if steps is None:
-        steps = 4 * n + 8
+def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
+    """Random determinant +-1 matrix: a product of 4n + 8 shears, swaps and sign flips."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(4 * n + 8):
         op = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -47,27 +45,24 @@ def skew_seed(blocks: int) -> BilinearForm:
     return direct_sum(*([j] * blocks))
 
 
-def random_zero_diagonal_form(
-    rng: random.Random, epsilon: int, max_blocks: int = 3, steps: int | None = None
-) -> BilinearForm:
+def random_zero_diagonal_form(rng: random.Random, epsilon: int) -> BilinearForm:
     """Random unimodular zero-diagonal form of the requested symmetry sign.
 
-    Starts from a direct sum of hyperbolic blocks (or the zero-diagonal model
-    of an E8-plus-hyperbolic form) and walks through diagonal-preserving
-    congruences: swaps and sign flips always preserve the zero diagonal; for
-    symmetric forms a shear along (i, j) preserves it exactly when the (i, j)
-    entry vanishes, so shears are restricted accordingly.  Skew forms keep a
-    zero diagonal under every congruence.
+    Starts from a direct sum of one to three hyperbolic (or, for a skew form,
+    skew) blocks, or the zero-diagonal model of an E8-plus-hyperbolic form,
+    and takes 6 dim random steps through diagonal-preserving congruences:
+    swaps and sign flips always preserve the zero diagonal; for symmetric
+    forms a shear along (i, j) preserves it exactly when the (i, j) entry
+    vanishes, so shears are restricted accordingly.  Skew forms keep a zero
+    diagonal under every congruence.
     """
     if epsilon == 1:
-        seeds = [hyperbolic_seed(b) for b in range(1, max_blocks + 1)]
+        seeds = [hyperbolic_seed(b) for b in range(1, 4)]
         seeds.append(zero_diagonal_model(1, 1))
     else:
-        seeds = [skew_seed(b) for b in range(1, max_blocks + 1)]
+        seeds = [skew_seed(b) for b in range(1, 4)]
     form = rng.choice(seeds)
     n = form.dim
-    if steps is None:
-        steps = 6 * n
     a = form.matrix.to_rows()
 
     def apply_swap(i: int, j: int) -> None:
@@ -86,7 +81,7 @@ def random_zero_diagonal_form(
         for r in a:
             r[i] += c * r[j]
 
-    for _ in range(steps):
+    for _ in range(6 * n):
         op = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)

@@ -47,7 +47,7 @@ def one_vertex_tree(matrix, n):
 
 
 def counted_calls(monkeypatch, targets):
-    """Count the calls of each (module, name) in ``targets``, in every hopfcalc namespace that binds it."""
+    """Count the calls of each (module or class, name) in ``targets``, in every hopfcalc namespace that binds it."""
     calls = Counter()
     for home, func in targets:
         original = getattr(home, func)
@@ -56,7 +56,8 @@ def counted_calls(monkeypatch, targets):
             calls[_func] += 1
             return _original(*args)
 
-        # modules import these by name, so patch every namespace that binds one
+        monkeypatch.setattr(home, func, counted)
+        # modules import these by name, so patch every other namespace that binds one
         for key, module in list(sys.modules.items()):
             if key == "hopfcalc" or key.startswith("hopfcalc."):
                 for attr, value in list(vars(module).items()):
@@ -643,16 +644,18 @@ class TestMain:
     def test_oracle_mismatch_exit_two(self, argv, monkeypatch, capsys):
         import hopfcalc.cli as cli_mod
 
-        def broken(result, column):
-            return False
+        def broken(a, lk):
+            return (False,) * lk.rows
 
-        monkeypatch.setattr(cli_mod, "oracle_matches_column", broken)
+        monkeypatch.setattr(cli_mod, "presentation_oracle", broken)
         assert main([argv[0], TREE, *argv[1:]]) == 2
         out, err = capsys.readouterr()
         assert "internal invariant violation" in err
+        # the output is still written, with the failed checks, before the gate exits 2
         if argv[0] == "report":
-            # the report is still written, with the failed checks, before the gate exits 2
             assert out.startswith("graph report\n") and "  oracle: all_match = false\n" in out
+        else:
+            assert out.endswith("match = false\nall_match = false\n")
 
     def test_value_error_escaping_the_pipeline_exit_two(self, monkeypatch, capsys):
         import hopfcalc.cli as cli_mod

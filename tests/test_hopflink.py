@@ -1,14 +1,14 @@
 import random
 import signal
+from collections import Counter
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcalc import hopflink
+from hopfcalc import exactlinalg
 from hopfcalc.exactlinalg import (
-    AlgorithmMismatchError,
     IntMatrix,
     NotUnimodularError,
     inverse_unimodular,
@@ -31,13 +31,14 @@ from hopfcalc.hopflink import (
     derived_linking_matrix,
     disk,
     holed_disk,
-    oracle_matches_column,
     presentation_oracle,
     project_link_descriptor,
     projection_filler,
     sphere,
 )
 from hopfcalc.sampling import random_zero_diagonal_form
+
+from test_cli import counted_calls
 
 J = skew([[0, 1], [-1, 0]])
 HF = BilinearForm(H_MATRIX, 1)
@@ -135,33 +136,36 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def dense_failing_components(rows, coordinates):
-    """The certificate as a dense check, one dot product per relation: the reference for the sparse one."""
-    d = len(rows)
-    failed = []
-    for s, lifted in enumerate(coordinates):
-        y, aside = (lifted[: d + 1], [1] + [0] * d) if s == 0 else (lifted[1 : d + 1], rows[s - 1])
-        if any(_dot(lifted, r) for r in _filling_relations(rows, s)) or _dot(y, aside) != 1:
-            failed.append(s)
-    return failed
-
-
 def relifted(mu, s):
     """Coordinates of component s from its values on mu_0..mu_d, the deltas set as the Tietze moves set them."""
     return mu + [mu[i] if i else -sum(mu[1:]) for i in range(len(mu)) if i != s]
 
 
-TRUE_COORDINATES = hopflink._coordinates
+def dense_rejects(rows, lk, s):
+    """Whether the unreduced presentation of component s rejects column s of ``lk``, lifted by ``relifted``.
+
+    mu_0 is 1 for s = 0 and 0 otherwise, mu_1..mu_d are lk[1:, s]; one dot
+    product per relation, and the set-aside relation must take 1.  Row 0 of
+    ``lk`` does not enter.
+    """
+    d = len(rows)
+    lifted = relifted([int(s == 0)] + [lk[i][s] for i in range(1, d + 1)], s)
+    y, aside = (lifted[: d + 1], [1] + [0] * d) if s == 0 else (lifted[1 : d + 1], rows[s - 1])
+    return any(_dot(lifted, r) for r in _filling_relations(rows, s)) or _dot(y, aside) != 1
 
 
-def corrupted_coordinates(monkeypatch, corrupt):
-    """Patch the oracle's coordinate source so that ``corrupt`` edits the lifted coordinates first."""
-    def patched(inv):
-        coordinates = TRUE_COORDINATES(inv)
-        corrupt(coordinates)
-        return coordinates
+def row_zero_fails(lk, s):
+    return lk[0][s] != -sum(row[s] for row in lk[1:])
 
-    monkeypatch.setattr(hopflink, "_coordinates", patched)
+
+def with_column(lk, s, column):
+    """A copy of ``lk`` (a list of rows) with column s replaced."""
+    return [row[:s] + [x] + row[s + 1 :] for row, x in zip(lk, column)]
+
+
+def flagged(form, lk):
+    """Components whose column of ``lk`` (a list of rows) the oracle rejects, in increasing order."""
+    return [s for s, match in enumerate(presentation_oracle(form, IntMatrix.from_rows(lk))) if not match]
 
 
 def _out_of_cpu_time(signum, frame):
@@ -209,52 +213,62 @@ def _oracle_within_cpu_budget(form, seconds):
     previous = signal.signal(signal.SIGPROF, _out_of_cpu_time)
     signal.setitimer(signal.ITIMER_PROF, seconds)
     try:
-        return presentation_oracle(form)
+        return presentation_oracle(form, derived_linking_matrix(form))
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
 
 
-def _assert_matches_linking_matrix(form, results):
-    lk = derived_linking_matrix(form)
-    assert len(results) == form.dim + 1
-    for s, result in enumerate(results):
-        assert result.component == s
-        assert oracle_matches_column(result, tuple(lk.at(j, s) for j in range(form.dim + 1))), (form.matrix.to_rows(), s)
+def _assert_all_match(form, matches):
+    assert matches == (True,) * (form.dim + 1), form.matrix.to_rows()
 
 
 class TestPresentationOracle:
     def test_hyperbolic_component_1(self):
-        lk = derived_linking_matrix(HF)
-        result = presentation_oracle(HF)[1]
-        assert oracle_matches_column(result, tuple(lk.at(j, 1) for j in range(3)))
+        lk = derived_linking_matrix(HF).to_rows()
+        assert [row[1] for row in lk] == [-1, 0, 1] and flagged(HF, lk) == []
+        lk[1][1] = 1  # A (1, 1) = (1, 1) is not e_1
+        assert flagged(HF, lk) == [1]
 
     def test_hyperbolic_preferred_component(self):
-        lk = derived_linking_matrix(HF)
-        result = presentation_oracle(HF)[0]
-        assert oracle_matches_column(result, tuple(lk.at(j, 0) for j in range(3)))
+        lk = derived_linking_matrix(HF).to_rows()
+        assert [row[0] for row in lk] == [2, -1, -1] and flagged(HF, lk) == []
+        lk[0][0] = -2  # A (-1, -1) = -1 still holds, but row 0 must be 1 + 1
+        assert flagged(HF, lk) == [0]
 
     def test_negated_column_is_rejected(self):
-        lk = derived_linking_matrix(HF)
-        for s, result in enumerate(presentation_oracle(HF)):
-            column = tuple(lk.at(j, s) for j in range(3))
-            assert oracle_matches_column(result, column)
-            assert not oracle_matches_column(result, tuple(-x for x in column))
+        lk = derived_linking_matrix(HF).to_rows()
+        for s in range(3):
+            assert flagged(HF, with_column(lk, s, [-row[s] for row in lk])) == [s]
 
     def test_non_unimodular_reports_torsion(self):
         form = symmetric([[0, 2], [2, 0]])
         with pytest.raises(NotUnimodularError):
-            presentation_oracle(form)
+            presentation_oracle(form, IntMatrix.zeros(3, 3))
         # the reference presents Z + Z/2 for component 1: the torsion the oracle refuses to certify
         assert reference_presentation(form, 1) == ((1, 1, 1, 2), 1, None)
 
+    def test_non_unimodular_raises_before_any_product(self, monkeypatch):
+        calls = counted_calls(monkeypatch, ((IntMatrix, "__matmul__"),))
+        with pytest.raises(NotUnimodularError, match="determinant 2$"):
+            presentation_oracle(BilinearForm(IntMatrix.diagonal([1, 2]), 1), IntMatrix.zeros(3, 3))
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("form", [HF, zero_diagonal_model(1, 1), zero_diagonal_model(3, 2)], ids=["d2", "d10", "d28"])
+    def test_one_product_and_no_elimination(self, form, monkeypatch):
+        lk = derived_linking_matrix(form)
+        calls = counted_calls(monkeypatch, (
+            (IntMatrix, "__matmul__"), (exactlinalg, "_symmetric_bareiss"), (exactlinalg, "_gauss_jordan")))
+        _assert_all_match(form, presentation_oracle(form, lk))
+        assert calls == Counter({"__matmul__": 1})
+
     def test_full_corpus_all_components(self):
         for form in oracle_corpus():
-            _assert_matches_linking_matrix(form, presentation_oracle(form))
+            _assert_all_match(form, presentation_oracle(form, derived_linking_matrix(form)))
 
     def test_one_result_per_component(self):
         for form in (HF, zero_diagonal_model(1, 1)):
-            assert [r.component for r in presentation_oracle(form)] == list(range(form.dim + 1))
+            assert len(presentation_oracle(form, derived_linking_matrix(form))) == form.dim + 1
 
     @pytest.mark.parametrize("epsilon", [1, -1])
     def test_matches_reference_smith_form(self, epsilon):
@@ -262,80 +276,78 @@ class TestPresentationOracle:
         kinds = set()
         for _ in range(150):
             form = random_decoration(rng, rng.randint(1, 6), epsilon)
+            d = form.dim
             kinds.add(form.is_unimodular())
             if not form.is_unimodular():
                 with pytest.raises(NotUnimodularError):
-                    presentation_oracle(form)
+                    presentation_oracle(form, IntMatrix.zeros(d + 1, d + 1))
                 continue
-            for s, result in enumerate(presentation_oracle(form)):
+            lk = derived_linking_matrix(form).to_rows()
+            for s in range(d + 1):
                 factors, free_rank, vector = reference_presentation(form, s)
                 # the reference's group is the "Z" the oracle reports
                 assert free_rank == 1 and all(f == 1 for f in factors), (form.matrix.to_rows(), s)
-                assert result.component == s
-                assert result.linking_vector in (vector, tuple(-x for x in vector)), (form.matrix.to_rows(), s)
+                # of the reference's two generators, the oracle accepts the one in the printed column
+                generators = (vector, tuple(-x for x in vector))
+                accepted = [g for g in generators if flagged(form, with_column(lk, s, g)) == []]
+                assert accepted == [tuple(row[s] for row in lk)], (form.matrix.to_rows(), s)
         assert kinds == {True, False}
 
     def test_d28_all_components_within_cpu_budget(self):
         # Smith-form transform growth made this take about 40 s of CPU time
         form = zero_diagonal_model(3, 2)
-        _assert_matches_linking_matrix(form, _oracle_within_cpu_budget(form, 3))
+        _assert_all_match(form, _oracle_within_cpu_budget(form, 3))
 
     def test_d56_all_components_within_cpu_budget(self):
         # d + 1 separate solves took about 1.2 s of CPU time; one elimination for all takes under 0.1 s
         form = zero_diagonal_model(6, 4)
-        _assert_matches_linking_matrix(form, _oracle_within_cpu_budget(form, 0.6))
+        _assert_all_match(form, _oracle_within_cpu_budget(form, 0.6))
 
+    # each edit of column s flags s alone: perturb_entry adds 1 to each entry in turn, row 0 included,
+    # and s = 0 is column 0
     @pytest.mark.parametrize("corrupt", ["double", "perturb_entry"])
-    def test_corrupted_solve_is_caught(self, monkeypatch, corrupt):
+    def test_corrupted_solve_is_caught(self, corrupt):
         form = zero_diagonal_model(1, 1)
         d = form.dim
+        true = derived_linking_matrix(form).to_rows()
         for s in range(d + 1):
-
-            def edit(coordinates, s=s):
-                x = coordinates[s]
-                coordinates[s] = [2 * v for v in x] if corrupt == "double" else x[:d] + [x[d] + 1] + x[d + 1 :]
-
-            corrupted_coordinates(monkeypatch, edit)
-            with pytest.raises(AlgorithmMismatchError, match=f"certificate failed for component {s}$"):
-                presentation_oracle(form)
-
-    @pytest.mark.parametrize("first, second", [(1, 2), (3, 7), (2, 10)])
-    def test_swapped_components_are_caught(self, monkeypatch, first, second):
-        def swap(coordinates):
-            coordinates[first], coordinates[second] = coordinates[second], coordinates[first]
-
-        corrupted_coordinates(monkeypatch, swap)
-        with pytest.raises(AlgorithmMismatchError, match=f"certificate failed for component {first}$"):
-            presentation_oracle(zero_diagonal_model(1, 1))
-
-    # one relation class broken at a time, the other two still satisfied:
-    # a delta off its meridian (core), y_3 + y_5 (row 5 of A takes 1, a
-    # decorated row), 2 y_3 (row 3 of A, set aside, takes 2)
-    @pytest.mark.parametrize("relation", ["core", "decorated", "set_aside"])
-    def test_each_relation_class_is_checked(self, monkeypatch, relation):
-        form = zero_diagonal_model(1, 1)
-        d = form.dim
-        s = 3
-
-        def edit(coordinates):
-            x, other = coordinates[s], coordinates[5]
-            if relation == "core":
-                x[d + 1 + 4] += 1
-            elif relation == "decorated":
-                coordinates[s] = relifted([a + b for a, b in zip(x[: d + 1], other[: d + 1])], s)
+            column = [row[s] for row in true]
+            if corrupt == "double":
+                edits = [[2 * x for x in column]]
             else:
-                coordinates[s] = relifted([2 * a for a in x[: d + 1]], s)
-            failed = dense_failing_components(form.matrix.to_rows(), coordinates)
-            assert failed == [s]
+                edits = [[x + (j == i) for j, x in enumerate(column)] for i in range(d + 1)]
+            for edited in edits:
+                assert flagged(form, with_column(true, s, edited)) == [s], (s, edited)
 
-        corrupted_coordinates(monkeypatch, edit)
-        with pytest.raises(AlgorithmMismatchError, match=f"certificate failed for component {s}$"):
-            presentation_oracle(form)
+    @pytest.mark.parametrize("first, second", [(1, 2), (3, 7), (2, 10), (0, 5)])
+    def test_swapped_components_are_caught(self, first, second):
+        form = zero_diagonal_model(1, 1)
+        lk = derived_linking_matrix(form).to_rows()
+        for row in lk:
+            row[first], row[second] = row[second], row[first]
+        assert flagged(form, lk) == [first, second]
+
+    # one relation class broken at a time, in column 3 alone: row 0 off by one
+    # (the core relation delta_0 + mu_1 + ... + mu_d, which the lift by
+    # ``relifted`` satisfies), column 3 plus column 5 (row 5 of A takes 1, a
+    # decorated row), twice column 3 (row 3 of A, set aside, takes 2)
+    @pytest.mark.parametrize("relation", ["core", "decorated", "set_aside"])
+    def test_each_relation_class_is_checked(self, relation):
+        form = zero_diagonal_model(1, 1)
+        rows, components, s = form.matrix.to_rows(), range(form.dim + 1), 3
+        lk = derived_linking_matrix(form).to_rows()
+        if relation == "core":
+            lk[0][s] += 1
+        for row in lk:
+            row[s] += {"core": 0, "decorated": row[5], "set_aside": row[s]}[relation]
+        assert [t for t in components if dense_rejects(rows, lk, t)] == ([] if relation == "core" else [s])
+        assert [t for t in components if row_zero_fails(lk, t)] == ([s] if relation == "core" else [])
+        assert flagged(form, lk) == [s]
 
     def test_dense_reference_passes_the_true_coordinates(self):
         for form in oracle_corpus():
-            rows = form.matrix.to_rows()
-            assert dense_failing_components(rows, hopflink._coordinates(form.inverse)) == []
+            rows, lk = form.matrix.to_rows(), derived_linking_matrix(form).to_rows()
+            assert not any(dense_rejects(rows, lk, s) or row_zero_fails(lk, s) for s in range(form.dim + 1))
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -351,23 +363,23 @@ class TestPresentationOracle:
             max_size=4,
         ),
     )
-    def test_sparse_certificate_flags_what_the_dense_one_flags(self, seed, epsilon, edits):
+    def test_oracle_flags_what_the_dense_presentation_rejects(self, seed, epsilon, edits):
         form = random_zero_diagonal_form(random.Random(seed), epsilon)
         rows, d = form.matrix.to_rows(), form.dim
-        coordinates = hopflink._coordinates(form.inverse)
+        lk = derived_linking_matrix(form).to_rows()
         for kind, s, position, k in edits:
             s, t = s % (d + 1), position % (d + 1)
-            x = coordinates[s]
-            if kind == "entry":  # a meridian or a delta
-                x[position % len(x)] += k or 1
-            elif kind == "scale":
-                coordinates[s] = relifted([k * v for v in x[: d + 1]], s)
-            elif kind == "add":  # the result keeps every core relation
-                coordinates[s] = relifted([a + k * b for a, b in zip(x[: d + 1], coordinates[t][: d + 1])], s)
-            else:
-                coordinates[s], coordinates[t] = coordinates[t], x
-        dense = dense_failing_components(rows, coordinates)
-        assert hopflink._failing_components(form.matrix, coordinates) == dense
+            if kind == "entry":  # row t of column s, row 0 included
+                lk[t][s] += k or 1
+            for row in lk:
+                if kind == "scale":
+                    row[s] *= k
+                elif kind == "add":  # keeps row 0 at minus the sum of the rest
+                    row[s] += k * row[t]
+                elif kind == "swap":
+                    row[s], row[t] = row[t], row[s]
+        expected = [s for s in range(d + 1) if dense_rejects(rows, lk, s) or row_zero_fails(lk, s)]
+        assert flagged(form, lk) == expected
 
 
 class TestAdmissibility:
