@@ -7,13 +7,13 @@ fibration over the even-dimensional target sphere.
 """
 
 from hopfcalc.forms import classify_indefinite, zero_diagonal_model
-from hopfcalc.graphmodel import BlackVertex, DecoratedGraph, Edge, WhiteVertex, graph_counts
+from hopfcalc.graphmodel import DecoratedGraph, Edge, graph_counts
 from hopfcalc.hopflink import HopfLinkSpec, disk
 from hopfcalc.invariants import analyze_cup_form, assemble_cup_form, euler_characteristic
 
 
 def tree(link: HopfLinkSpec) -> DecoratedGraph:
-    vertices = [BlackVertex(link)] + [WhiteVertex(disk(link.n)) for _ in range(link.d + 1)]
+    vertices = [link] + [disk(link.n) for _ in range(link.d + 1)]
     edges = [Edge(0, i + 1, i, 0) for i in range(link.d + 1)]
     return DecoratedGraph(tuple(vertices), tuple(edges))
 
@@ -28,7 +28,7 @@ def main() -> None:
         graph = tree(link)
         counts = graph_counts(graph)
         analysis = analyze_cup_form(assemble_cup_form([graph]))
-        chi = euler_characteristic([graph], 4, 0)
+        chi = euler_characteristic([graph])
         print(f"  tree block: edges {counts.m}, handles {counts.t}, "
               f"chi {chi}, sigma {analysis.sigma}, kernel dim {analysis.kernel_dim}")
         print(f"  -> sigma = {analysis.sigma} != 0 certifies the glued 8-manifold "

@@ -28,12 +28,11 @@ from .forms import (
     form_type,
 )
 from .graphmodel import (
-    BlackVertex,
     DecoratedGraph,
     Edge,
     GraphValidationError,
     UnsupportedShapeError,
-    WhiteVertex,
+    Vertex,
     black_vertices,
 )
 from .hopflink import (
@@ -61,8 +60,8 @@ class SpecFileError(ValueError):
 
 @dataclass(frozen=True)
 class SpecFile:
-    n: int
-    k: int
+    """A validated spec; its graphs hold (n, k) (``graphmodel.family_dimensions``)."""
+
     assume_cobounding: bool
     graphs: tuple[DecoratedGraph, ...]
     factors: tuple[ProductFactor, ...]
@@ -174,7 +173,8 @@ def _parse_fiber(value: Any, locus: str) -> FiberDescriptor:
         raise SpecFileError(f"{locus}: {exc}") from exc
 
 
-def _parse_vertex(value: Any, n: int, k: int, theta: int, locus: str):
+def _parse_vertex(value: Any, n: int, k: int, theta: int, locus: str) -> Vertex:
+    """A black vertex is its link, a white vertex its fiber."""
     if not isinstance(value, dict):
         raise SpecFileError(f"{locus}: expected an object")
     color = value.get("color")
@@ -184,10 +184,10 @@ def _parse_vertex(value: Any, n: int, k: int, theta: int, locus: str):
         det = link.form.det()
         if det not in (1, -1):
             raise SpecFileError(f"{locus}.matrix: determinant {det}, decoration must be unimodular")
-        return BlackVertex(link)
+        return link
     if color == "white":
         _expect_keys(value, ("color", "fiber"), locus)
-        return WhiteVertex(_parse_fiber(value["fiber"], f"{locus}.fiber"))
+        return _parse_fiber(value["fiber"], f"{locus}.fiber")
     raise SpecFileError(f"{locus}.color: expected 'black' or 'white', got {color!r}")
 
 
@@ -240,7 +240,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             if key in data:
                 raise SpecFileError(f"{source}.{key}: not used with 'factors'")
         factors = tuple(_parse_factor(f, f"{source}.factors[{i}]") for i, f in enumerate(factors_raw))
-        return SpecFile(0, 0, False, (), factors, json.loads(json.dumps(data)))
+        return SpecFile(False, (), factors, json.loads(json.dumps(data)))
 
     _expect_keys(data, ("n", "k"), source, optional=allowed)
     n = _expect_int(data["n"], f"{source}.n")
@@ -272,7 +272,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
         except GraphValidationError as exc:
             raise SpecFileError(f"{locus}.{exc}") from exc
     echo = {**json.loads(json.dumps(data)), "theta": theta, "assume_cobounding": cobound}
-    return SpecFile(n, k, cobound, tuple(graphs), (), echo)
+    return SpecFile(cobound, tuple(graphs), (), echo)
 
 
 def parse_spec(path: str) -> SpecFile:
@@ -300,8 +300,7 @@ def _admissibility_fields(link: HopfLinkSpec) -> dict:
 def _link_section(spec: SpecFile) -> list[dict]:
     out = []
     for g_idx, graph in enumerate(spec.graphs):
-        for v_idx, v in black_vertices(graph):
-            link = v.link
+        for v_idx, link in black_vertices(graph):
             klass = classified_form_type(link.form)
             classification: Optional[dict] = (
                 {"p": klass.p, "q": klass.q} if klass.p is not None else None
@@ -323,9 +322,9 @@ def _link_section(spec: SpecFile) -> list[dict]:
 def _oracle_section(spec: SpecFile) -> dict:
     checks = []
     for g_idx, graph in enumerate(spec.graphs):
-        for v_idx, v in black_vertices(graph):
+        for v_idx, link in black_vertices(graph):
             # "Z": with |det A| = 1 each component's filling presentation is infinite cyclic
-            for s, match in enumerate(presentation_oracle(v.link.form, v.link.linking_matrix)):
+            for s, match in enumerate(presentation_oracle(link.form, link.linking_matrix)):
                 checks.append({"graph": g_idx, "vertex": v_idx, "component": s, "group": "Z", "match": match})
     return {"checks": checks, "all_match": all(check["match"] for check in checks)}
 
@@ -347,7 +346,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
             "notes": list(bound.notes),
         }
 
-    report = invariant_report(list(spec.graphs), spec.n, spec.k, spec.assume_cobounding)
+    report = invariant_report(list(spec.graphs), spec.assume_cobounding)
     cup, analysis = report.cup_form, report.analysis
     doc: dict[str, Any] = {
         "kind": "graphs",

@@ -13,7 +13,8 @@ kept for the selftest, the tests and ``perfbench/tracer.py``: fraction-free
 Gauss-Jordan elimination behind ``det_bareiss``, ``inverse_unimodular`` and
 ``nullspace_rational``, Smith normal form with transforms (the tests'
 reference for the filling presentations behind the oracle, which itself
-needs only one product), and the inertia from the characteristic
+reads the certified inverse and makes one matrix-vector product), and the
+inertia from the characteristic
 polynomial.
 
 The kernels stay exact and spend their Python bytecode on live entries

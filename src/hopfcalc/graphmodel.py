@@ -1,22 +1,25 @@
 """Decorated bicolored graphs.
 
-Black vertices carry link specs, white vertices carry fiber descriptors,
-and each edge end is assigned to one component of the incident vertex
-(a link component at a black end, a boundary component at a white end).
-The graph is the combinatorial blueprint for gluing local fibered pieces
-into a manifold block.  A ``DecoratedGraph`` is checked by ``validate_graph``
-when it is built, so every graph that exists is valid.  This module computes
-the counting invariants (edges, loops, handle count), decides the projected
-(k >= 1) shape once (``projected_pair``), and assembles the glued generic
-fiber when its Betti numbers are determined by the decoration data.  Each
-fact is kept on the frozen ``DecoratedGraph`` the first time it is read.
+A vertex is its decoration: a black vertex is a ``HopfLinkSpec``, a white
+vertex a ``FiberDescriptor``.  Each edge end is assigned to one component
+of the incident vertex (a link component at a black end, a boundary
+component at a white end).  The graph is the combinatorial blueprint for
+gluing local fibered pieces into a manifold block.  A ``DecoratedGraph`` is
+checked by ``validate_graph`` when it is built, so every graph that exists
+is valid and its black decorations share one (n, k); ``family_dimensions``
+is the one rule that a family of graphs shares it too.  This module
+computes the counting invariants (edges, loops, handle count), decides the
+projected (k >= 1) shape once (``projected_pair``), and assembles the glued
+generic fiber when its Betti numbers are determined by the decoration
+data.  Each fact is kept on the frozen ``DecoratedGraph`` the first time it
+is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .exactlinalg import AlgorithmMismatchError
 from .hopflink import (
@@ -39,17 +42,7 @@ class UnsupportedShapeError(ValueError):
     """The graph shape is outside what this computation supports."""
 
 
-@dataclass(frozen=True)
-class BlackVertex:
-    link: HopfLinkSpec
-
-
-@dataclass(frozen=True)
-class WhiteVertex:
-    fiber: FiberDescriptor
-
-
-Vertex = Union[BlackVertex, WhiteVertex]
+Vertex = Union[HopfLinkSpec, FiberDescriptor]  # a black vertex is its link, a white one its fiber
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class DecoratedGraph:
     @cached_property
     def dimensions(self) -> tuple[int, int]:
         """(n, k) shared by the black decorations."""
-        link = next(v.link for v in self.vertices if isinstance(v, BlackVertex))
+        link = next(v for v in self.vertices if isinstance(v, HopfLinkSpec))
         return link.n, link.k
 
     @cached_property
@@ -104,9 +97,7 @@ class GraphCounts:
 
 
 def _component_count(v: Vertex) -> int:
-    if isinstance(v, BlackVertex):
-        return v.link.components
-    return v.fiber.boundary_components
+    return v.components if isinstance(v, HopfLinkSpec) else v.boundary_components
 
 
 def _incidences(graph: DecoratedGraph) -> list[list[tuple[int, int]]]:
@@ -132,7 +123,7 @@ def validate_graph(graph: DecoratedGraph) -> None:
     """
     nv = len(graph.vertices)
 
-    if not any(isinstance(v, BlackVertex) for v in graph.vertices):
+    if not any(isinstance(v, HopfLinkSpec) for v in graph.vertices):
         raise GraphValidationError("graph: no black vertex")
 
     for e_idx, e in enumerate(graph.edges):
@@ -148,7 +139,7 @@ def validate_graph(graph: DecoratedGraph) -> None:
         locus = f"vertices[{v_idx}]"
         comps = sorted(c for _, c in inc[v_idx])
         expected = _component_count(v)
-        kind = "black" if isinstance(v, BlackVertex) else "white"
+        kind = "black" if isinstance(v, HopfLinkSpec) else "white"
         if not comps:
             raise GraphValidationError(f"{locus}: isolated {kind} vertex")
         if len(comps) != expected:
@@ -160,9 +151,9 @@ def validate_graph(graph: DecoratedGraph) -> None:
             raise GraphValidationError(
                 f"{locus}: component assignment {comps} is not a bijection onto 0..{expected - 1}"
             )
-        if isinstance(v, BlackVertex):
-            dims.add((v.link.n, v.link.k))
-            if v.link.form.epsilon == -1 and len(comps) % 2 == 0:
+        if isinstance(v, HopfLinkSpec):
+            dims.add((v.n, v.k))
+            if v.form.epsilon == -1 and len(comps) % 2 == 0:
                 raise GraphValidationError(
                     f"{locus}: skew decoration forces odd degree, got {len(comps)}"
                 )
@@ -196,14 +187,29 @@ def graph_counts(graph: DecoratedGraph) -> GraphCounts:
     number of middle-index handles the local model attaches.
     """
     m = len(graph.edges)
-    s_black = sum(1 for v in graph.vertices if isinstance(v, BlackVertex))
+    links = [v for v in graph.vertices if isinstance(v, HopfLinkSpec)]
     g = m - len(graph.vertices) + graph.connected_components
-    t = sum(v.link.d for v in graph.vertices if isinstance(v, BlackVertex))
-    return GraphCounts(m, s_black, g, t)
+    return GraphCounts(m, len(links), g, sum(link.d for link in links))
 
 
-def black_vertices(graph: DecoratedGraph) -> list[tuple[int, BlackVertex]]:
-    return [(i, v) for i, v in enumerate(graph.vertices) if isinstance(v, BlackVertex)]
+def black_vertices(graph: DecoratedGraph) -> list[tuple[int, HopfLinkSpec]]:
+    """(vertex index, link) of each black vertex, in vertex order."""
+    return [(i, v) for i, v in enumerate(graph.vertices) if isinstance(v, HopfLinkSpec)]
+
+
+def family_dimensions(graphs: Sequence[DecoratedGraph]) -> tuple[int, int]:
+    """The (n, k) every graph of a family shares; the one family-level dimension rule.
+
+    ``validate_graph`` makes the black decorations of one graph agree, so the
+    family agrees when its graphs do.  Raises ``ValueError`` for an empty
+    family and ``UnsupportedShapeError`` for one of mixed dimensions.
+    """
+    if not graphs:
+        raise ValueError("empty graph family")
+    dims = {graph.dimensions for graph in graphs}
+    if len(dims) > 1:
+        raise UnsupportedShapeError(f"graphs in a family must share (n, k), got {sorted(dims)}")
+    return graphs[0].dimensions
 
 
 def projected_pair(graph: DecoratedGraph) -> tuple[HopfLinkSpec, Union[HopfLinkSpec, FiberDescriptor]]:
@@ -221,13 +227,11 @@ def projected_pair(graph: DecoratedGraph) -> tuple[HopfLinkSpec, Union[HopfLinkS
         raise UnsupportedShapeError("projected graphs support exactly one edge")
     e = graph.edges[0]
     u, v = (graph.vertices[i] for i in sorted((e.u, e.v)))
-    if isinstance(u, WhiteVertex):
+    if isinstance(u, FiberDescriptor):
         u, v = v, u
-    if isinstance(v, WhiteVertex):
-        return u.link, v.fiber
-    if u.link.d != v.link.d:
+    if isinstance(v, HopfLinkSpec) and u.d != v.d:
         raise UnsupportedShapeError("the two projected decorations must have equal size")
-    return u.link, v.link
+    return u, v
 
 
 def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
@@ -250,22 +254,18 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
 
     chi = 0
     for v in graph.vertices:
-        if isinstance(v, BlackVertex):
-            fiber, _ = project_link_descriptor(v.link)
-            chi += fiber.euler
-        else:
-            chi += v.fiber.euler
+        chi += project_link_descriptor(v)[0].euler if isinstance(v, HopfLinkSpec) else v.euler
     for e in graph.edges:
         chi -= _glue_piece_euler(graph, e, n, k)
 
     if k == 0:
         for v_idx, v in enumerate(graph.vertices):
-            if isinstance(v, WhiteVertex):
-                if v.fiber.dim != n:
+            if isinstance(v, FiberDescriptor):
+                if v.dim != n:
                     raise UnsupportedShapeError(
-                        f"white fiber at vertex {v_idx} has dimension {v.fiber.dim}, expected {n}"
+                        f"white fiber at vertex {v_idx} has dimension {v.dim}, expected {n}"
                     )
-                if not (is_disk(v.fiber) or is_cylinder(v.fiber)):
+                if not (is_disk(v) or is_cylinder(v)):
                     raise UnsupportedShapeError(
                         "non-trivial white decoration: glued Betti numbers are not determined "
                         "by Betti data alone"
@@ -289,9 +289,8 @@ def _glue_piece_euler(graph: DecoratedGraph, e: Edge, n: int, k: int) -> int:
     # projected links are connected; the whole link descriptor is the glue piece
     for end in (e.u, e.v):
         v = graph.vertices[end]
-        if isinstance(v, BlackVertex):
-            _, link_desc = project_link_descriptor(v.link)
-            return link_desc.euler
+        if isinstance(v, HopfLinkSpec):
+            return project_link_descriptor(v)[1].euler
     raise UnsupportedShapeError("edge joins two white vertices")
 
 

@@ -7,8 +7,8 @@ group.  This module derives the canonical-framing linking matrix of the
 surgered link, checks the printed matrix against a homology-presentation
 oracle (with |det A| = 1 the Tietze-reduced filling presentation of each
 component presents an infinite cyclic group whose free coordinate is the
-one solution of a system in A, so one product per decoration, A times the
-matrix's lower d rows, checks every column), decides fiberedness
+one solution of a system in A: a column of the certified inverse, or for
+the first column one product of A with a vector), decides fiberedness
 admissibility, and produces fiber/link descriptors for projected links.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactlinalg import IntMatrix, NotUnimodularError
+from .exactlinalg import IntMatrix
 from .forms import BilinearForm
 
 
@@ -191,20 +191,19 @@ def presentation_oracle(a: BilinearForm, lk: IntMatrix) -> tuple[bool, ...]:
     |det A| = 1 the cokernel is infinite cyclic, and its free coordinate y is
     the unique solution of A y = e_s (s != 0), or of A y = -1 with mu_0 = 1
     (s = 0).  The images of the link components are (-sum y, y), so column s
-    is right exactly when A lk[1:, s] is e_s, or -1 for s = 0, and
-    lk[0][s] = -sum lk[1:, s].  One product A lk[1:, :] checks all d + 1
-    columns.  A non-unimodular A raises ``NotUnimodularError`` before any
-    product.
+    is right exactly when lk[0][s] = -sum lk[1:, s] and lk[1:, s] is that y.
+    For s != 0, y is column s - 1 of ``a.inverse``, which A A^-1 = I already
+    certified, so lk[1:, s] is compared with it; column 0 takes the one
+    product, A lk[1:, 0] = -1.  A non-unimodular A raises
+    ``NotUnimodularError``, from ``a.inverse``, before any product.
     """
-    if not a.is_unimodular():
-        raise NotUnimodularError(f"matrix has determinant {a.det()}")
+    inv = a.inverse.entries
     d = a.dim
-    below = lk.entries[d + 1 :]
-    product = (a.matrix @ IntMatrix(d, d + 1, below)).entries
+    cols = [lk.entries[d + 1 + s :: d + 1] for s in range(d + 1)]  # lk[1:, s]
+    column0_solves = (a.matrix @ IntMatrix(d, 1, cols[0])).entries == (-1,) * d
     return tuple(
-        lk.entries[s] == -sum(below[s :: d + 1])
-        and product[s :: d + 1] == tuple(-1 if s == 0 else int(i == s - 1) for i in range(d))
-        for s in range(d + 1)
+        lk.entries[s] == -sum(col) and (col == inv[s - 1 :: d] if s else column0_solves)
+        for s, col in enumerate(cols)
     )
 
 

@@ -18,14 +18,14 @@ from typing import Optional, Sequence
 from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix
 from .forms import BilinearForm
 from .graphmodel import (
-    BlackVertex,
     DecoratedGraph,
     UnsupportedShapeError,
-    WhiteVertex,
     _incidences,
     assemble_global_fiber,
+    family_dimensions,
 )
 from .hopflink import (
+    FiberDescriptor,
     HopfLinkSpec,
     check_dimensions,
     is_disk,
@@ -50,35 +50,28 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
     canonical-framing linking number of the components assigned to e and f
     there; disjoint edges pair to zero and white vertices contribute nothing.
     Parallel edges pick up both endpoints, and the diagonal applies the same
-    rule at both ends of an edge.  Requires unprojected (k = 0) graphs with
-    unimodular decorations.
+    rule at both ends of an edge.  Requires a family of unprojected (k = 0)
+    graphs with unimodular decorations and one (n, k) (``family_dimensions``);
+    the form's sign is (-1)^n.
     """
-    if not graphs:
-        raise ValueError("empty graph family")
-    eps = None
+    n, k = family_dimensions(graphs)
+    if k != 0:
+        raise UnsupportedShapeError("edge-indexed cup form applies to unprojected graphs")
     blocks: list[IntMatrix] = []
     for graph in graphs:
-        n, k = graph.dimensions
-        if k != 0:
-            raise UnsupportedShapeError("edge-indexed cup form applies to unprojected graphs")
-        if eps is None:
-            eps = (-1) ** n
-        elif eps != (-1) ** n:
-            raise UnsupportedShapeError("graphs in a family must share the symmetry sign")
         m = len(graph.edges)
         block = [[0] * m for _ in range(m)]
         inc = _incidences(graph)
         for v_idx, v in enumerate(graph.vertices):
-            if not isinstance(v, BlackVertex):
+            if isinstance(v, FiberDescriptor):
                 continue
-            lk = v.link.linking_matrix
+            lk = v.linking_matrix
             here = inc[v_idx]
             for e_idx, e_comp in here:
                 for f_idx, f_comp in here:
                     block[e_idx][f_idx] += lk.at(e_comp, f_comp)
         blocks.append(IntMatrix(m, m, tuple(chain.from_iterable(block))))
-    assert eps is not None
-    return BilinearForm(IntMatrix.block_diagonal(blocks), eps)
+    return BilinearForm(IntMatrix.block_diagonal(blocks), (-1) ** n)
 
 
 def assemble_cup_form_k(graph: DecoratedGraph) -> BilinearForm:
@@ -99,13 +92,13 @@ def assemble_cup_form_k(graph: DecoratedGraph) -> BilinearForm:
     return BilinearForm(inv_v, v_link.form.epsilon)
 
 
-def cup_form_for_family(graphs: Sequence[DecoratedGraph], k: int) -> BilinearForm:
-    """Dispatch a graph family to the right cup-form assembly.
+def cup_form_for_family(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
+    """Dispatch a graph family to the right cup-form assembly by its k (``family_dimensions``).
 
     Unprojected (k = 0) families use the edge-indexed form; a projected
     family must be a single graph of a shape ``projected_pair`` accepts.
     """
-    if k == 0:
+    if family_dimensions(graphs)[1] == 0:
         return assemble_cup_form(graphs)
     if len(graphs) != 1:
         raise UnsupportedShapeError("projected families support a single graph")
@@ -149,22 +142,19 @@ def _sphere_euler(dim: int) -> int:
     return 1 + (-1) ** dim
 
 
-def euler_characteristic(graphs: Sequence[DecoratedGraph], n: int, k: int) -> int:
+def euler_characteristic(graphs: Sequence[DecoratedGraph]) -> int:
     """Euler characteristic of the closed manifold glued from a graph family.
 
-    chi = chi(S^{n-k}) * chi(F) + (-1)^n * t, where F is the common generic
-    fiber and t the total handle count.  All graphs must agree on the fiber
-    (equal loop count g and equal chi(F)).
+    chi = chi(S^{n-k}) * chi(F) + (-1)^n * t, where (n, k) is the family's
+    (``family_dimensions``), F the common generic fiber and t the total
+    handle count.  All graphs must agree on the fiber (equal loop count g
+    and equal chi(F)).
     """
-    if not graphs:
-        raise ValueError("empty graph family")
+    n, k = family_dimensions(graphs)
     fibers = []
     gs = []
     t = 0
     for graph in graphs:
-        gn, gk = graph.dimensions
-        if (gn, gk) != (n, k):
-            raise ValueError(f"graph has dimensions (n, k) = ({gn}, {gk}), expected ({n}, {k})")
         counts = graph.counts
         gs.append(counts.g)
         t += counts.t
@@ -240,21 +230,21 @@ class PhiBounds:
             raise AlgorithmMismatchError("phi bounds out of order")
 
 
-def detect_canonical_family(
-    graphs: Sequence[DecoratedGraph], n: int, k: int
-) -> Optional[tuple[str, int]]:
+def detect_canonical_family(graphs: Sequence[DecoratedGraph]) -> Optional[tuple[str, int]]:
     """Recognize the one-graph canonical shapes; returns (family, d) or None.
 
     Unprojected: a tree with a single black vertex whose leaves are white
     disks.  Projected: a single black vertex capped by the matching trivial
-    white piece, with at least five link components.
+    white piece, with at least five link components.  (n, k) is the
+    family's (``family_dimensions``).
     """
-    if len(graphs) != 1 or graphs[0].dimensions != (n, k):
+    n, k = family_dimensions(graphs)
+    if len(graphs) != 1:
         return None
     graph = graphs[0]
     if k == 0:
         counts = graph.counts
-        whites = [v.fiber for v in graph.vertices if isinstance(v, WhiteVertex)]
+        whites = [v for v in graph.vertices if isinstance(v, FiberDescriptor)]
         tree = counts.s_black == 1 and counts.g == 0 and len(whites) == counts.t + 1
         return (EVEN_K0, counts.t) if tree and all(map(is_disk, whites)) else None
     try:
@@ -277,8 +267,6 @@ def euler_obstructs(chi: int, target: int) -> bool:
 
 def phi_bounds(
     graphs: Sequence[DecoratedGraph],
-    n: int,
-    k: int,
     chi: int,
     sigma: int,
     canonical: Optional[tuple[str, int]],
@@ -293,8 +281,9 @@ def phi_bounds(
     lower bound is 1 when a fibration is obstructed: by the Euler
     characteristic ``chi`` (``euler_obstructs``) or by a nonzero signature
     ``sigma`` (Chern-Hirzebruch-Serre), and the trivial 0 when neither
-    applies.
+    applies.  (n, k) is the family's (``family_dimensions``).
     """
+    n, k = family_dimensions(graphs)
     s = sum(graph.counts.s_black for graph in graphs)
     if canonical is not None:
         return PhiBounds(1, 1, ("canonical one-singularity shape: exactly one critical point",))
@@ -375,29 +364,25 @@ class InvariantReport:
     verdicts: tuple[str, ...]
 
 
-def invariant_report(
-    graphs: Sequence[DecoratedGraph],
-    n: int,
-    k: int,
-    assume_cobounding: bool,
-) -> InvariantReport:
-    """Full invariant pipeline for a validated graph family.
+def invariant_report(graphs: Sequence[DecoratedGraph], assume_cobounding: bool) -> InvariantReport:
+    """Full invariant pipeline for a validated graph family of one (n, k) (``family_dimensions``).
 
     The report keeps the cup form it analyzed, so callers need not assemble
     it again.  Every note but the phi bounds' own is assembled here.  When
     the canonical homology ranks apply, chi must equal their alternating sum,
     and for an even family with n even sigma must have the parity of chi.
     """
-    form = cup_form_for_family(graphs, k)
+    n, k = family_dimensions(graphs)
+    form = cup_form_for_family(graphs)
     notes: list[str] = []
     if k:
         notes.append("projected cup form indexed by the interior block (inverse of the decoration); "
                      "signature is preserved")
     analysis = analyze_cup_form(form)
 
-    chi = euler_characteristic(graphs, n, k)
+    chi = euler_characteristic(graphs)
 
-    canonical = detect_canonical_family(graphs, n, k)
+    canonical = detect_canonical_family(graphs)
     homology = None
     if canonical is not None:
         family, d = canonical
@@ -412,7 +397,7 @@ def invariant_report(
 
     phi = None
     if assume_cobounding:
-        phi = phi_bounds(graphs, n, k, chi, analysis.sigma, canonical)
+        phi = phi_bounds(graphs, chi, analysis.sigma, canonical)
     else:
         notes.append("cobounding not asserted; no critical-point bounds emitted")
 

@@ -140,7 +140,7 @@ class TestParse:
 
     def test_tree_fixture(self):
         spec = parse_spec(TREE)
-        assert (spec.n, spec.k, spec.data["theta"], spec.assume_cobounding) == (3, 0, 1, True)
+        assert (*graphmodel.family_dimensions(spec.graphs), spec.data["theta"], spec.assume_cobounding) == (3, 0, 1, True)
         assert len(spec.graphs) == 1
         assert len(spec.graphs[0].edges) == 3
 
@@ -660,7 +660,7 @@ class TestMain:
     def test_value_error_escaping_the_pipeline_exit_two(self, monkeypatch, capsys):
         import hopfcalc.cli as cli_mod
 
-        def broken(graphs, n, k, assume_cobounding):
+        def broken(graphs, assume_cobounding):
             raise ValueError("escaped after parsing")
 
         monkeypatch.setattr(cli_mod, "invariant_report", broken)

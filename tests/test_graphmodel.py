@@ -5,12 +5,10 @@ import pytest
 
 from hopfcalc.forms import BilinearForm, H_MATRIX, direct_sum, skew, zero_diagonal_model
 from hopfcalc.graphmodel import (
-    BlackVertex,
     DecoratedGraph,
     Edge,
     GraphValidationError,
     UnsupportedShapeError,
-    WhiteVertex,
     assemble_global_fiber,
     graph_counts,
     projected_pair,
@@ -33,7 +31,7 @@ JJ = direct_sum(J, J)
 def single_black_tree(link: HopfLinkSpec) -> DecoratedGraph:
     """One black vertex, one white disk per link component."""
     n, d = link.n, link.d
-    vertices = [BlackVertex(link)] + [WhiteVertex(disk(n)) for _ in range(d + 1)]
+    vertices = [link] + [disk(n) for _ in range(d + 1)]
     edges = [Edge(0, i + 1, i, 0) for i in range(d + 1)]
     return DecoratedGraph(tuple(vertices), tuple(edges))
 
@@ -42,7 +40,7 @@ def parallel_pair(link: HopfLinkSpec) -> DecoratedGraph:
     """Two black vertices joined by one edge per component, matching indices."""
     d = link.d
     return DecoratedGraph(
-        (BlackVertex(link), BlackVertex(link)),
+        (link, link),
         tuple(Edge(0, 1, i, i) for i in range(d + 1)),
     )
 
@@ -79,7 +77,7 @@ class TestValidate:
 
     def test_no_black_vertex(self):
         assert_rejected(
-            lambda: DecoratedGraph((WhiteVertex(cylinder(3)),), (Edge(0, 0, 0, 1),)),
+            lambda: DecoratedGraph((cylinder(3),), (Edge(0, 0, 0, 1),)),
             "graph: no black vertex",
         )
 
@@ -95,7 +93,7 @@ class TestValidate:
     def test_mixed_dimensions_rejected(self):
         assert_rejected(
             lambda: DecoratedGraph(
-                (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), BlackVertex(HopfLinkSpec(JJ, n=5, k=2))),
+                (HopfLinkSpec(JJ, n=5, k=1), HopfLinkSpec(JJ, n=5, k=2)),
                 (Edge(0, 1, 0, 0),),
             ),
             "graph: black vertices mix dimensions [(5, 1), (5, 2)]",
@@ -103,26 +101,24 @@ class TestValidate:
 
     def test_edge_out_of_range(self):
         assert_rejected(
-            lambda: DecoratedGraph((BlackVertex(HopfLinkSpec(J, n=3)),), (Edge(0, 7, 0, 1), Edge(0, 0, 1, 2))),
+            lambda: DecoratedGraph((HopfLinkSpec(J, n=3),), (Edge(0, 7, 0, 1), Edge(0, 0, 1, 2))),
             "edges[0]: vertex 7 out of range",
         )
 
     def test_canonical_shapes_accept_and_mutations_reject(self):
         n = 5
         d = 4
-        spun_whites = [WhiteVertex(disk(n + 1))] + [
+        spun_whites = [disk(n + 1)] + [
             # S^1 x D^n pieces capping the swept components
-            WhiteVertex(FiberDescriptor((1, 1) + (0,) * (n - 1), 1))
+            FiberDescriptor((1, 1) + (0,) * (n - 1), 1)
             for _ in range(d)
         ]
         spun_tree = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(JJ, n=n)), *spun_whites),
+            (HopfLinkSpec(JJ, n=n), *spun_whites),
             tuple(Edge(0, i + 1, i, 0) for i in range(d + 1)),
         )
-        spun_projected_white = WhiteVertex(
-            # boundary sum of D^n x S^{k+1} pieces and S^k x D^{n+1} pieces
-            FiberDescriptor((1, d, d) + (0,) * (n - 1), 1)
-        )
+        # boundary sum of D^n x S^{k+1} pieces and S^k x D^{n+1} pieces
+        spun_projected_white = FiberDescriptor((1, d, d) + (0,) * (n - 1), 1)
         isolated = "vertices[0]: isolated black vertex"
         # each shape, built without error, and the first violation once its last edge is deleted
         shapes = [
@@ -137,7 +133,7 @@ class TestValidate:
             ),
             (
                 DecoratedGraph(
-                    (BlackVertex(HopfLinkSpec(JJ, n=n, k=1)), WhiteVertex(projection_filler(n, 1, d))),
+                    (HopfLinkSpec(JJ, n=n, k=1), projection_filler(n, 1, d)),
                     (Edge(0, 1, 0, 0),),
                 ),
                 isolated,
@@ -147,7 +143,7 @@ class TestValidate:
             (spun_tree, "vertices[0]: black vertex has degree 4, expected 5 (one edge per component)"),
             (
                 DecoratedGraph(
-                    (BlackVertex(HopfLinkSpec(JJ, n=n, k=1)), spun_projected_white),
+                    (HopfLinkSpec(JJ, n=n, k=1), spun_projected_white),
                     (Edge(0, 1, 0, 0),),
                 ),
                 isolated,
@@ -169,7 +165,7 @@ class TestCounts:
 
     def test_projected_pair_counts_handles_from_link_data(self):
         g = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), BlackVertex(HopfLinkSpec(JJ, n=5, k=1))),
+            (HopfLinkSpec(JJ, n=5, k=1), HopfLinkSpec(JJ, n=5, k=1)),
             (Edge(0, 1, 0, 0),),
         )
         counts = graph_counts(g)
@@ -188,7 +184,7 @@ class TestProjectedPair:
     def test_link_comes_first(self):
         link = HopfLinkSpec(JJ, n=5, k=1)
         filler = projection_filler(5, 1, 4)
-        g = DecoratedGraph((WhiteVertex(filler), BlackVertex(link)), (Edge(1, 0, 0, 0),))
+        g = DecoratedGraph((filler, link), (Edge(1, 0, 0, 0),))
         assert projected_pair(g) == (link, filler)
         assert g.projected is g.projected
 
@@ -199,7 +195,7 @@ class TestProjectedPair:
         # a projected graph without its one edge cannot be built, so projected_pair never sees it
         link = HopfLinkSpec(JJ, n=5, k=1)
         assert_rejected(
-            lambda: DecoratedGraph((BlackVertex(link), WhiteVertex(projection_filler(5, 1, 4))), ()),
+            lambda: DecoratedGraph((link, projection_filler(5, 1, 4)), ()),
             "vertices[0]: isolated black vertex",
         )
 
@@ -222,14 +218,14 @@ class TestGlobalFiber:
 
     def test_projected_black_white_is_sphere(self):
         g = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), WhiteVertex(projection_filler(5, 1, 4))),
+            (HopfLinkSpec(JJ, n=5, k=1), projection_filler(5, 1, 4)),
             (Edge(0, 1, 0, 0),),
         )
         assert assemble_global_fiber(g) == sphere(6)
 
     def test_projected_two_black(self):
         g = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), BlackVertex(HopfLinkSpec(JJ, n=5, k=1))),
+            (HopfLinkSpec(JJ, n=5, k=1), HopfLinkSpec(JJ, n=5, k=1)),
             (Edge(0, 1, 0, 0),),
         )
         fiber = assemble_global_fiber(g)
@@ -238,13 +234,13 @@ class TestGlobalFiber:
     def test_cylinder_whites_are_trivial(self):
         link = HopfLinkSpec(HF, n=4)
         vertices = (
-            BlackVertex(link),
-            WhiteVertex(disk(4)),
-            WhiteVertex(disk(4)),
-            WhiteVertex(cylinder(4)),
-            BlackVertex(link),
-            WhiteVertex(disk(4)),
-            WhiteVertex(disk(4)),
+            link,
+            disk(4),
+            disk(4),
+            cylinder(4),
+            link,
+            disk(4),
+            disk(4),
         )
         edges = (
             Edge(0, 1, 0, 0),
@@ -260,10 +256,10 @@ class TestGlobalFiber:
     def test_exotic_white_rejected(self):
         link = HopfLinkSpec(J, n=3)
         vertices = (
-            BlackVertex(link),
-            WhiteVertex(disk(3)),
-            WhiteVertex(disk(3)),
-            WhiteVertex(FiberDescriptor((1, 1, 0, 0), 1)),
+            link,
+            disk(3),
+            disk(3),
+            FiberDescriptor((1, 1, 0, 0), 1),
         )
         edges = (Edge(0, 1, 0, 0), Edge(0, 2, 1, 0), Edge(0, 3, 2, 0))
         with pytest.raises(UnsupportedShapeError):
@@ -294,7 +290,7 @@ class TestSelfLoops:
     def test_self_loop_counts(self):
         # one black vertex with a self-loop on components 1, 2 and a disk on 0
         link = HopfLinkSpec(J, n=3)
-        vertices = (BlackVertex(link), WhiteVertex(disk(3)))
+        vertices = (link, disk(3))
         g = DecoratedGraph(vertices, (Edge(0, 0, 1, 2), Edge(0, 1, 0, 0)))
         # a loop on component 1 at both ends covers it twice and leaves component 2 uncovered
         assert_rejected(

@@ -14,15 +14,13 @@ from hopfcalc.forms import (
     zero_diagonal_model,
 )
 from hopfcalc.graphmodel import (
-    BlackVertex,
     DecoratedGraph,
     Edge,
     UnsupportedShapeError,
-    WhiteVertex,
     assemble_global_fiber,
+    family_dimensions,
 )
 from hopfcalc.hopflink import (
-    FiberDescriptor,
     HopfLinkSpec,
     cylinder,
     derived_linking_matrix,
@@ -63,6 +61,38 @@ def _out_of_cpu_time(signum, frame):
     raise TimeoutError("over the CPU-time budget")
 
 
+# every family-level entry point reads (n, k) from family_dimensions
+FAMILY_FUNCTIONS = {
+    "family_dimensions": family_dimensions,
+    "assemble_cup_form": assemble_cup_form,
+    "cup_form_for_family": cup_form_for_family,
+    "euler_characteristic": euler_characteristic,
+    "detect_canonical_family": detect_canonical_family,
+    "invariant_report": lambda graphs: invariant_report(graphs, True),
+}
+
+
+class TestFamilyDimensions:
+    def test_shared_dimensions(self):
+        tree = single_black_tree(HopfLinkSpec(J, n=3))
+        assert family_dimensions([tree, parallel_pair(HopfLinkSpec(J, n=3))]) == (3, 0)
+        bw = one_edge_graph(HopfLinkSpec(JJ, n=5, k=1), projection_filler(5, 1, 4))
+        assert family_dimensions([bw]) == (5, 1)
+
+    @pytest.mark.parametrize("name", FAMILY_FUNCTIONS)
+    def test_mixed_family_rejected(self, name):
+        # both forms are symmetric, so a check of the sign alone lets this family through
+        family = [single_black_tree(HopfLinkSpec(HF, n=4)), single_black_tree(HopfLinkSpec(HF, n=6))]
+        with pytest.raises(UnsupportedShapeError, match=r"^graphs in a family must share \(n, k\), got \[\(4, 0\), \(6, 0\)\]$"):
+            FAMILY_FUNCTIONS[name](family)
+
+    @pytest.mark.parametrize("name", FAMILY_FUNCTIONS)
+    def test_empty_family_rejected(self, name):
+        with pytest.raises(ValueError, match="^empty graph family$") as info:
+            FAMILY_FUNCTIONS[name]([])
+        assert type(info.value) is ValueError
+
+
 class TestAssembleCupForm:
     def test_single_black_tree_equals_linking_matrix(self):
         tree = single_black_tree(HopfLinkSpec(HF, n=4))
@@ -78,13 +108,13 @@ class TestAssembleCupForm:
     def test_disjoint_edges_give_block_diagonal(self):
         link = HopfLinkSpec(HF, n=4)
         vertices = (
-            BlackVertex(link),
-            WhiteVertex(disk(4)),
-            WhiteVertex(disk(4)),
-            WhiteVertex(cylinder(4)),
-            BlackVertex(link),
-            WhiteVertex(disk(4)),
-            WhiteVertex(disk(4)),
+            link,
+            disk(4),
+            disk(4),
+            cylinder(4),
+            link,
+            disk(4),
+            disk(4),
         )
         edges = (
             Edge(0, 1, 0, 0),
@@ -108,7 +138,7 @@ class TestAssembleCupForm:
 
     def test_rejects_projected_graphs(self):
         g = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), WhiteVertex(projection_filler(5, 1, 4))),
+            (HopfLinkSpec(JJ, n=5, k=1), projection_filler(5, 1, 4)),
             (Edge(0, 1, 0, 0),),
         )
         with pytest.raises(UnsupportedShapeError):
@@ -116,7 +146,7 @@ class TestAssembleCupForm:
 
     def test_self_loop_keeps_all_ones_kernel(self):
         g = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(J, n=3)), WhiteVertex(disk(3))),
+            (HopfLinkSpec(J, n=3), disk(3)),
             (Edge(0, 0, 1, 2), Edge(0, 1, 0, 0)),
         )
         form = assemble_cup_form([g])
@@ -127,8 +157,7 @@ class TestAssembleCupForm:
 
 def one_edge_graph(first, second):
     """Projected graph: a black vertex decorated by ``first`` joined to a black ``second`` or a white fiber."""
-    other = WhiteVertex(second) if isinstance(second, FiberDescriptor) else BlackVertex(second)
-    return DecoratedGraph((BlackVertex(first), other), (Edge(0, 1, 0, 0),))
+    return DecoratedGraph((first, second), (Edge(0, 1, 0, 0),))
 
 
 class TestAssembleCupFormProjected:
@@ -157,13 +186,13 @@ class TestAssembleCupFormProjected:
         # black - cylinder - black: valid, but no projected shape has two edges
         link = HopfLinkSpec(JJ, n=5, k=1)
         g = DecoratedGraph(
-            (BlackVertex(link), WhiteVertex(cylinder(6)), BlackVertex(link)),
+            (link, cylinder(6), link),
             (Edge(0, 1, 0, 0), Edge(2, 1, 0, 1)),
         )
         with pytest.raises(UnsupportedShapeError, match="^projected graphs support exactly one edge$"):
             assemble_global_fiber(g)
         with pytest.raises(UnsupportedShapeError, match="^projected graphs support exactly one edge$"):
-            cup_form_for_family([g], 1)
+            cup_form_for_family([g])
 
     def test_size_mismatch(self):
         g = one_edge_graph(HopfLinkSpec(HF, n=4, k=1), HopfLinkSpec(ZM, n=4, k=1))
@@ -214,15 +243,15 @@ class TestAnalyzeCupForm:
 class TestEuler:
     def test_low_dimension_tree(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
-        assert euler_characteristic([tree], 3, 0) == -2
+        assert euler_characteristic([tree]) == -2
 
     def test_even_tree(self):
         tree = single_black_tree(HopfLinkSpec(ZM, n=4))
-        assert euler_characteristic([tree], 4, 0) == 14
+        assert euler_characteristic([tree]) == 14
 
     def test_all_black_pair(self):
         pair = parallel_pair(HopfLinkSpec(J, n=3))
-        assert euler_characteristic([pair], 3, 0) == -4
+        assert euler_characteristic([pair]) == -4
 
     def test_odd_families_give_minus_t(self):
         from hopfcalc.graphmodel import graph_counts
@@ -230,13 +259,13 @@ class TestEuler:
         pair = parallel_pair(HopfLinkSpec(J, n=3))
         for family in ([pair], [pair, pair]):
             t = sum(graph_counts(g).t for g in family)
-            assert euler_characteristic(family, 3, 0) == -t
+            assert euler_characteristic(family) == -t
 
     def test_even_all_black_parity(self):
         from hopfcalc.graphmodel import graph_counts
 
         pair = parallel_pair(HopfLinkSpec(HF, n=4))
-        chi = euler_characteristic([pair], 4, 0)
+        chi = euler_characteristic([pair])
         s = graph_counts(pair).s_black
         assert chi % 2 == s % 2
 
@@ -244,15 +273,15 @@ class TestEuler:
         tree = single_black_tree(HopfLinkSpec(J, n=3))
         pair = parallel_pair(HopfLinkSpec(J, n=3))
         with pytest.raises(ValueError):
-            euler_characteristic([tree, pair], 3, 0)
+            euler_characteristic([tree, pair])
 
     def test_projected_black_white(self):
         g = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), WhiteVertex(projection_filler(5, 1, 4))),
+            (HopfLinkSpec(JJ, n=5, k=1), projection_filler(5, 1, 4)),
             (Edge(0, 1, 0, 0),),
         )
         # chi(S^4) * chi(S^6) + (-1)^5 * 4 = 4 - 4
-        assert euler_characteristic([g], 5, 1) == 0
+        assert euler_characteristic([g]) == 0
 
 
 class TestHomologyTables:
@@ -312,34 +341,34 @@ class TestHomologyTables:
             signal.signal(signal.SIGPROF, previous)
 
 
-def family_phi_bounds(graphs, n, k):
+def family_phi_bounds(graphs):
     """``phi_bounds`` with the chi, signature and canonical shape that ``invariant_report`` passes."""
-    chi = euler_characteristic(graphs, n, k)
-    sigma = analyze_cup_form(cup_form_for_family(graphs, k)).sigma
-    return phi_bounds(graphs, n, k, chi, sigma, detect_canonical_family(graphs, n, k))
+    chi = euler_characteristic(graphs)
+    sigma = analyze_cup_form(cup_form_for_family(graphs)).sigma
+    return phi_bounds(graphs, chi, sigma, detect_canonical_family(graphs))
 
 
 class TestPhiBounds:
     def test_canonical_tree(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
-        bounds = family_phi_bounds([tree], 3, 0)
+        bounds = family_phi_bounds([tree])
         assert (bounds.lower, bounds.upper) == (1, 1)
 
     def test_odd_target_family(self):
         pair = parallel_pair(HopfLinkSpec(J, n=3))
-        bounds = family_phi_bounds([pair, pair], 3, 0)
+        bounds = family_phi_bounds([pair, pair])
         assert (bounds.lower, bounds.upper) == (1, 4)
 
     def test_even_target_even_s_no_certificate(self):
         pair = parallel_pair(HopfLinkSpec(HF, n=4))
-        bounds = family_phi_bounds([pair], 4, 0)
+        bounds = family_phi_bounds([pair])
         assert (bounds.lower, bounds.upper) == (0, 2)
         assert any("no obstruction certified" in note for note in bounds.notes)
 
     def test_even_target_signature_certificate(self):
         tree = single_black_tree(HopfLinkSpec(ZM, n=4))
         pair = [tree, tree]
-        bounds = family_phi_bounds(pair, 4, 0)
+        bounds = family_phi_bounds(pair)
         assert (bounds.lower, bounds.upper) == (1, 2)
         assert any("signature" in note for note in bounds.notes)
 
@@ -350,14 +379,14 @@ class TestPhiBounds:
     def test_rule_reads_only_what_it_is_passed(self, sigma, canonical, expected):
         # even target, s = 2, even chi: the passed signature and canonical shape decide the lower bound
         pair = [parallel_pair(HopfLinkSpec(HF, n=4))]
-        bounds = phi_bounds(pair, 4, 0, 6, sigma, canonical)
+        bounds = phi_bounds(pair, 6, sigma, canonical)
         assert (bounds.lower, bounds.upper) == expected
         assert sigma == 0 or bounds.notes == (f"nonzero signature {sigma} obstructs fibering over any sphere",)
 
     def test_odd_chi_over_even_sphere_obstructs(self):
         # no spec reaches this branch: every accepted decoration has even rank, so chi is even here
         tree = [single_black_tree(HopfLinkSpec(HF, n=4))]
-        bounds = phi_bounds(tree, 4, 0, 3, 0, None)
+        bounds = phi_bounds(tree, 3, 0, None)
         assert (bounds.lower, bounds.upper) == (1, 1)
         assert bounds.notes == ("even n-k: the glued manifold has odd Euler characteristic, no fibration",)
 
@@ -370,29 +399,29 @@ class TestPhiBounds:
 
     def test_detect_canonical(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
-        assert detect_canonical_family([tree], 3, 0) == (EVEN_K0, 2)
+        assert detect_canonical_family([tree]) == (EVEN_K0, 2)
         bw = DecoratedGraph(
-            (BlackVertex(HopfLinkSpec(JJ, n=5, k=1)), WhiteVertex(projection_filler(5, 1, 4))),
+            (HopfLinkSpec(JJ, n=5, k=1), projection_filler(5, 1, 4)),
             (Edge(0, 1, 0, 0),),
         )
-        assert detect_canonical_family([bw], 5, 1) == (EVEN_KPOS, 4)
+        assert detect_canonical_family([bw]) == (EVEN_KPOS, 4)
         pair = parallel_pair(HopfLinkSpec(J, n=3))
-        assert detect_canonical_family([pair], 3, 0) is None
+        assert detect_canonical_family([pair]) is None
         link = HopfLinkSpec(JJ, n=5, k=1)
-        two_black = DecoratedGraph((BlackVertex(link), BlackVertex(link)), (Edge(0, 1, 0, 0),))
-        assert detect_canonical_family([two_black], 5, 1) is None
+        two_black = DecoratedGraph((link, link), (Edge(0, 1, 0, 0),))
+        assert detect_canonical_family([two_black]) is None
         mismatched = DecoratedGraph(
-            (BlackVertex(link), WhiteVertex(projection_filler(5, 1, 5))), (Edge(0, 1, 0, 0),)
+            (link, projection_filler(5, 1, 5)), (Edge(0, 1, 0, 0),)
         )
-        assert detect_canonical_family([mismatched], 5, 1) is None
+        assert detect_canonical_family([mismatched]) is None
         # no 3x3 zero-diagonal decoration is unimodular, but the library accepts one
         triangle = IntMatrix.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         small = HopfLinkSpec(BilinearForm(triangle, 1), n=4, k=1)
         capped = DecoratedGraph(
-            (BlackVertex(small), WhiteVertex(projection_filler(4, 1, 3))), (Edge(0, 1, 0, 0),)
+            (small, projection_filler(4, 1, 3)), (Edge(0, 1, 0, 0),)
         )
         assert assemble_global_fiber(capped) == sphere(5)
-        assert detect_canonical_family([capped], 4, 1) is None
+        assert detect_canonical_family([capped]) is None
 
 
 class TestProductBounds:
@@ -418,7 +447,7 @@ class TestProductBounds:
 class TestInvariantReport:
     def test_even_tree_report(self):
         tree = single_black_tree(HopfLinkSpec(ZM, n=4))
-        report = invariant_report([tree], 4, 0, True)
+        report = invariant_report([tree], True)
         assert report.chi == 14
         assert report.analysis.sigma == 8
         assert report.analysis.kernel_dim == 1
@@ -432,7 +461,7 @@ class TestInvariantReport:
             PhiBounds(2, 1, ())
 
     def test_nullity_disagreeing_with_kernel_is_internal_fault(self):
-        report = invariant_report([single_black_tree(HopfLinkSpec(ZM, n=4))], 4, 0, False)
+        report = invariant_report([single_black_tree(HopfLinkSpec(ZM, n=4))], False)
         ine = report.analysis.inertia
         assert ine is not None and ine.n_zero == report.analysis.kernel_dim == 1
         with pytest.raises(AlgorithmMismatchError, match="nullity"):
@@ -440,6 +469,6 @@ class TestInvariantReport:
 
     def test_without_cobounding_flag(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
-        report = invariant_report([tree], 3, 0, False)
+        report = invariant_report([tree], False)
         assert report.phi is None
         assert any("cobounding not asserted" in note for note in report.notes)
