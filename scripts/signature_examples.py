@@ -27,7 +27,7 @@ def main() -> None:
         link = HopfLinkSpec(model, n=4)
         graph = tree(link)
         counts = graph_counts(graph)
-        analysis = analyze_cup_form(assemble_cup_form([graph]))
+        analysis = analyze_cup_form(assemble_cup_form([graph]), [graph])
         chi = euler_characteristic([graph])
         print(f"  tree block: edges {counts.m}, handles {counts.t}, "
               f"chi {chi}, sigma {analysis.sigma}, kernel dim {analysis.kernel_dim}")

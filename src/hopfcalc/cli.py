@@ -591,42 +591,40 @@ def _selftest(seed: int, trials: int) -> list[str]:
     import random
 
     from . import sampling
-    from .exactlinalg import inertia_charpoly, inertia_ldlt, nullspace_rational
+    from .exactlinalg import Congruence, inertia_charpoly, inertia_ldlt, nullspace_rational
+    from .invariants import analyze_cup_form, assemble_cup_form
 
     rng = random.Random(seed)
-    lines = []
-    failures = 0
 
-    ok = True
-    for _ in range(trials):
-        eps = rng.choice([1, -1])
-        form = sampling.random_zero_diagonal_form(rng, eps)
-        lk = derived_linking_matrix(form)
-        if any(sum(lk.row(i)) != 0 for i in range(lk.rows)):
-            ok = False
-    lines.append(f"row-sum identity on {trials} random forms: {'pass' if ok else 'FAIL'}")
-    failures += not ok
+    def row_sums() -> bool:
+        lk = derived_linking_matrix(sampling.random_zero_diagonal_form(rng, rng.choice([1, -1])))
+        return all(sum(lk.row(i)) == 0 for i in range(lk.rows))
 
-    ok = True
-    for _ in range(trials):
+    def dual_inertia() -> bool:
         m = sampling.random_symmetric(rng, rng.randint(1, 8), bound=6)
-        if inertia_ldlt(m) != inertia_charpoly(m):
-            ok = False
-    lines.append(
-        f"dual inertia agreement on {trials} random symmetric matrices: {'pass' if ok else 'FAIL'}"
-    )
-    failures += not ok
+        return inertia_ldlt(m) == inertia_charpoly(m)
 
-    ok = True
-    for _ in range(trials):
-        eps = rng.choice([1, -1])
-        form = sampling.random_zero_diagonal_form(rng, eps)
-        basis = nullspace_rational(derived_linking_matrix(form))
-        if len(basis) != 1 or any(x != basis[0][0] for x in basis[0]):
-            ok = False
-    lines.append(f"all-ones kernel on {trials} derived matrices: {'pass' if ok else 'FAIL'}")
-    failures += not ok
+    def all_ones_kernel() -> bool:
+        basis = nullspace_rational(derived_linking_matrix(sampling.random_zero_diagonal_form(rng, rng.choice([1, -1]))))
+        return len(basis) == 1 and all(x == basis[0][0] for x in basis[0])
 
+    def structural_cup_form() -> bool:  # Sylvester's law on the arcs of a tree, against the congruence of Q
+        graphs = [sampling.random_tree(rng, rng.choice([1, -1]), rng.randint(1, 4))]
+        form = assemble_cup_form(graphs)
+        analysis, reference = analyze_cup_form(form, graphs), Congruence(form.matrix, form.epsilon)
+        expected = (reference.inertia if form.epsilon == 1 else None, reference.kernel)
+        return (analysis.inertia, analysis.kernel_basis) == expected
+
+    lines = []
+    for check, label in (
+        (row_sums, "row-sum identity on {} random forms"),
+        (dual_inertia, "dual inertia agreement on {} random symmetric matrices"),
+        (all_ones_kernel, "all-ones kernel on {} derived matrices"),
+        (structural_cup_form, "structural cup-form inertia and kernel on {} random trees"),
+    ):
+        ok = all([check() for _ in range(trials)])  # every trial runs, so each group draws the same numbers
+        lines.append(f"{label.format(trials)}: {'pass' if ok else 'FAIL'}")
+    failures = sum(line.endswith("FAIL") for line in lines)
     if failures:
         raise AlgorithmMismatchError(f"{failures} selftest group(s) failed")
     return lines

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .exactlinalg import AlgorithmMismatchError
 from .hopflink import (
@@ -161,9 +161,9 @@ def validate_graph(graph: DecoratedGraph) -> None:
         raise GraphValidationError(f"graph: black vertices mix dimensions {sorted(dims)}")
 
 
-def _connected_components(graph: DecoratedGraph) -> int:
-    nv = len(graph.vertices)
-    parent = list(range(nv))
+def _union_find(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each of ``size`` nodes once ``pairs`` are joined."""
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -171,11 +171,13 @@ def _connected_components(graph: DecoratedGraph) -> int:
             x = parent[x]
         return x
 
-    for e in graph.edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(i) for i in range(nv)})
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(size)]
+
+
+def _connected_components(graph: DecoratedGraph) -> int:
+    return len(set(_union_find(len(graph.vertices), ((e.u, e.v) for e in graph.edges))))
 
 
 def graph_counts(graph: DecoratedGraph) -> GraphCounts:

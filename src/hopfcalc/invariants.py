@@ -1,26 +1,27 @@
 """Headline invariants of glued blocks and closed manifolds.
 
 Assembles the middle-dimension intersection form of a decorated graph from
-the canonical-framing linking matrices of its black vertices, analyzes its
-inertia and kernel, computes Euler characteristics of the glued closed
-manifolds, emits the canonical homology-rank tables, and derives bounds on
-the minimal number of critical points of maps to spheres, including the
-product bounds coming from the group structure on S^3.
+the canonical-framing linking matrices of its black vertices, reads its
+inertia and kernel off the decorations when its arcs form a forest (else
+from its own congruence), computes Euler characteristics of the glued closed
+manifolds, emits the canonical homology-rank tables, and bounds the minimal
+number of critical points of maps to spheres, and of products to S^3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional, Sequence
 
-from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix
+from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, _checked_kernel
 from .forms import BilinearForm
 from .graphmodel import (
     DecoratedGraph,
     UnsupportedShapeError,
     _incidences,
+    _union_find,
     assemble_global_fiber,
     family_dimensions,
 )
@@ -61,15 +62,12 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
     for graph in graphs:
         m = len(graph.edges)
         block = [[0] * m for _ in range(m)]
-        inc = _incidences(graph)
-        for v_idx, v in enumerate(graph.vertices):
-            if isinstance(v, FiberDescriptor):
-                continue
-            lk = v.linking_matrix
-            here = inc[v_idx]
-            for e_idx, e_comp in here:
-                for f_idx, f_comp in here:
-                    block[e_idx][f_idx] += lk.at(e_comp, f_comp)
+        for v, here in zip(graph.vertices, _incidences(graph)):
+            if isinstance(v, HopfLinkSpec):
+                lk = v.linking_matrix
+                for e_idx, e_comp in here:
+                    for f_idx, f_comp in here:
+                        block[e_idx][f_idx] += lk.at(e_comp, f_comp)
         blocks.append(IntMatrix(m, m, tuple(chain.from_iterable(block))))
     return BilinearForm(IntMatrix.block_diagonal(blocks), (-1) ** n)
 
@@ -111,7 +109,7 @@ class CupFormAnalysis:
     kernel_basis: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        # both come from the form's one certified congruence; they must still agree
+        # read off the decorations or from the form's congruence, the nullity and the checked kernel must agree
         if self.inertia is not None and self.inertia.n_zero != self.kernel_dim:
             raise AlgorithmMismatchError("inertia nullity must match the kernel dimension")
 
@@ -125,13 +123,39 @@ class CupFormAnalysis:
         return len(self.kernel_basis)
 
 
-def analyze_cup_form(f: BilinearForm) -> CupFormAnalysis:
-    """Inertia, signature and rational kernel of an assembled form.
+def analyze_cup_form(f: BilinearForm, graphs: Sequence[DecoratedGraph]) -> CupFormAnalysis:
+    """Inertia, signature and rational kernel of ``f = cup_form_for_family(graphs)``.
 
-    The signature of a skew form is zero by convention; its kernel is still
-    computed (left and right kernels coincide for epsilon-symmetric forms).
+    Unprojected, f = M^T B M: B is the block sum of the decorations' inverses, and M has one row
+    e_edge(c) - e_edge(0), an arc between two of the family's edges, per component c >= 1 of a black
+    vertex.  If the arcs form a forest (a loop edge closes a cycle), Sylvester's law gives f the
+    decorations' inertia plus m - sum d_v zeros, and ker f = ker M is spanned by the trees'
+    indicators; by last edge they are ``nullspace_rational``'s basis, each checked by f v = 0.  A
+    projected black-white form is A^-1: A's inertia, no kernel.  Any other form is read from its own
+    congruence.  A skew form's signature is 0 by convention.
     """
-    return CupFormAnalysis(f.inertia if f.epsilon == 1 else None, f.kernel)
+    symmetric = f.epsilon == 1
+    if family_dimensions(graphs)[1]:
+        link, other = graphs[0].projected
+        if isinstance(other, FiberDescriptor):
+            return CupFormAnalysis(link.form.inertia if symmetric else None, ())
+    else:
+        arcs: list[tuple[int, int]] = []
+        for graph, offset in zip(graphs, accumulate((len(graph.edges) for graph in graphs), initial=0)):
+            for v, here in zip(graph.vertices, _incidences(graph)):
+                if isinstance(v, HopfLinkSpec):
+                    ends = [offset + e for e, _ in sorted(here, key=lambda end: end[1])]  # by component
+                    arcs += [(e, ends[0]) for e in ends[1:]]
+        roots = _union_find(f.dim, arcs)
+        last = {root: e for e, root in enumerate(roots)}  # each tree's last edge
+        if len(last) == f.dim - len(arcs):
+            kernel = _checked_kernel(f.matrix, [[int(r == t) for r in roots] for t in sorted(last, key=last.get)])
+            if symmetric:
+                parts = [v.form.inertia for graph in graphs for v in graph.vertices if isinstance(v, HopfLinkSpec)]
+                inertia = Inertia(sum(p.n_plus for p in parts), sum(p.n_minus for p in parts), f.dim - len(arcs))
+                return CupFormAnalysis(inertia, kernel)
+            return CupFormAnalysis(None, kernel)
+    return CupFormAnalysis(f.inertia if symmetric else None, f.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +402,7 @@ def invariant_report(graphs: Sequence[DecoratedGraph], assume_cobounding: bool) 
     if k:
         notes.append("projected cup form indexed by the interior block (inverse of the decoration); "
                      "signature is preserved")
-    analysis = analyze_cup_form(form)
+    analysis = analyze_cup_form(form, graphs)
 
     chi = euler_characteristic(graphs)
 

@@ -10,6 +10,8 @@ import random
 
 from .exactlinalg import IntMatrix, congruence_apply
 from .forms import BilinearForm, H_MATRIX, direct_sum, skew, zero_diagonal_model
+from .graphmodel import DecoratedGraph, Edge
+from .hopflink import HopfLinkSpec, cylinder, disk
 
 
 def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
@@ -96,6 +98,25 @@ def random_zero_diagonal_form(rng: random.Random, epsilon: int) -> BilinearForm:
             if epsilon == -1 or a[i][j] == 0:
                 apply_shear(i, j, c)
     return BilinearForm(IntMatrix.from_rows(a), epsilon)
+
+
+def random_tree(rng: random.Random, epsilon: int, blacks: int) -> DecoratedGraph:
+    """Up to 4 randomly decorated black vertices (n = 4, or 3 when skew), each joined to an earlier one by an edge
+    or through a cylinder, and disks on their other components; components and edges come in random order."""
+    n = 4 if epsilon == 1 else 3
+    vertices: list = [HopfLinkSpec(random_zero_diagonal_form(rng, epsilon), n) for _ in range(blacks)]
+    free = [rng.sample(range(v.components), v.components) for v in vertices]  # the unused components
+    edges = []  # (u, v, u_comp, v_comp)
+    for b in range(1, blacks):
+        a = rng.randrange(b)
+        if rng.randrange(2):  # through a cylinder
+            edges.append((a, len(vertices), free[a].pop(), 0))
+            a, vertices, free = len(vertices), vertices + [cylinder(n)], free + [[1]]
+        edges.append((a, b, free[a].pop(), free[b].pop()))
+    leaves = [(b, c) for b in range(blacks) for c in free[b]]
+    edges += [(b, len(vertices) + i, c, 0) for i, (b, c) in enumerate(leaves)]
+    rng.shuffle(edges)
+    return DecoratedGraph(tuple(vertices + [disk(n)] * len(leaves)), tuple(Edge(*e) for e in edges))
 
 
 def random_symmetric(rng: random.Random, n: int, bound: int = 9) -> IntMatrix:

@@ -126,7 +126,7 @@ def test_c04_kernel_theorem():
 def test_c05_signature():
     model = zero_diagonal_model(1, 1)
     tree = single_black_tree(HopfLinkSpec(model, n=4))
-    analysis = analyze_cup_form(assemble_cup_form([tree]))
+    analysis = analyze_cup_form(assemble_cup_form([tree]), [tree])
     assert analysis.sigma == 8
     for p, q in [(1, 1), (1, 2), (2, 1)]:
         m = zero_diagonal_model(p, q)

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcalc.exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, inertia
+from hopfcalc.cli import parse_spec
+from hopfcalc.exactlinalg import AlgorithmMismatchError, Congruence, Inertia, IntMatrix, inertia
+from hopfcalc.fixtures import fixture_path
 from hopfcalc.forms import (
     BilinearForm,
     H_MATRIX,
@@ -47,8 +49,9 @@ from hopfcalc.invariants import (
     phi_bounds,
     product_phi_bound,
 )
-from hopfcalc.sampling import random_zero_diagonal_form
+from hopfcalc.sampling import random_tree, random_zero_diagonal_form
 
+from test_cli import GRAPH_FIXTURES
 from test_graphmodel import parallel_pair, single_black_tree
 
 J = skew([[0, 1], [-1, 0]])
@@ -163,14 +166,15 @@ def one_edge_graph(first, second):
 class TestAssembleCupFormProjected:
     def test_black_white_is_inverse(self):
         spec = HopfLinkSpec(ZM, n=4, k=1)
-        form = assemble_cup_form_k(one_edge_graph(spec, projection_filler(4, 1, 10)))
-        assert analyze_cup_form(form).sigma == 8
+        graph = one_edge_graph(spec, projection_filler(4, 1, 10))
+        assert analyze_cup_form(assemble_cup_form_k(graph), [graph]).sigma == 8
 
     def test_two_black_hyperbolic(self):
         spec = HopfLinkSpec(HF, n=4, k=1)
-        form = assemble_cup_form_k(one_edge_graph(spec, spec))
+        graph = one_edge_graph(spec, spec)
+        form = assemble_cup_form_k(graph)
         assert form.matrix.to_rows() == [[0, 2], [2, 0]]
-        assert analyze_cup_form(form).sigma == 0
+        assert analyze_cup_form(form, [graph]).sigma == 0
 
     def test_black_white_hyperbolic(self):
         spec = HopfLinkSpec(HF, n=4, k=1)
@@ -203,21 +207,22 @@ class TestAssembleCupFormProjected:
 class TestAnalyzeCupForm:
     def test_tree_kernel_is_all_ones(self):
         tree = single_black_tree(HopfLinkSpec(HF, n=4))
-        analysis = analyze_cup_form(assemble_cup_form([tree]))
+        analysis = analyze_cup_form(assemble_cup_form([tree]), [tree])
         assert analysis.kernel_dim == 1
         assert analysis.kernel_basis[0] == (Fraction(1),) * 3
         assert analysis.sigma == 0
 
     def test_signature_transfer(self):
         tree = single_black_tree(HopfLinkSpec(ZM, n=4))
-        analysis = analyze_cup_form(assemble_cup_form([tree]))
+        analysis = analyze_cup_form(assemble_cup_form([tree]), [tree])
         assert analysis.sigma == 8
         assert analysis.kernel_dim == 1
         assert analysis.inertia == Inertia(9, 1, 1)
 
     def test_skew_sigma_is_zero(self):
-        form = BilinearForm(IntMatrix.block_diagonal([J.matrix, J.matrix]), -1)
-        analysis = analyze_cup_form(form)
+        # the projected black-white form is the inverse of J + J, a skew form with no kernel
+        graph = one_edge_graph(HopfLinkSpec(JJ, n=5, k=1), projection_filler(5, 1, 4))
+        analysis = analyze_cup_form(cup_form_for_family([graph]), [graph])
         assert analysis.sigma == 0
         assert analysis.inertia is None
         assert analysis.kernel_dim == 0
@@ -229,7 +234,7 @@ class TestAnalyzeCupForm:
             form = random_zero_diagonal_form(rng, eps)
             n = 4 if eps == 1 else 3
             tree = single_black_tree(HopfLinkSpec(form, n=n))
-            analysis = analyze_cup_form(assemble_cup_form([tree]))
+            analysis = analyze_cup_form(assemble_cup_form([tree]), [tree])
             d1 = form.dim + 1
             assert analysis.kernel_dim == 1
             lead = analysis.kernel_basis[0][0]
@@ -238,6 +243,58 @@ class TestAnalyzeCupForm:
                 base = inertia(form.matrix)
                 assert analysis.inertia == Inertia(base.n_plus, base.n_minus, 1)
                 assert analysis.sigma == base.sigma
+
+
+def assert_matches_congruence(graphs, structural=True):
+    """``analyze_cup_form`` gives the inertia and the kernel basis, in order, of the cup form's own congruence.
+
+    A form read off the decorations is never eliminated; a fallback keeps the congruence on the form.
+    """
+    form = cup_form_for_family(graphs)
+    analysis = analyze_cup_form(form, graphs)
+    assert ("_congruence" in vars(form)) is not structural
+    reference = Congruence(form.matrix, form.epsilon)
+    assert analysis.kernel_basis == reference.kernel
+    assert analysis.inertia == (reference.inertia if form.epsilon == 1 else None)
+    return analysis
+
+
+class TestStructuralCupForm:
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES)
+    def test_every_graph_fixture(self, name):
+        # the pair's three parallel edges close a cycle of arcs, so its form takes the fallback
+        assert_matches_congruence(list(parse_spec(fixture_path(name)).graphs), name != "pair_allblack.json")
+
+    def test_one_vertex_trees(self):
+        rng = random.Random(60)
+        for trial in range(60):
+            assert assert_matches_congruence([random_tree(rng, (-1) ** trial, 1)]).kernel_dim == 1
+
+    def test_trees_of_two_to_four_black_vertices(self):
+        rng = random.Random(80)
+        dims = set()
+        for trial in range(80):
+            dims.add(assert_matches_congruence([random_tree(rng, (-1) ** trial, rng.randint(2, 4))]).kernel_dim)
+        assert dims == {1, 2, 3, 4}  # a cylinder between two black vertices separates their trees
+
+    def test_two_graph_family_numbers_edges_across_the_family(self):
+        rng = random.Random(2)
+        for trial in range(20):
+            graphs = [random_tree(rng, (-1) ** trial, rng.randint(1, 3)) for _ in range(2)]
+            assert assert_matches_congruence(graphs).kernel_dim >= 2
+
+    @pytest.mark.parametrize(
+        "loop, other", [(Edge(0, 0, 1, 2), 0), (Edge(0, 0, 0, 1), 2)], ids=["repeated-arc", "self-arc"]
+    )
+    def test_loop_edge_takes_the_fallback(self, loop, other):
+        # a loop on components 1 and 2 repeats the arc to component 0's edge; on 0 and 1 it is a self-arc
+        for link in (HopfLinkSpec(HF, n=4), HopfLinkSpec(J, n=3)):
+            graph = DecoratedGraph((link, disk(link.n)), (loop, Edge(0, 1, other, 0)))
+            assert_matches_congruence([graph], structural=False)
+
+    def test_two_black_projected_form_takes_the_fallback(self):
+        spec = HopfLinkSpec(ZM, n=4, k=1)
+        assert assert_matches_congruence([one_edge_graph(spec, spec)], structural=False).sigma == 8
 
 
 class TestEuler:
@@ -344,7 +401,7 @@ class TestHomologyTables:
 def family_phi_bounds(graphs):
     """``phi_bounds`` with the chi, signature and canonical shape that ``invariant_report`` passes."""
     chi = euler_characteristic(graphs)
-    sigma = analyze_cup_form(cup_form_for_family(graphs)).sigma
+    sigma = analyze_cup_form(cup_form_for_family(graphs), graphs).sigma
     return phi_bounds(graphs, chi, sigma, detect_canonical_family(graphs))
 
 
