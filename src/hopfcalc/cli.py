@@ -65,8 +65,18 @@ class SpecFile:
     assume_cobounding: bool
     graphs: tuple[DecoratedGraph, ...]
     factors: tuple[ProductFactor, ...]
-    # copy of the validated input document (a JSON round trip), theta and assume_cobounding filled in
+    # copy of the validated input document (``_copy_json``), theta and assume_cobounding filled in
     data: dict = field(repr=False)
+    source: str = field(default="<data>", compare=False)  # the file name each locus leads with
+
+
+def _copy_json(value: Any) -> Any:
+    """A copy of a decoded document: new dicts and lists, the scalars shared; a list of scalars is one C-level copy."""
+    if type(value) is dict:
+        return {key: _copy_json(item) for key, item in value.items()}
+    if type(value) is list:
+        return value[:] if {dict, list}.isdisjoint(map(type, value)) else [_copy_json(x) for x in value]
+    return value
 
 
 def _int_or_error(text: str) -> Any:
@@ -240,7 +250,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             if key in data:
                 raise SpecFileError(f"{source}.{key}: not used with 'factors'")
         factors = tuple(_parse_factor(f, f"{source}.factors[{i}]") for i, f in enumerate(factors_raw))
-        return SpecFile(False, (), factors, json.loads(json.dumps(data)))
+        return SpecFile(False, (), factors, _copy_json(data), source)
 
     _expect_keys(data, ("n", "k"), source, optional=allowed)
     n = _expect_int(data["n"], f"{source}.n")
@@ -271,8 +281,8 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             graphs.append(DecoratedGraph(vertices, edges))
         except GraphValidationError as exc:
             raise SpecFileError(f"{locus}.{exc}") from exc
-    echo = {**json.loads(json.dumps(data)), "theta": theta, "assume_cobounding": cobound}
-    return SpecFile(cobound, tuple(graphs), (), echo)
+    echo = {**_copy_json(data), "theta": theta, "assume_cobounding": cobound}
+    return SpecFile(cobound, tuple(graphs), (), echo, source)
 
 
 def parse_spec(path: str) -> SpecFile:
@@ -297,10 +307,18 @@ def _admissibility_fields(link: HopfLinkSpec) -> dict:
     }
 
 
+def _printable_rows(m: IntMatrix, locus: str) -> list[list[int]]:
+    """The rows of ``m``, which a report prints, once its largest entry is printable (``_printable``)."""
+    _printable(max(map(abs, m.entries), default=0), locus)
+    return m.to_rows()
+
+
 def _link_section(spec: SpecFile) -> list[dict]:
     out = []
     for g_idx, graph in enumerate(spec.graphs):
         for v_idx, link in black_vertices(graph):
+            locus = f"{spec.source}.graphs[{g_idx}].vertices[{v_idx}].matrix: linking matrix"
+            linking_matrix = _printable_rows(link.linking_matrix, locus)
             klass = classified_form_type(link.form)
             classification: Optional[dict] = (
                 {"p": klass.p, "q": klass.q} if klass.p is not None else None
@@ -313,7 +331,7 @@ def _link_section(spec: SpecFile) -> list[dict]:
                     "parity": klass.parity,
                     "definiteness": klass.definiteness,
                     "classification": classification,
-                    "linking_matrix": link.linking_matrix.to_rows(),
+                    "linking_matrix": linking_matrix,
                 }
             )
     return out
@@ -353,7 +371,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
         "spec": spec.data,
         "graphs": [],
         "links": _link_section(spec),
-        "cup_form": {"epsilon": cup.epsilon, "matrix": cup.matrix.to_rows()},
+        "cup_form": {"epsilon": cup.epsilon, "matrix": _printable_rows(cup.matrix, f"{spec.source}: cup form")},
         "chi": report.chi,
         "sigma": analysis.sigma,
         "inertia": None
@@ -462,24 +480,38 @@ def _oracle_lines(checks: list[dict], indent: str) -> list[str]:
     ]
 
 
+# the scalars a report holds, each as ``json.dumps`` writes it
+_SCALAR_JSON: dict[type, Callable[[Any], str]] = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _json(value: Any, indent: str = "") -> str:
     """``value`` byte for byte as ``json.dumps(value, sort_keys=True, indent=2)`` writes it at ``indent``.
 
-    That call runs the pure-Python encoder.  Here a list of plain ints is one
-    C-level ``map(str)`` and join, and a string one C-encoder call.
+    That call runs the pure-Python encoder.  Here a scalar is formatted
+    inline, without a call of its own, and a list of scalars of one type is
+    one C-level ``map`` and join.
     """
+    scalar = _SCALAR_JSON.get(type(value))
+    if scalar:
+        return scalar(value)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        items = [
+            f"{encode_basestring_ascii(key)}: {fmt(v) if (fmt := _SCALAR_JSON.get(type(v))) else _json(v, inner)}"
+            for key, v in sorted(value.items())
+        ]
         return f"{{\n{inner}{sep.join(items)}\n{indent}}}" if items else "{}"
     if isinstance(value, list):
-        items = map(str, value) if all(type(x) is int for x in value) else [_json(x, inner) for x in value]
+        types = set(map(type, value))
+        fmt = _SCALAR_JSON.get(types.pop()) if len(types) == 1 else None
+        items = map(fmt, value) if fmt else [_json(x, inner) for x in value]
         return f"[\n{inner}{sep.join(items)}\n{indent}]" if value else "[]"
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     return json.dumps(value)
 
 

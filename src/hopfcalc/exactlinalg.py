@@ -3,27 +3,30 @@
 Every computation in this package is exact: entries are Python ints
 (arbitrary precision) or ``fractions.Fraction``.  No floating point enters
 anywhere.  Each epsilon-symmetric form is eliminated once: a fraction-free
-symmetric elimination with 1x1 and 2x2 pivots gives a congruence
-X A X^T = D (``Congruence``), and the determinant, the integer inverse, the
-inertia and the rational kernel are all read from it behind one exact
-certificate: a unimodular form is proved by its exactly divided inverse,
-checked by A A^-1 = I, and any other form by X A X^T = D with X
-invertible; every kernel vector is checked by A v = 0.  The references are
-kept for the selftest, the tests and ``perfbench/tracer.py``: fraction-free
-Gauss-Jordan elimination behind ``det_bareiss``, ``inverse_unimodular`` and
-``nullspace_rational``, Smith normal form with transforms (the tests'
-reference for the filling presentations behind the oracle, which itself
-reads the certified inverse and makes one matrix-vector product), and the
-inertia from the characteristic
-polynomial.
+symmetric elimination with 1x1 and 2x2 pivots, each the least one available,
+gives a congruence X A X^T = D (``Congruence``), and the determinant, the
+integer inverse, the inertia and the rational kernel are all read from it
+behind one exact certificate: a unimodular form is proved by its exactly
+divided inverse, checked by A A^-1 = I, and any other form by X A X^T = D
+with X invertible; every kernel vector is checked by A v = 0.  The least
+pivots keep D's entries, and the lcm the inverse is divided by, a few bits
+wide.  The references are kept for the selftest, the tests and
+``perfbench/tracer.py``: fraction-free Gauss-Jordan elimination behind
+``det_bareiss``, ``inverse_unimodular`` and ``nullspace_rational``, Smith
+normal form with transforms (the tests' reference for the filling
+presentations behind the oracle, which itself reads the certified inverse
+and makes one matrix-vector product), and the inertia from the
+characteristic polynomial.
 
 The kernels stay exact and spend their Python bytecode on live entries
 only.  A product with every dimension large enough packs each row of the
 right factor into one integer (Kronecker substitution), so the inner loop
-runs in CPython's big-integer code.  The symmetric elimination is one
-pivot loop over one row layout (``_symmetric_bareiss``) on lists or, with
-many rows and small entries, on integers of byte-aligned slots (``_Slots``),
-where an exact guard redoes at twice the width a step that outgrew them.
+runs in CPython's big-integer code; the check A A^-1 = I compares such
+packed rows of the product with those of I, unpacking none.  The symmetric
+elimination is one pivot loop over one row layout (``_symmetric_bareiss``)
+on lists or, with many rows and small entries, on integers of byte-aligned
+slots (``_Slots``), where an exact guard redoes at twice the width a step
+that outgrew them.
 """
 
 from __future__ import annotations
@@ -85,14 +88,15 @@ class IntMatrix:
             if len(r) != ncols:
                 raise DimensionError("ragged rows")
             flat.extend(r)
-        for x in flat:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"integer entry required, got {x!r}")
+        if not {int}.issuperset(map(type, flat)):  # one C-level pass; the loop words the error
+            for x in flat:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(f"integer entry required, got {x!r}")
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+        return cls(n, n, ((1,) + (0,) * n) * (n - 1) + (1,) if n else ())
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -181,27 +185,32 @@ _PACKED_MIN_DIM = 8
 
 
 def _packed_product(a: IntMatrix, b: IntMatrix) -> tuple[int, ...]:
-    """Entries of ``a @ b`` by Kronecker substitution, so the inner loop runs in C.
+    """Entries of ``a @ b`` by Kronecker substitution, so the inner loop runs in C (``_packed_product_rows``)."""
+    slots, rows = _packed_product_rows(a, b)
+    return tuple(chain.from_iterable(slots.unpack(g + slots.biases) for g in rows))
+
+
+def _packed_product_rows(a: IntMatrix, b: IntMatrix) -> tuple["_Slots", list[int]]:
+    """The rows of ``a @ b``, each one integer of signed digits, and their slot layout.
 
     Row t of ``b`` becomes one integer with entry j in slot j (``_Slots``).
     Row i of the product is then the one integer sum over t of ``a[i][t]``
     times packed row t.  Every entry of ``b`` and of the product has absolute
-    value at most ``k * max|a| * max|b|`` < 2**e, so with 2**e added to every
-    slot of e + 1 bits or more each slot holds its entry plus that bias, with
-    no carry between slots, and reads back exactly.
+    value at most ``k * max(max|a|, 1) * max|b|`` < 2**e, and a slot has
+    e + 1 bits or more, so each row is the sum of its entries x_j 2**(bits j)
+    with no carry between slots.  An integer has one set of digits that
+    small, so two rows are equal exactly when their entries are, and with
+    2**e added to every slot each entry reads back exactly.
     """
     k, n = a.cols, b.cols
-    amax, bmax = max(map(abs, a.entries)), max(map(abs, b.entries))
-    if not amax or not bmax:
-        return (0,) * (a.rows * n)
-    e = (k * amax * bmax).bit_length()
+    e = (k * (max(map(abs, a.entries)) or 1) * max(map(abs, b.entries))).bit_length()
     width = (e + 8) // 8
     slots = _Slots(next((w for w in _STRUCT_CODES if w >= width), width), n, e)  # struct reads the narrow slots
     _, packed = slots.pack_rows(b.row(t) for t in range(k))
-    return tuple(chain.from_iterable(slots.unpack(sum(map(mul, a.row(i), packed)) + slots.biases) for i in range(a.rows)))
+    return slots, [sum(map(mul, a.row(i), packed)) for i in range(a.rows)]
 
 
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # signed: two's complement slots
 
 
 class _Slots:
@@ -217,7 +226,11 @@ class _Slots:
     biased form P + ``biases`` holds x_j + 2**e in slot j: ``digits`` reads a
     slot with one shift and one mask, and ``biased`` tests every digit of a
     step's quotients against the guard interval with one add, one AND against
-    ``high`` (the bits above e of every slot) and one sign test.
+    ``high`` (the bits above e of every slot) and one sign test.  Slots of at
+    most eight bytes are packed and read by ``struct`` in two's complement:
+    with every slot's top bit flipped (``top``) a slot holds x_j + 2**(w - 1),
+    one subtraction away from the biased form, so no digit is touched in
+    Python.
     """
 
     def __init__(self, width: int, n: int, e: int | None = None) -> None:
@@ -228,6 +241,7 @@ class _Slots:
         self.mask = (1 << self.bits) - 1
         self.biases = int.from_bytes(self.bias.to_bytes(width, "little") * n, "little")
         self.high = int.from_bytes((self.mask + 1 - 2 * self.bias).to_bytes(width, "little") * n, "little")
+        self.top = int.from_bytes((1 << self.bits - 1).to_bytes(width, "little") * n, "little")
 
     @classmethod
     def for_entries(cls, entries: Iterable[int], n: int) -> "_Slots":
@@ -252,17 +266,15 @@ class _Slots:
         """The biased packed form of ``row``, whose digits must lie in the guard interval."""
         code = _STRUCT_CODES.get(self.width)
         if code:
-            data = struct.pack(f"<{len(row)}{code}", *[x + self.bias for x in row])
-        else:
-            data = b"".join([(x + self.bias).to_bytes(self.width, "little") for x in row])
-        return int.from_bytes(data, "little")
+            return (int.from_bytes(struct.pack(f"<{len(row)}{code}", *row), "little") ^ self.top) - self.top + self.biases
+        return int.from_bytes(b"".join([(x + self.bias).to_bytes(self.width, "little") for x in row]), "little")
 
     def unpack(self, g: int) -> list[int]:
         """The digits of the biased packed row ``g``."""
-        data = g.to_bytes(self.width * self.n, "little")
         code = _STRUCT_CODES.get(self.width)
         if code:
-            return [x - self.bias for x in struct.unpack(f"<{self.n}{code}", data)]
+            return list(struct.unpack(f"<{self.n}{code}", ((g - self.biases + self.top) ^ self.top).to_bytes(self.width * self.n, "little")))
+        data = g.to_bytes(self.width * self.n, "little")
         step = self.width
         return [int.from_bytes(data[s : s + step], "little") - self.bias for s in range(0, len(data), step)]
 
@@ -376,7 +388,20 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
 
 
 def _checked_inverse(a: IntMatrix, inv: IntMatrix) -> IntMatrix:
-    if a @ inv != IntMatrix.identity(a.rows):
+    """``inv`` once ``A inv = I`` is verified.
+
+    From ``_PACKED_MIN_DIM`` rows on, row i of the product is read as one
+    packed integer (``_packed_product_rows``): its digits are unique, so it
+    is the row e_i exactly when it equals ``1 << bits * i``.  No row is
+    unpacked and no identity matrix is built.
+    """
+    n = a.rows
+    if n < _PACKED_MIN_DIM:
+        verified = a @ inv == IntMatrix.identity(n)
+    else:
+        slots, rows = _packed_product_rows(a, inv)
+        verified = rows == [1 << slots.bits * i for i in range(n)]
+    if not verified:
         raise AlgorithmMismatchError("inverse verification failed")
     return inv
 
@@ -403,7 +428,7 @@ def nullspace_rational(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
 def _checked_kernel(a: IntMatrix, vecs: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
     """``vecs`` each divided by its first nonzero entry, once ``A v = 0`` is verified for every one."""
     basis = [tuple(Fraction(x, next(y for y in vec if y)) for x in vec) for vec in vecs]
-    ints = IntMatrix(len(basis), a.cols, tuple(x for v in basis for x in clear_denominators(v)))
+    ints = IntMatrix(len(basis), a.cols, tuple(chain.from_iterable(map(clear_denominators, basis))))
     if ints @ a.transpose() != IntMatrix.zeros(len(basis), a.rows):
         raise AlgorithmMismatchError("kernel verification failed")
     return tuple(basis)
@@ -412,7 +437,7 @@ def _checked_kernel(a: IntMatrix, vecs: list[list[int]]) -> tuple[tuple[Fraction
 def clear_denominators(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Primitive integer vector proportional to ``vec``, first nonzero entry positive."""
     scale = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
     g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
@@ -599,15 +624,20 @@ _PACKED_ROWS_MAX_WIDTH = 8
 def _symmetric_bareiss(a: IntMatrix, epsilon: int) -> tuple[list[int], list[list[int]], list[list[list[int]]]]:
     """Fraction-free elimination of the epsilon-symmetric ``A`` on the rows of ``[A | I]``.
 
-    Each step pivots on a nonzero live diagonal entry or, when every live
-    diagonal entry is zero (always, for a skew A), on a 2x2 block
-    ``[[0, b], [epsilon b, 0]]`` (Bunch and Kaufman 1977; Bunch 1982 for the
-    skew blocks).  The live block is ``scale`` times the Schur complement,
-    so every division is exact as in Bareiss (1968): by ``scale`` after a
-    1x1 pivot ``d`` (new scale ``d``) and by ``scale**2`` after a 2x2 pivot
-    ``b`` (new scale ``b**2 / scale``).  Returns (pivot order, X, D): row t
-    of X is the transform row of ``order[t]``, and ``X A X^T`` should equal
-    the block diagonal matrix with the blocks D.
+    Each step pivots on the live diagonal entry of least absolute value, the
+    first live row's on a tie, or, when every live diagonal entry is zero
+    (always, for a skew A), on a 2x2 block ``[[0, b], [epsilon b, 0]]``
+    whose b is the entry of least absolute value in the first live row with
+    a nonzero live entry (Bunch and Kaufman 1977; Bunch 1982 for the skew
+    blocks).  The live block is ``scale`` times the Schur complement, so any
+    pivot order keeps every division exact as in Bareiss (1968): by
+    ``scale`` after a 1x1 pivot ``d`` (new scale ``d``) and by ``scale**2``
+    after a 2x2 pivot ``b`` (new scale ``b**2 / scale``).  The least pivots
+    keep the scales small, and with them D's entries and their lcm, by which
+    ``Congruence.inverse`` divides: 9 bits at d = 200 on the zero-diagonal
+    model, where the first nonzero pivot gave 390.  Returns (pivot order, X,
+    D): row t of X is the transform row of ``order[t]``, and ``X A X^T``
+    should equal the block diagonal matrix with the blocks D.
 
     A live row is 0 in every eliminated column, and its transform row is 0
     on every unprocessed row but its own, where it is ``scale``.  So a live
@@ -638,8 +668,10 @@ def _symmetric_bareiss(a: IntMatrix, epsilon: int) -> tuple[list[int], list[list
         return out
 
     while live:
-        k = next((t for t, i in enumerate(live) if rows.entry(t, i)), None)
-        if k is not None:
+        diagonal = list(map(abs, rows.diagonal(live)))
+        least = min(filter(None, diagonal), default=0)
+        if least:
+            k = diagonal.index(least)
             p = live[k]
             row = rows.row(k)
             d = row[p]
@@ -649,11 +681,15 @@ def _symmetric_bareiss(a: IntMatrix, epsilon: int) -> tuple[list[int], list[list
             order.append(live.pop(k))
             scale = d
             continue
-        pair = next(((k, l, row) for k, row in enumerate(map(rows.row, range(len(live))))
-                     for l in range(k + 1, len(live)) if row[live[l]]), None)
-        if pair is None:
+        for k in range(len(live) - 1):
+            row = rows.row(k)
+            later = [abs(row[c]) for c in live[k + 1 :]]
+            least = min(filter(None, later), default=0)
+            if least:
+                break
+        if not least:
             break
-        k, l, row = pair
+        l = k + 1 + later.index(least)
         p, q = live[k], live[l]
         b = row[q]
         x += [transform(row, [(p, scale), (q, 0)]), transform(rows.row(l), [(p, 0), (q, scale)])]
@@ -673,8 +709,9 @@ class _ListRows:
     def __init__(self, a: IntMatrix) -> None:
         self.rows = a.to_rows()
 
-    def entry(self, t: int, c: int) -> int:
-        return self.rows[t][c]
+    def diagonal(self, live: list[int]) -> list[int]:
+        """Entry ``live[t]`` of each live row t."""
+        return list(map(list.__getitem__, self.rows, live))
 
     def row(self, t: int) -> list[int]:
         return self.rows[t]
@@ -713,8 +750,10 @@ class _PackedRows:
         self.slots = slots
         self.biased, self.rows = slots.pack_rows(a.row(i) for i in range(a.rows))
 
-    def entry(self, t: int, c: int) -> int:
-        return ((self.biased[t] >> self.slots.bits * c) & self.slots.mask) - self.slots.bias
+    def diagonal(self, live: list[int]) -> list[int]:
+        """Entry ``live[t]`` of each live row t."""
+        bits, mask, bias = self.slots.bits, self.slots.mask, self.slots.bias
+        return [((g >> bits * c) & mask) - bias for g, c in zip(self.biased, live)]
 
     def row(self, t: int) -> list[int]:
         return self.slots.unpack(self.biased[t])
@@ -766,8 +805,10 @@ class Congruence:
     0]]``, and X triangular in pivot order with a nonzero diagonal, so det A
     is det D / det(X)**2, an exact division.  The inverse, the inertia and the
     kernel read one certificate.  A form with det = +-1 is proved by its
-    inverse ``X^T D^-1 X``, divided exactly by the lcm of D's entries and
-    checked by ``A A^-1 = I``; any other by ``X A X^T = D`` and X's shape.
+    inverse ``X^T D^-1 X``: one packed product over the lcm of D's entries,
+    which the least pivots keep a few bits wide, divided exactly by it and
+    checked by ``A A^-1 = I`` (``_checked_inverse``); any other form by
+    ``X A X^T = D`` and X's shape.
     Either way X is invertible and ``X A X^T = D``, so the inertia is D's,
     rank A = rank D, and the rows t of X at D's zero blocks are independent
     and as many as the nullity; ``X_t A X^T = 0`` gives ``X_t A = 0``, and
@@ -796,12 +837,10 @@ class Congruence:
         if self.det in (1, -1):  # X^T D^-1 X as one integer product over the lcm of D's entries
             lcm = math.lcm(*(v for b in blocks for row in b for v in row if v))
             scaled: list[list[int]] = []  # the rows of lcm D^-1 X
-            for b in blocks:
+            for b in blocks:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
                 t = len(scaled)
-                if len(b) == 1:
-                    scaled.append([lcm // b[0][0] * v for v in x[t]])
-                else:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
-                    scaled += [[lcm // b[1][0] * v for v in x[t + 1]], [lcm // b[0][1] * v for v in x[t]]]
+                for c, row in [(lcm // b[0][0], x[t])] if len(b) == 1 else [(lcm // b[1][0], x[t + 1]), (lcm // b[0][1], x[t])]:
+                    scaled.append([c * v for v in row])
             product = IntMatrix(n, n, tuple(chain.from_iterable(zip(*x)))) @ IntMatrix(n, n, tuple(chain(*scaled)))
             if any(v % lcm for v in product.entries):
                 raise AlgorithmMismatchError("congruence certificate failed: X^T D^-1 X is not an integer matrix")

@@ -66,8 +66,9 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
             if isinstance(v, HopfLinkSpec):
                 lk = v.linking_matrix
                 for e_idx, e_comp in here:
+                    row, lk_row = block[e_idx], lk.row(e_comp)
                     for f_idx, f_comp in here:
-                        block[e_idx][f_idx] += lk.at(e_comp, f_comp)
+                        row[f_idx] += lk_row[f_comp]
         blocks.append(IntMatrix(m, m, tuple(chain.from_iterable(block))))
     return BilinearForm(IntMatrix.block_diagonal(blocks), (-1) ** n)
 

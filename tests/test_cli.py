@@ -555,6 +555,20 @@ class TestMain:
                               capture_output=True, text=True, check=True)
         assert proc.stdout == "False\n"
 
+    def test_import_loads_only_the_stdlib_it_names(self):
+        # what a fresh interpreter loads to import hopfcalc.cli: hopfcalc's modules, __future__ (each one
+        # starts with ``from __future__ import annotations``) and what these four stdlib imports load
+        src = os.path.dirname(os.path.dirname(hopfcalc.__file__))
+        loaded = {}
+        for imports in ("hopfcalc.cli", "__future__, argparse, dataclasses, fractions, json"):
+            code = f"import sys; import {imports}; print(*sorted(sys.modules))"
+            proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                                  capture_output=True, text=True, check=True)
+            loaded[imports] = set(proc.stdout.split())
+        cli_modules, stdlib = loaded.values()
+        assert {name for name in cli_modules - stdlib if name.partition(".")[0] != "hopfcalc"} == set()
+        assert {"hopfcalc.cli", "hopfcalc.exactlinalg"} <= cli_modules
+
     @pytest.mark.parametrize("seed", range(20))
     def test_random_decoration_linking_matrix_matches_oracle(self, seed, tmp_path, capsys):
         # the linking matrix comes from the decoration's inverse; the oracle certifies each column against
@@ -715,6 +729,45 @@ class TestMain:
         assert main(["report", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}.graphs[0].vertices[0].matrix: theta: ") and err.count("\n") == 1
+
+    @staticmethod
+    def shift_decoration(c):
+        """[[0, M], [M^T, 0]] with M = I + c N, N the 4 x 4 shift: unimodular, M^-1 = I - c N + c**2 N**2 - c**3 N**3."""
+        m = [[int(i == j) + c * (j == i + 1) for j in range(4)] for i in range(4)]
+        return [[0] * 4 + m[i] for i in range(4)] + [[m[j][i] for j in range(4)] + [0] * 4 for i in range(4)]
+
+    @needs_digit_limit
+    def test_linking_matrix_past_digit_limit_exit_one(self, tmp_path, capsys):
+        # every entry of the decoration and its determinant print, but c**3 in the inverse does not
+        rows = self.shift_decoration(10 ** (DIGIT_LIMIT // 3 + 1))
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(one_vertex_tree(exactlinalg.IntMatrix.from_rows(rows), 4)))
+        for argv in (["report", str(path)], ["report", str(path), "--oracle", "--format", "json"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(f"error: {path}.graphs[0].vertices[0].matrix: linking matrix: Exceeds the limit")
+        assert main(["oracle", str(path)]) == 0  # the oracle prints no entry
+        assert capsys.readouterr().out.endswith("all_match = true\n")
+
+    @needs_digit_limit
+    def test_cup_form_past_digit_limit_exit_one(self, tmp_path, capsys):
+        # two black vertices decorated alike and joined component to component: the cup form is twice the
+        # linking matrix, whose corner, the sum of the inverse's entries, is -2 c**3 + 4 c**2 - 6 c + 8;
+        # with c = 14 * 10**1432 it has 4,300 digits, and twice it 4,301
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            black = {"color": "black", "matrix": self.shift_decoration(14 * 10**1432)}
+            edges = [{"u": 0, "v": 1, "u_comp": c, "v_comp": c} for c in range(9)]
+            path = tmp_path / "pair.json"
+            path.write_text(json.dumps({"n": 4, "k": 0, "graphs": [{"vertices": [black, black], "edges": edges}]}))
+            assert main(["report", str(path)]) == 1
+        finally:
+            sys.set_int_max_str_digits(previous)
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: cup form: Exceeds the limit")
 
 
 def _nodes(doc):

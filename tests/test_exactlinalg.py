@@ -200,14 +200,20 @@ def check_gauss_jordan(rows):
 
 
 def reference_symmetric_bareiss(a, epsilon):
-    """Epsilon-symmetric Bareiss on every entry of the rows of [A | I]."""
+    """Epsilon-symmetric Bareiss on every entry of the rows of [A | I].
+
+    The 1x1 pivot is the live diagonal entry of least absolute value, the
+    first live row on a tie; with every live diagonal entry zero, the 2x2
+    pivot is the entry of least absolute value in the first live row with a
+    nonzero live entry, again the first on a tie.
+    """
     n = a.rows
     m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a.to_rows())]
     live = list(range(n))
     order, blocks = [], []
     scale = 1
     while live:
-        p = next((i for i in live if m[i][i]), None)
+        p = min((i for i in live if m[i][i]), key=lambda i: abs(m[i][i]), default=None)
         if p is not None:
             live.remove(p)
             pivot_row, d = m[p], m[p][p]
@@ -218,10 +224,10 @@ def reference_symmetric_bareiss(a, epsilon):
             blocks.append([[scale * d]])
             scale = d
             continue
-        pair = next(((i, j) for i in live for j in live if i < j and m[i][j]), None)
-        if pair is None:
+        p = next((i for i in live if any(m[i][j] for j in live)), None)
+        if p is None:
             break
-        p, q = pair
+        q = min((j for j in live if m[p][j]), key=lambda j: abs(m[p][j]))
         live.remove(p)
         live.remove(q)
         row_p, row_q, b = m[p], m[q], m[p][q]
@@ -500,14 +506,19 @@ class TestPackedKernels:
 
     @pytest.mark.parametrize("a, c, g, widenings", [(2, 0, 1, 0), (1, -2, 1, 0), (0, 3, -1, 0), (2, 0, -1, 1)])
     def test_symmetric_bareiss_at_guard_edge(self, monkeypatch, a, c, g, widenings):
-        # [[1, a], [a, c]] + diag(g, 1, ...): the second pivot is t = c - a**2, then row 2 holds g t
+        # [[1, a], [a, c]] + diag(g, 1, ...): after the pivot 1, row 1's diagonal is t = c - a**2, and |t| >= 3
+        # loses to every |g| = 1, so the second pivot is g, which leaves g t on row 1's diagonal: -4 and -3
+        # are inside one-byte slots' guard [-4, 4) and 4 is not; t is the last pivot
         calls = pinned_slots(monkeypatch)
         rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
         rows[0][:2], rows[1][:2] = [1, a], [a, c]
         for i in range(2, GUARD_ROWS):
             rows[i][i] = g if i == 2 else 1
         m = IntMatrix.from_rows(rows)
-        assert exactlinalg._symmetric_bareiss(m, 1) == reference_symmetric_bareiss(m, 1)
+        order, x, blocks = exactlinalg._symmetric_bareiss(m, 1)
+        assert (order, x, blocks) == reference_symmetric_bareiss(m, 1)
+        assert order == [0, 2, *range(3, GUARD_ROWS), 1]
+        assert (blocks[1], blocks[-1]) == ([[g]], [[c - a * a]])  # g at scale 1, then t at scale g = +-1
         assert len(calls) == widenings
 
     def test_two_by_two_pivot_first_checks_its_wider_bound(self, monkeypatch):
@@ -524,21 +535,33 @@ class TestPackedKernels:
             assert calls
 
     def test_scale_past_the_guard_widens_before_the_next_step(self, monkeypatch):
-        # a 2x2 pivot b = -16 makes the scale b**2 = 256, past two-byte slots' guard of 64, while every
-        # digit stays inside it: rows 2 and 3, tied to rows 0 and 1 by ones, come out with coefficients
-        # of 16, and the next pivot is the 1x1 pivot 32 (symmetric) or the 2x2 pivot 16 (skew)
+        # a 2x2 pivot b = -12 makes the scale b**2 = 144, past two-byte slots' guard of 64, while every
+        # digit stays inside it, and +-b inside the 2x2 step's narrower [-16, 16): rows 2 and 3, tied to
+        # rows 0 and 1 by ones, come out with coefficients of 12, and the next pivot is the 1x1 pivot 24
+        # (symmetric) or the 2x2 pivot 12 (skew).  The elimination itself takes the tie 1 in row 0
+        # before b, the least entry first, so both steps are driven here, on packed rows and on lists
         calls = pinned_slots(monkeypatch, width=2)
         for epsilon in (1, -1):
             rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
-            rows[0][1], rows[1][0] = -16, -16 * epsilon
+            rows[0][1], rows[1][0] = -12, -12 * epsilon
             rows[2][0], rows[0][2] = 1, epsilon
             rows[2][1], rows[1][2] = 1, epsilon
             rows[3][1], rows[1][3] = 1, epsilon
             a = IntMatrix.from_rows(rows)
+            assert reference_symmetric_bareiss(a, epsilon)[2][0] == [[0, epsilon], [1, 0]]  # the tie, not b
+            packed, lists = exactlinalg._PackedRows(a, exactlinalg._Slots(2, GUARD_ROWS)), exactlinalg._ListRows(a)
             calls.clear()
-            expected = reference_symmetric_bareiss(a, epsilon)
-            assert exactlinalg._symmetric_bareiss(a, epsilon) == expected
-            assert expected[2][1] == ([[256 * 32]] if epsilon == 1 else [[0, 256 * 16], [-256 * 16, 0]])
+            for live in (packed, lists):
+                live.pivot2(0, 1, 0, 1, -12, 1, epsilon)
+            assert [packed.row(t) for t in range(2)] == lists.rows[:2]
+            assert [row[2:4] for row in lists.rows[:2]] == ([[24, 12], [12, 0]] if epsilon == 1 else [[0, 12], [-12, 0]])
+            assert calls == []
+            for live in (packed, lists):
+                if epsilon == 1:
+                    live.pivot(0, 2, 24, 144)
+                else:
+                    live.pivot2(0, 1, 2, 3, 12, 144, epsilon)
+            assert [packed.row(t) for t in range(len(lists.rows))] == lists.rows
             assert len(calls) == 1
 
     def test_overflow_mid_elimination_redoes_one_step(self, monkeypatch):
@@ -722,20 +745,50 @@ class TestInverse:
 
     @pytest.mark.parametrize("slot", [0, 37, -1])
     def test_corrupted_packed_product_is_caught(self, monkeypatch, slot):
+        # add 1 to entry (slot // 10, slot % 10) of A A^-1, the last one for -1, where the check reads it: in a
+        # packed row
         a = zero_diagonal_model(1, 1).matrix
-        product = exactlinalg._packed_product
+        product = exactlinalg._packed_product_rows
         calls = []
 
         def corrupted(a, b):
-            entries = list(product(a, b))
-            entries[slot] += 1
+            slots, rows = product(a, b)
+            rows[slot // b.cols] += 1 << slots.bits * (slot % b.cols)
             calls.append((a.cols, b.cols))
-            return tuple(entries)
+            return slots, rows
 
-        monkeypatch.setattr(exactlinalg, "_packed_product", corrupted)
+        monkeypatch.setattr(exactlinalg, "_packed_product_rows", corrupted)
         with pytest.raises(AlgorithmMismatchError, match="inverse verification failed"):
             inverse_unimodular(a)
         assert calls == [(10, 10)]  # the A A^-1 = I check ran on the packed path
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_packed_check_accepts_exactly_the_inverse(self, data):
+        # A^-1 + E for a unimodular A, with E zero, random, or A^-1 F for an F that cancels in a packed
+        # row of w-bit slots: 2**w at (i, j) and -1 at (i, j + 1); entries of E up to 2**70
+        n = data.draw(st.integers(1, 2 * exactlinalg._PACKED_MIN_DIM))
+        a = random_unimodular(random.Random(data.draw(st.integers(0, 2**32))), n)
+        inv = inverse_unimodular(a)
+        kind = data.draw(st.sampled_from(["zero", "random", "carry"]))
+        e = [0] * (n * n)
+        if kind == "random":
+            bits = data.draw(st.sampled_from([1, 8, 63, 70]))
+            for _ in range(data.draw(st.integers(1, 3))):
+                e[data.draw(st.integers(0, n * n - 1))] = data.draw(st.integers(-(1 << bits), 1 << bits))
+        elif kind == "carry" and n >= 2:
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 2))
+            f = [0] * (n * n)
+            f[i * n + j], f[i * n + j + 1] = 1 << data.draw(st.sampled_from([8, 16, 32, 56])), -1
+            e = list(reference_product(inv, IntMatrix(n, n, tuple(f))))
+        assert max(map(abs, e)) <= 1 << 70  # A^-1 has entries of 7 bits at most
+        candidate = IntMatrix(n, n, tuple(x + y for x, y in zip(inv.entries, e)))
+        exact = reference_product(a, candidate) == IntMatrix.identity(n).entries
+        assert exact == (kind == "zero" or not any(e))
+        try:
+            assert exactlinalg._checked_inverse(a, candidate) is candidate and exact
+        except AlgorithmMismatchError:
+            assert not exact
 
     def test_random_unimodular_corpus(self):
         rng = random.Random(2)
@@ -890,6 +943,18 @@ class TestInertia:
         corrupt_elimination(monkeypatch, corrupt)
         with pytest.raises(AlgorithmMismatchError, match=message):
             inertia_ldlt(a)
+
+    @pytest.mark.parametrize("form", ["zero_diagonal_model(20, 20)", "skew96"])
+    def test_pivots_keep_the_lcm_of_d_narrow(self, form):
+        # the lcm of D's entries scales the inverse's product; pivoting on the first nonzero entry made it
+        # 390 and 70 bits wide here
+        if form == "skew96":
+            a, epsilon = random_congruence(random.Random(96), skew_seed(48)).matrix, -1
+        else:
+            a, epsilon = zero_diagonal_model(20, 20).matrix, 1
+        congruence = exactlinalg.Congruence(a, epsilon)
+        assert math.lcm(*(v for b in congruence.blocks for row in b for v in row if v)).bit_length() <= 16
+        assert congruence.det in (1, -1) and a @ congruence.inverse == IntMatrix.identity(a.rows)
 
     def test_report_at_d56_within_cpu_budget(self):
         # the characteristic polynomial took most of this report's 3.7 s of CPU time
