@@ -266,14 +266,16 @@ class _Slots:
         """The biased packed form of ``row``, whose digits must lie in the guard interval."""
         code = _STRUCT_CODES.get(self.width)
         if code:
-            return (int.from_bytes(struct.pack(f"<{len(row)}{code}", *row), "little") ^ self.top) - self.top + self.biases
+            flipped = int.from_bytes(struct.pack(f"<{len(row)}{code}", *row), "little") ^ self.top  # x_j + 2**(w - 1)
+            return flipped - self.top + self.biases
         return int.from_bytes(b"".join([(x + self.bias).to_bytes(self.width, "little") for x in row]), "little")
 
     def unpack(self, g: int) -> list[int]:
         """The digits of the biased packed row ``g``."""
         code = _STRUCT_CODES.get(self.width)
         if code:
-            return list(struct.unpack(f"<{self.n}{code}", ((g - self.biases + self.top) ^ self.top).to_bytes(self.width * self.n, "little")))
+            data = ((g - self.biases + self.top) ^ self.top).to_bytes(self.width * self.n, "little")
+            return list(struct.unpack(f"<{self.n}{code}", data))
         data = g.to_bytes(self.width * self.n, "little")
         step = self.width
         return [int.from_bytes(data[s : s + step], "little") - self.bias for s in range(0, len(data), step)]
@@ -837,10 +839,13 @@ class Congruence:
         if self.det in (1, -1):  # X^T D^-1 X as one integer product over the lcm of D's entries
             lcm = math.lcm(*(v for b in blocks for row in b for v in row if v))
             scaled: list[list[int]] = []  # the rows of lcm D^-1 X
-            for b in blocks:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
+            for b in blocks:
                 t = len(scaled)
-                for c, row in [(lcm // b[0][0], x[t])] if len(b) == 1 else [(lcm // b[1][0], x[t + 1]), (lcm // b[0][1], x[t])]:
-                    scaled.append([c * v for v in row])
+                if len(b) == 1:
+                    factors = [(lcm // b[0][0], x[t])]
+                else:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
+                    factors = [(lcm // b[1][0], x[t + 1]), (lcm // b[0][1], x[t])]
+                scaled += [[f * v for v in row] for f, row in factors]  # one division per row, not per entry
             product = IntMatrix(n, n, tuple(chain.from_iterable(zip(*x)))) @ IntMatrix(n, n, tuple(chain(*scaled)))
             if any(v % lcm for v in product.entries):
                 raise AlgorithmMismatchError("congruence certificate failed: X^T D^-1 X is not an integer matrix")

@@ -554,7 +554,8 @@ class TestPackedKernels:
             for live in (packed, lists):
                 live.pivot2(0, 1, 0, 1, -12, 1, epsilon)
             assert [packed.row(t) for t in range(2)] == lists.rows[:2]
-            assert [row[2:4] for row in lists.rows[:2]] == ([[24, 12], [12, 0]] if epsilon == 1 else [[0, 12], [-12, 0]])
+            live_block = [[24, 12], [12, 0]] if epsilon == 1 else [[0, 12], [-12, 0]]
+            assert [row[2:4] for row in lists.rows[:2]] == live_block
             assert calls == []
             for live in (packed, lists):
                 if epsilon == 1:
