@@ -445,7 +445,7 @@ def _render_text(doc: dict) -> str:
             push(f"    note: {note}")
     push("  cup form (edge basis):")
     for row in doc["cup_form"]["matrix"]:
-        push(f"    [{', '.join(str(x) for x in row)}]")
+        push(f"    [{', '.join(map(str, row))}]")
     push(f"  chi = {doc['chi']}")
     if doc["inertia"] is not None:
         ine = doc["inertia"]
