@@ -9,10 +9,11 @@ checked by ``validate_graph`` when it is built, so every graph that exists
 is valid and its black decorations share one (n, k); ``family_dimensions``
 is the one rule that a family of graphs shares it too.  This module
 computes the counting invariants (edges, loops, handle count), decides the
-projected (k >= 1) shape once (``projected_pair``), and assembles the glued
-generic fiber when its Betti numbers are determined by the decoration
-data.  Each fact is kept on the frozen ``DecoratedGraph`` the first time it
-is read.
+projected (k >= 1) shape once (``projected_pair``), and reads the Euler
+characteristic of the glued generic fiber off the shape and these counts
+(``fiber_euler``), checked by inclusion-exclusion over the graph's pieces.
+Each fact is kept on the frozen ``DecoratedGraph`` the first time it is
+read.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from .exactlinalg import AlgorithmMismatchError
 from .hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
-    _from_betti_map,
     is_cylinder,
     is_disk,
-    project_link_descriptor,
     projection_filler,
-    sphere,
 )
 
 
@@ -236,30 +234,26 @@ def projected_pair(graph: DecoratedGraph) -> tuple[HopfLinkSpec, Union[HopfLinkS
     return u, v
 
 
-def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
-    """Generic fiber of the glued block, with exact rational Betti numbers.
+def fiber_euler(graph: DecoratedGraph) -> int:
+    """Euler characteristic of the glued generic fiber F, read from the graph's shape.
 
-    The Euler characteristic is always the inclusion-exclusion over the graph
-    (local fibers minus the boundary pieces shared along edges) and is
-    cross-checked against the descriptor.  The Betti numbers themselves are
-    determined by descriptor data only for the supported shapes: unprojected
-    graphs whose white vertices are all disks or cylinders, for which the
-    fiber is the connected sum of g copies of S^1 x S^{n-1}; and the two
-    projected shapes (two black vertices joined by an edge, or one black
-    vertex capped by the matching trivial piece, giving a sphere).  Other
-    white decorations carry gluing information the Betti data cannot see, so
-    they are rejected.
+    The supported shapes and their fibers: an unprojected graph whose white
+    vertices are all disks or cylinders glues to the connected sum of g
+    copies of S^1 x S^{n-1}, so chi(F) = (1 + (-1)^n)(1 - g); two projected
+    black vertices glue to the connected sum of d copies of
+    S^{n-1} x S^{k+1}; and a projected link capped by its filler glues to
+    S^{n+k}.  Other white decorations carry gluing information that Betti
+    data cannot see, so they are rejected.  The result is checked against
+    the inclusion-exclusion over the graph: a black piece (an n-disk with d
+    holes, or the boundary sum of d copies of S^{n-1} x D^{k+1}) has
+    chi = 1 + (-1)^{n-1} d, a white piece its own chi, and every edge glues
+    along the same boundary piece: S^{n-1} for k = 0, else the connected sum
+    of d copies of S^{n-1} x S^k.
     """
     n, k = graph.dimensions
     if graph.connected_components != 1:
         raise UnsupportedShapeError("fiber assembly needs a connected graph")
-
-    chi = 0
-    for v in graph.vertices:
-        chi += project_link_descriptor(v)[0].euler if isinstance(v, HopfLinkSpec) else v.euler
-    for e in graph.edges:
-        chi -= _glue_piece_euler(graph, e, n, k)
-
+    middle = (-1) ** (n - 1)  # sign of the (n - 1)-classes
     if k == 0:
         for v_idx, v in enumerate(graph.vertices):
             if isinstance(v, FiberDescriptor):
@@ -272,37 +266,25 @@ def assemble_global_fiber(graph: DecoratedGraph) -> FiberDescriptor:
                         "non-trivial white decoration: glued Betti numbers are not determined "
                         "by Betti data alone"
                     )
-        g = graph.counts.g
-        out = _from_betti_map({0: 1, 1: g, n - 1: g, n: 1}.items(), n, 0)
+        chi = (1 - middle) * (1 - graph.counts.g)
+        glue = 1 + middle
     else:
-        out = _projected_fiber(graph, n, k)
+        link, other = graph.projected
+        d, top, low = link.d, (-1) ** (n + k), (-1) ** k
+        glue = 1 - top + d * (low + middle)  # the link: d copies of S^{n-1} x S^k, connected-summed
+        if isinstance(other, HopfLinkSpec):
+            chi = 1 + top + d * (middle - low)  # d copies of S^{n-1} x S^{k+1}, connected-summed
+        elif other != projection_filler(n, k, d):
+            raise UnsupportedShapeError(
+                "white decoration does not match the trivial piece capping the projected link"
+            )
+        else:
+            chi = 1 + top  # S^{n+k}
 
-    if out.euler != chi:
+    pieces = sum(1 + middle * v.d if isinstance(v, HopfLinkSpec) else v.euler for v in graph.vertices)
+    glued = pieces - len(graph.edges) * glue
+    if glued != chi:
         raise AlgorithmMismatchError(
-            f"fiber self-check failed: glued Euler characteristic {chi} vs descriptor {out.euler}"
+            f"fiber self-check failed: glued Euler characteristic {glued} vs the shape's {chi}"
         )
-    return out
-
-
-def _glue_piece_euler(graph: DecoratedGraph, e: Edge, n: int, k: int) -> int:
-    """Euler characteristic of the boundary piece identified along an edge."""
-    if k == 0:
-        return sphere(n - 1).euler
-    # projected links are connected; the whole link descriptor is the glue piece
-    for end in (e.u, e.v):
-        v = graph.vertices[end]
-        if isinstance(v, HopfLinkSpec):
-            return project_link_descriptor(v)[1].euler
-    raise UnsupportedShapeError("edge joins two white vertices")
-
-
-def _projected_fiber(graph: DecoratedGraph, n: int, k: int) -> FiberDescriptor:
-    link, other = graph.projected
-    if isinstance(other, HopfLinkSpec):
-        # doubled piece: connected sum of d copies of S^{n-1} x S^{k+1}
-        return _from_betti_map([(0, 1), (k + 1, link.d), (n - 1, link.d), (n + k, 1)], n + k, 0)
-    if other != projection_filler(n, k, link.d):
-        raise UnsupportedShapeError(
-            "white decoration does not match the trivial piece capping the projected link"
-        )
-    return sphere(n + k)
+    return chi

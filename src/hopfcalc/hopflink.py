@@ -8,8 +8,9 @@ surgered link, checks the printed matrix against a homology-presentation
 oracle (with |det A| = 1 the Tietze-reduced filling presentation of each
 component presents an infinite cyclic group whose free coordinate is the
 one solution of a system in A: a column of the certified inverse, or for
-the first column one product of A with a vector), decides fiberedness
-admissibility, and produces fiber/link descriptors for projected links.
+the first column one product of A with a vector), and decides fiberedness
+admissibility.  A white vertex's trivial piece (a disk, a cylinder, or the
+filler that caps a projected link) is a ``FiberDescriptor`` of Betti data.
 """
 
 from __future__ import annotations
@@ -53,12 +54,6 @@ def _from_betti_map(pairs, dim: int, boundary: int) -> FiberDescriptor:
     return FiberDescriptor(tuple(betti), boundary)
 
 
-def sphere(dim: int) -> FiberDescriptor:
-    if dim < 1:
-        raise ValueError("sphere of dimension >= 1")
-    return _from_betti_map({0: 1, dim: 1}.items(), dim, 0)
-
-
 def disk(dim: int) -> FiberDescriptor:
     return _from_betti_map({0: 1}.items(), dim, 1)
 
@@ -66,11 +61,6 @@ def disk(dim: int) -> FiberDescriptor:
 def cylinder(dim: int) -> FiberDescriptor:
     """S^{dim-1} x [0, 1]: the trivial connector with two boundary spheres."""
     return _from_betti_map({0: 1, dim - 1: 1}.items(), dim, 2)
-
-
-def holed_disk(dim: int, holes: int) -> FiberDescriptor:
-    """A dim-disk with ``holes`` open sub-disks removed."""
-    return _from_betti_map({0: 1, dim - 1: holes}.items(), dim, holes + 1)
 
 
 def projection_filler(n: int, k: int, d: int) -> FiberDescriptor:
@@ -254,25 +244,3 @@ def admissibility_check(link: HopfLinkSpec) -> AdmissibilityReport:
             f"({link.theta * link.d + 1} components)"
         )
     return AdmissibilityReport(det, unimodular, skew_ok, admissible, directly, tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# projection descriptors
-
-
-def project_link_descriptor(link: HopfLinkSpec) -> tuple[FiberDescriptor, FiberDescriptor]:
-    """(fiber, link) descriptors after k-fold projection.
-
-    k = 0: the fiber is an n-disk with d holes and the link is d+1 disjoint
-    (n-1)-spheres.  k >= 1: the fiber is the boundary connected sum of d
-    copies of S^{n-1} x D^{k+1} and the link is the connected sum of d copies
-    of S^{n-1} x S^k.
-    """
-    n, k, d = link.n, link.k, link.d
-    if k == 0:
-        fiber = holed_disk(n, d)
-        link_desc = _from_betti_map({0: d + 1, n - 1: d + 1}.items(), n - 1, 0)
-        return fiber, link_desc
-    fiber = _from_betti_map({0: 1, n - 1: d}.items(), n + k, 1)
-    link_desc = _from_betti_map([(0, 1), (k, d), (n - 1, d), (n + k - 1, 1)], n + k - 1, 0)
-    return fiber, link_desc

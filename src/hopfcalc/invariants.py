@@ -22,8 +22,8 @@ from .graphmodel import (
     UnsupportedShapeError,
     _incidences,
     _union_find,
-    assemble_global_fiber,
     family_dimensions,
+    fiber_euler,
 )
 from .hopflink import (
     FiberDescriptor,
@@ -171,24 +171,25 @@ def euler_characteristic(graphs: Sequence[DecoratedGraph]) -> int:
     """Euler characteristic of the closed manifold glued from a graph family.
 
     chi = chi(S^{n-k}) * chi(F) + (-1)^n * t, where (n, k) is the family's
-    (``family_dimensions``), F the common generic fiber and t the total
-    handle count.  All graphs must agree on the fiber (equal loop count g
-    and equal chi(F)).
+    (``family_dimensions``), chi(F) the common generic fiber's Euler
+    characteristic, read off each graph's shape by ``fiber_euler``, and t the
+    total handle count.  All graphs must agree on the fiber (equal loop count
+    g and equal chi(F)).
     """
     n, k = family_dimensions(graphs)
-    fibers = []
+    fiber_chis = []
     gs = []
     t = 0
     for graph in graphs:
         counts = graph.counts
         gs.append(counts.g)
         t += counts.t
-        fibers.append(assemble_global_fiber(graph))
+        fiber_chis.append(fiber_euler(graph))
     if len(set(gs)) > 1:
         raise UnsupportedShapeError(f"graphs have mismatched loop counts {gs}; fibers cannot agree")
-    if len({f.euler for f in fibers}) > 1:
+    if len(set(fiber_chis)) > 1:
         raise UnsupportedShapeError("graphs have mismatched fiber Euler characteristics")
-    return _sphere_euler(n - k) * fibers[0].euler + (-1) ** n * t
+    return _sphere_euler(n - k) * fiber_chis[0] + (-1) ** n * t
 
 
 # ---------------------------------------------------------------------------

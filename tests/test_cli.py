@@ -496,6 +496,15 @@ class TestMain:
         pytest.param(
             tree_with_whites([white([1, 0]), WHITE_DISK3, WHITE_DISK3]),
             "white fiber at vertex 1 has dimension 1, expected 3", id="white-dimension"),
+        pytest.param(
+            {"n": 3, "k": 0, "graphs": [{
+                "vertices": [{"color": "black", "matrix": J_ROWS}, *[WHITE_DISK3] * 3] * 2,
+                "edges": [{"u": u, "v": u + c + 1, "u_comp": c, "v_comp": 0} for u in (0, 4) for c in range(3)]}]},
+            "fiber assembly needs a connected graph", id="disconnected"),
+        pytest.param(
+            {"n": 5, "k": 1, "graphs": [{"vertices": [{"color": "black", "matrix": JJ_ROWS}, white([1, 5, 0, 0, 0, 0, 0])],
+                                         "edges": [{"u": 0, "v": 1, "u_comp": 0, "v_comp": 0}]}]},
+            "white decoration does not match the trivial piece capping the projected link", id="filler-mismatch"),
     ])
     def test_shape_error_names_spec_file(self, data, message, tmp_path, capsys):
         path = tmp_path / "shape.json"
@@ -630,9 +639,8 @@ class TestMain:
         assert json.loads(capsys.readouterr().out) == {"all_match": True, "checks": []}
 
     def test_internal_fault_exit_two(self, monkeypatch, capsys):
-        import hopfcalc.graphmodel as graphmodel
-
-        monkeypatch.setattr(graphmodel, "_glue_piece_euler", lambda graph, e, n, k: 99)
+        # a white piece's chi that disagrees with the shape fails the fiber's inclusion-exclusion
+        monkeypatch.setattr(hopflink.FiberDescriptor, "euler", property(lambda self: 99))
         assert main(["report", TREE]) == 2
         assert "fiber self-check failed" in capsys.readouterr().err
 

@@ -3,13 +3,14 @@ import re
 
 import pytest
 
+from hopfcalc.exactlinalg import IntMatrix
 from hopfcalc.forms import BilinearForm, H_MATRIX, direct_sum, skew, zero_diagonal_model
 from hopfcalc.graphmodel import (
     DecoratedGraph,
     Edge,
     GraphValidationError,
     UnsupportedShapeError,
-    assemble_global_fiber,
+    fiber_euler,
     graph_counts,
     projected_pair,
     validate_graph,
@@ -20,7 +21,6 @@ from hopfcalc.hopflink import (
     cylinder,
     disk,
     projection_filler,
-    sphere,
 )
 
 J = skew([[0, 1], [-1, 0]])
@@ -43,6 +43,67 @@ def parallel_pair(link: HopfLinkSpec) -> DecoratedGraph:
         (link, link),
         tuple(Edge(0, 1, i, i) for i in range(d + 1)),
     )
+
+
+def descriptor(pairs, dim: int, boundary: int = 0) -> FiberDescriptor:
+    """Betti descriptor from (index, count) pairs; counts at the same index add up."""
+    betti = [0] * (dim + 1)
+    for idx, b in pairs:
+        betti[idx] += b
+    return FiberDescriptor(tuple(betti), boundary)
+
+
+def sphere(dim: int) -> FiberDescriptor:
+    return descriptor([(0, 1), (dim, 1)], dim)
+
+
+def reference_pieces(link: HopfLinkSpec) -> tuple[FiberDescriptor, FiberDescriptor]:
+    """(fiber, link) Betti descriptors of a black vertex's piece after k-fold projection.
+
+    k = 0: the fiber is an n-disk with d holes and the link is d+1 disjoint
+    (n-1)-spheres.  k >= 1: the fiber is the boundary connected sum of d
+    copies of S^{n-1} x D^{k+1} and the link is the connected sum of d copies
+    of S^{n-1} x S^k.
+    """
+    n, k, d = link.n, link.k, link.d
+    if k == 0:
+        return descriptor([(0, 1), (n - 1, d)], n, d + 1), descriptor([(0, d + 1), (n - 1, d + 1)], n - 1)
+    fiber = descriptor([(0, 1), (n - 1, d)], n + k, 1)
+    return fiber, descriptor([(0, 1), (k, d), (n - 1, d), (n + k - 1, 1)], n + k - 1)
+
+
+def reference_fiber(graph: DecoratedGraph) -> FiberDescriptor:
+    """Betti descriptor of the glued generic fiber of a supported shape.
+
+    Unprojected: the connected sum of g copies of S^1 x S^{n-1}.  Two
+    projected black vertices: the connected sum of d copies of
+    S^{n-1} x S^{k+1}.  A projected link capped by its filler: S^{n+k}.
+    """
+    n, k = graph.dimensions
+    if k == 0:
+        g = graph_counts(graph).g
+        return descriptor([(0, 1), (1, g), (n - 1, g), (n, 1)], n)
+    link, other = projected_pair(graph)
+    if isinstance(other, HopfLinkSpec):
+        return descriptor([(0, 1), (k + 1, link.d), (n - 1, link.d), (n + k, 1)], n + k)
+    return sphere(n + k)
+
+
+def inclusion_exclusion(graph: DecoratedGraph) -> int:
+    """chi of the glued fiber as its pieces' chi minus the chi of each edge's glue piece, from the descriptors.
+
+    The glue piece is one (n-1)-sphere for k = 0, and the whole (connected)
+    link of a black end for k >= 1.
+    """
+    n, k = graph.dimensions
+    chi = sum(reference_pieces(v)[0].euler if isinstance(v, HopfLinkSpec) else v.euler for v in graph.vertices)
+    for e in graph.edges:
+        if k == 0:
+            chi -= sphere(n - 1).euler
+        else:
+            link = next(graph.vertices[end] for end in (e.u, e.v) if isinstance(graph.vertices[end], HopfLinkSpec))
+            chi -= reference_pieces(link)[1].euler
+    return chi
 
 
 def assert_rejected(build, message):
@@ -202,34 +263,35 @@ class TestProjectedPair:
 
 class TestGlobalFiber:
     def test_tree_is_sphere(self):
-        fiber = assemble_global_fiber(single_black_tree(HopfLinkSpec(J, n=3)))
-        assert fiber == sphere(3)
-        assert fiber.euler == 0
+        tree = single_black_tree(HopfLinkSpec(J, n=3))
+        assert reference_fiber(tree) == sphere(3)
+        assert fiber_euler(tree) == sphere(3).euler == 0
 
     def test_all_black_pair_two_loops(self):
-        fiber = assemble_global_fiber(parallel_pair(HopfLinkSpec(J, n=3)))
-        assert fiber.betti == (1, 2, 2, 1)  # two loops worth of S^1 x S^2 summands
-        assert fiber.euler == 0
+        # two loops worth of S^1 x S^{n-1} summands
+        pair = parallel_pair(HopfLinkSpec(J, n=3))
+        assert reference_fiber(pair).betti == (1, 2, 2, 1)
+        assert fiber_euler(pair) == 0
+        assert fiber_euler(parallel_pair(HopfLinkSpec(HF, n=4))) == -2  # betti (1, 2, 0, 2, 1)
 
     def test_even_dimension_tree(self):
         link = HopfLinkSpec(BilinearForm(zero_diagonal_model(1, 1).matrix, 1), n=4)
-        fiber = assemble_global_fiber(single_black_tree(link))
-        assert fiber == sphere(4)
+        assert fiber_euler(single_black_tree(link)) == sphere(4).euler == 2
 
     def test_projected_black_white_is_sphere(self):
         g = DecoratedGraph(
             (HopfLinkSpec(JJ, n=5, k=1), projection_filler(5, 1, 4)),
             (Edge(0, 1, 0, 0),),
         )
-        assert assemble_global_fiber(g) == sphere(6)
+        assert fiber_euler(g) == sphere(6).euler == 2
 
     def test_projected_two_black(self):
         g = DecoratedGraph(
             (HopfLinkSpec(JJ, n=5, k=1), HopfLinkSpec(JJ, n=5, k=1)),
             (Edge(0, 1, 0, 0),),
         )
-        fiber = assemble_global_fiber(g)
-        assert fiber.betti == (1, 0, 4, 0, 4, 0, 1)
+        assert reference_fiber(g).betti == (1, 0, 4, 0, 4, 0, 1)
+        assert fiber_euler(g) == 10
 
     def test_cylinder_whites_are_trivial(self):
         link = HopfLinkSpec(HF, n=4)
@@ -250,8 +312,7 @@ class TestGlobalFiber:
             Edge(4, 5, 1, 0),
             Edge(4, 6, 2, 0),
         )
-        fiber = assemble_global_fiber(DecoratedGraph(vertices, edges))
-        assert fiber == sphere(4)
+        assert fiber_euler(DecoratedGraph(vertices, edges)) == sphere(4).euler == 2
 
     def test_exotic_white_rejected(self):
         link = HopfLinkSpec(J, n=3)
@@ -262,8 +323,8 @@ class TestGlobalFiber:
             FiberDescriptor((1, 1, 0, 0), 1),
         )
         edges = (Edge(0, 1, 0, 0), Edge(0, 2, 1, 0), Edge(0, 3, 2, 0))
-        with pytest.raises(UnsupportedShapeError):
-            assemble_global_fiber(DecoratedGraph(vertices, edges))
+        with pytest.raises(UnsupportedShapeError, match="^non-trivial white decoration: "):
+            fiber_euler(DecoratedGraph(vertices, edges))
 
     def test_disconnected_rejected(self):
         t = single_black_tree(HopfLinkSpec(J, n=3))
@@ -271,8 +332,8 @@ class TestGlobalFiber:
             t.vertices + tuple(t.vertices),
             t.edges + tuple(Edge(e.u + 4, e.v + 4, e.u_comp, e.v_comp) for e in t.edges),
         )
-        with pytest.raises(UnsupportedShapeError):
-            assemble_global_fiber(doubled)
+        with pytest.raises(UnsupportedShapeError, match="^fiber assembly needs a connected graph$"):
+            fiber_euler(doubled)
 
     def test_euler_matches_betti_sum(self):
         for g in [
@@ -280,10 +341,64 @@ class TestGlobalFiber:
             parallel_pair(HopfLinkSpec(J, n=3)),
             parallel_pair(HopfLinkSpec(HF, n=4)),
         ]:
-            fiber = assemble_global_fiber(g)
-            assert fiber.euler == sum(
-                b if i % 2 == 0 else -b for i, b in enumerate(fiber.betti)
-            )
+            assert fiber_euler(g) == reference_fiber(g).euler == inclusion_exclusion(g)
+
+
+def decorated(n: int, k: int, d: int) -> HopfLinkSpec:
+    """A rank-d zero-diagonal decoration of sign (-1)^n; the fiber's chi reads only its size."""
+    sign = (-1) ** n
+    return HopfLinkSpec(BilinearForm(IntMatrix.from_rows(
+        [[0 if i == j else 1 if i < j else sign for j in range(d)] for i in range(d)]), sign), n, k)
+
+
+def self_loop(link: HopfLinkSpec) -> DecoratedGraph:
+    """A loop on components 1 and 2 of one black vertex, and a disk on each other component."""
+    others = [0] + list(range(3, link.components))
+    return DecoratedGraph(
+        (link,) + (disk(link.n),) * len(others),
+        (Edge(0, 0, 1, 2),) + tuple(Edge(0, i + 1, c, 0) for i, c in enumerate(others)),
+    )
+
+
+def cylinder_chain(link: HopfLinkSpec, length: int) -> DecoratedGraph:
+    """``length`` black vertices in a row, each last component joined to the next one's first by a cylinder.
+
+    Vertices: the black ones, then the cylinders, then one disk per free component.
+    """
+    n, c = link.n, link.components
+    cylinders = [(b, c - 1, b + 1, 0) for b in range(length - 1)]
+    free = [(b, comp) for b in range(length) for comp in range(c) if (b, comp) not in
+            {(u, uc) for u, uc, _, _ in cylinders} | {(v, vc) for _, _, v, vc in cylinders}]
+    edges = [Edge(u, length + i, uc, 0) for i, (u, uc, _, _) in enumerate(cylinders)]
+    edges += [Edge(v, length + i, vc, 1) for i, (_, _, v, vc) in enumerate(cylinders)]
+    edges += [Edge(b, length + len(cylinders) + i, comp, 0) for i, (b, comp) in enumerate(free)]
+    vertices = (link,) * length + (cylinder(n),) * len(cylinders) + (disk(n),) * len(free)
+    return DecoratedGraph(vertices, tuple(edges))
+
+
+def sweep_shapes(n: int):
+    """(name, graph) of every supported shape at this n, each k in 0..n-2 and each rank 1..6 it admits."""
+    for d in range(1, 7):
+        if n % 2 == 0 or d % 2 == 0:  # an unprojected skew decoration has even rank (odd degree)
+            link = decorated(n, 0, d)
+            yield f"tree d={d}", single_black_tree(link)
+            yield f"pair d={d}", parallel_pair(link)
+            if d >= 2:
+                yield f"self-loop d={d}", self_loop(link)
+            yield f"cylinder chain d={d}", cylinder_chain(link, 3)
+        for k in range(1, n - 1):
+            link = decorated(n, k, d)
+            yield f"projected pair k={k} d={d}", DecoratedGraph((link, link), (Edge(0, 1, 0, 0),))
+            yield f"capped k={k} d={d}", DecoratedGraph((link, projection_filler(n, k, d)), (Edge(0, 1, 0, 0),))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fiber_euler_matches_the_betti_descriptors(n):
+    seen = set()
+    for name, graph in sweep_shapes(n):
+        seen.add(name.split(" ")[0])
+        assert fiber_euler(graph) == reference_fiber(graph).euler == inclusion_exclusion(graph), name
+    assert seen == {"tree", "pair", "self-loop", "cylinder", "projected", "capped"}
 
 
 class TestSelfLoops:
@@ -299,5 +414,6 @@ class TestSelfLoops:
         )
         counts = graph_counts(g)
         assert (counts.m, counts.g, counts.t) == (2, 1, 2)
-        fiber = assemble_global_fiber(g)
-        assert fiber.betti == (1, 1, 1, 1)
+        assert reference_fiber(g).betti == (1, 1, 1, 1)
+        assert fiber_euler(g) == 0
+        assert fiber_euler(self_loop(HopfLinkSpec(HF, n=4))) == 0  # one S^1 x S^3 summand

@@ -23,6 +23,7 @@ from hopfcalc.forms import (
     symmetric,
     zero_diagonal_model,
 )
+from hopfcalc.graphmodel import DecoratedGraph, Edge, fiber_euler
 from hopfcalc.hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
@@ -30,15 +31,13 @@ from hopfcalc.hopflink import (
     cylinder,
     derived_linking_matrix,
     disk,
-    holed_disk,
     presentation_oracle,
-    project_link_descriptor,
     projection_filler,
-    sphere,
 )
 from hopfcalc.sampling import random_zero_diagonal_form
 
 from test_cli import counted_calls
+from test_graphmodel import inclusion_exclusion, reference_pieces, single_black_tree
 
 J = skew([[0, 1], [-1, 0]])
 HF = BilinearForm(H_MATRIX, 1)
@@ -439,32 +438,45 @@ class TestHopfLinkSpec:
 
 
 class TestProjection:
+    """Each black piece's chi, from its Betti descriptor, is what ``fiber_euler``'s inclusion-exclusion reads."""
+
     def test_unprojected(self):
-        fiber, link = project_link_descriptor(HopfLinkSpec(J, n=3))
-        assert fiber == holed_disk(3, 2)
-        assert fiber.euler == 3
-        assert link.betti == (3, 0, 3)  # three disjoint 2-spheres
+        link = HopfLinkSpec(J, n=3)
+        fiber, boundary = reference_pieces(link)
+        assert fiber.betti == (1, 0, 2, 0)  # a 3-disk with two holes
+        assert fiber.euler == 1 + link.d == 3
+        assert boundary.betti == (3, 0, 3)  # three disjoint 2-spheres
+        tree = single_black_tree(link)
+        assert fiber_euler(tree) == inclusion_exclusion(tree) == fiber.euler + 3 * disk(3).euler - boundary.euler
 
     def test_single_projection(self):
-        fiber, link = project_link_descriptor(HopfLinkSpec(J, n=3, k=1))
-        assert link.betti == (1, 2, 2, 1)
-        assert link.euler == 0
-        assert fiber.boundary_components == 1
+        link = HopfLinkSpec(J, n=3, k=1)
+        fiber, boundary = reference_pieces(link)
+        assert boundary.betti == (1, 2, 2, 1)
+        assert (fiber.euler, boundary.euler, fiber.boundary_components) == (3, 0, 1)
+        filler = projection_filler(3, 1, 2)
+        capped = DecoratedGraph((link, filler), (Edge(0, 1, 0, 0),))
+        pair = DecoratedGraph((link, link), (Edge(0, 1, 0, 0),))
+        assert fiber_euler(capped) == fiber.euler + filler.euler - boundary.euler == 2
+        assert fiber_euler(pair) == 2 * fiber.euler - boundary.euler == 6
 
     def test_single_component_projection(self):
-        # d = 1: the link is one S^3 x S^1 factor
-        spec = HopfLinkSpec(symmetric([[0]]), n=4, k=1)
-        _, link = project_link_descriptor(spec)
-        assert link.betti == (1, 1, 0, 1, 1)
+        # d = 1: the link is one S^3 x S^1 factor, of chi 0
+        link = HopfLinkSpec(symmetric([[0]]), n=4, k=1)
+        fiber, boundary = reference_pieces(link)
+        assert boundary.betti == (1, 1, 0, 1, 1)
+        pair = DecoratedGraph((link, link), (Edge(0, 1, 0, 0),))
+        assert fiber_euler(pair) == 2 * fiber.euler - boundary.euler == 0
 
     def test_unprojected_fiber_euler_balances_gluing(self):
         # capping the d+1 boundary spheres of the holed disk with disks gives S^n,
         # so chi(fiber) + (d+1) * chi(D^n) - (d+1) * chi(S^{n-1}) = chi(S^n)
         for n, form in [(3, J), (4, HF)]:
             d = form.dim
-            fiber, _ = project_link_descriptor(HopfLinkSpec(form, n=n))
+            link = HopfLinkSpec(form, n=n)
+            fiber, _ = reference_pieces(link)
             glue = (d + 1) * (1 + (-1) ** (n - 1))
-            assert fiber.euler + (d + 1) - glue == 1 + (-1) ** n
+            assert fiber.euler + (d + 1) - glue == 1 + (-1) ** n == fiber_euler(single_black_tree(link))
 
 
 class TestDescriptors:
@@ -478,5 +490,4 @@ class TestDescriptors:
     def test_helpers(self):
         assert disk(3).euler == 1
         assert cylinder(4).boundary_components == 2
-        assert sphere(4).euler == 2
         assert projection_filler(5, 1, 4).betti == (1, 4, 0, 0, 0, 0, 0)
