@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Collection, Optional, Sequence
 
-from .exactlinalg import AlgorithmMismatchError, DimensionError, IntMatrix
+from .exactlinalg import AlgorithmMismatchError, DimensionError, Frozen, IntMatrix
 from .forms import (
     BilinearForm,
     ClassificationError,
@@ -58,16 +57,24 @@ class SpecFileError(ValueError):
 # spec files
 
 
-@dataclass(frozen=True)
-class SpecFile:
+class SpecFile(Frozen):
     """A validated spec; its graphs hold (n, k) (``graphmodel.family_dimensions``)."""
 
-    assume_cobounding: bool
-    graphs: tuple[DecoratedGraph, ...]
-    factors: tuple[ProductFactor, ...]
-    # copy of the validated input document (``_copy_json``), theta and assume_cobounding filled in
-    data: dict = field(repr=False)
-    source: str = field(default="<data>", compare=False)  # the file name each locus leads with
+    __slots__ = ("assume_cobounding", "graphs", "factors", "data", "source")
+    _fields = __slots__[:4]  # equality ignores the source
+
+    def __init__(self, assume_cobounding: bool, graphs: tuple[DecoratedGraph, ...], factors: tuple[ProductFactor, ...],
+                 data: dict, source: str = "<data>") -> None:
+        object.__setattr__(self, "assume_cobounding", assume_cobounding)
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "factors", factors)
+        # copy of the validated input document (``_copy_json``), theta and assume_cobounding filled in
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "source", source)  # the file name each locus leads with
+
+    def __repr__(self) -> str:  # without the data
+        return (f"SpecFile(assume_cobounding={self.assume_cobounding!r}, graphs={self.graphs!r}, "
+                f"factors={self.factors!r}, source={self.source!r})")
 
 
 def _copy_json(value: Any) -> Any:
@@ -369,18 +376,14 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
     doc: dict[str, Any] = {
         "kind": "graphs",
         "spec": spec.data,
-        "graphs": [],
+        "graphs": [{"index": g_idx, "m": c.m, "s_black": c.s_black, "g": c.g, "t": c.t}
+                   for g_idx, c in enumerate(graph.counts for graph in spec.graphs)],
         "links": _link_section(spec),
         "cup_form": {"epsilon": cup.epsilon, "matrix": _printable_rows(cup.matrix, f"{spec.source}: cup form")},
         "chi": report.chi,
         "sigma": analysis.sigma,
-        "inertia": None
-        if analysis.inertia is None
-        else {
-            "n_plus": analysis.inertia.n_plus,
-            "n_minus": analysis.inertia.n_minus,
-            "n_zero": analysis.inertia.n_zero,
-        },
+        "inertia": None if (ine := analysis.inertia) is None
+        else {"n_plus": ine.n_plus, "n_minus": ine.n_minus, "n_zero": ine.n_zero},
         "kernel_dim": analysis.kernel_dim,
         "kernel_basis": [[str(x) for x in vec] for vec in analysis.kernel_basis],
         "homology_ranks": None
@@ -390,17 +393,6 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
         "notes": [*report.notes, *(report.phi.notes if report.phi else ())],
         "verdicts": list(report.verdicts),
     }
-    for g_idx, graph in enumerate(spec.graphs):
-        counts = graph.counts
-        doc["graphs"].append(
-            {
-                "index": g_idx,
-                "m": counts.m,
-                "s_black": counts.s_black,
-                "g": counts.g,
-                "t": counts.t,
-            }
-        )
     if oracle:
         doc["oracle"] = _oracle_section(spec)
     return doc

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
-from operator import mul, or_
+from operator import attrgetter, mul, or_
 from typing import Iterable, Sequence
 
 
@@ -57,26 +56,55 @@ class AlgorithmMismatchError(RuntimeError):
     """Two independent algorithms disagreed.  Always a bug; never swallowed."""
 
 
+class Frozen:
+    """Base of the immutable value classes: equal by class and ``_fields``, hashed by them, never assigned to.
+
+    Each subclass checks its input in its own ``__init__`` and sets each field
+    by ``object.__setattr__``.  ``cached_property`` writes the ``__dict__`` of
+    a subclass without ``__slots__`` directly, so it still works.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable dense integer matrix, entries row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise DimensionError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise DimensionError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -143,11 +171,12 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if min(self.rows, self.cols, other.cols) < _PACKED_MIN_DIM:
+        large = min(self.rows, self.cols, other.cols) >= _PACKED_MIN_DIM
+        if large and (slots := _product_slots(self, other)).width <= _PACKED_ROWS_MAX_WIDTH:
+            entries = _packed_product(self, other, slots)
+        else:
             rows, cols = map(self.row, range(self.rows)), [other.entries[j :: other.cols] for j in range(other.cols)]
             entries = tuple(sum(map(mul, row, col)) for row in rows for col in cols)
-        else:
-            entries = _packed_product(self, other)
         return IntMatrix(self.rows, other.cols, entries)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -176,37 +205,43 @@ class IntMatrix:
 
 
 # A packed product beats the per-entry dot products once every dimension
-# is this large.  Packing the right factor costs about as much as one row
-# of dot products per four to eight rows, so one or a few rows stay on dot
-# products.  Python 3.11, x86-64, small entries: 10 against 4 us at 2x2x2,
-# 41 against 48 us at 8x8x8, 0.8 against 5.1 ms at 40x40x40, and 0.32
-# against 0.10 ms for the kernel check's 1x41 by 41x41.
+# is this large, while a slot is at most ``_PACKED_ROWS_MAX_WIDTH`` bytes.
+# Packing the right factor costs about as much as one row of dot products
+# per four to eight rows, so one or a few rows stay on dot products.
+# Python 3.11, x86-64, small entries: 10 against 4 us at 2x2x2, 41 against
+# 48 us at 8x8x8, 0.8 against 5.1 ms at 40x40x40, and 0.32 against 0.10 ms
+# for the kernel check's 1x41 by 41x41; X A of ``classify``'s certificate
+# on a 24x24 matrix of 100-digit entries, 0.131 against 0.014 s.
 _PACKED_MIN_DIM = 8
 
 
-def _packed_product(a: IntMatrix, b: IntMatrix) -> tuple[int, ...]:
+def _packed_product(a: IntMatrix, b: IntMatrix, slots: "_Slots | None" = None) -> tuple[int, ...]:
     """Entries of ``a @ b`` by Kronecker substitution, so the inner loop runs in C (``_packed_product_rows``)."""
-    slots, rows = _packed_product_rows(a, b)
+    slots, rows = _packed_product_rows(a, b, slots)
     return tuple(chain.from_iterable(slots.unpack(g + slots.biases) for g in rows))
 
 
-def _packed_product_rows(a: IntMatrix, b: IntMatrix) -> tuple["_Slots", list[int]]:
+def _product_slots(a: IntMatrix, b: IntMatrix) -> "_Slots":
+    """The layout of the rows of ``a @ b`` in ``_packed_product_rows``, whose bound sizes it."""
+    e = (a.cols * (max(map(abs, a.entries)) or 1) * max(map(abs, b.entries))).bit_length()
+    width = (e + 8) // 8
+    return _Slots(next((w for w in _STRUCT_CODES if w >= width), width), b.cols, e)  # struct reads the narrow slots
+
+
+def _packed_product_rows(a: IntMatrix, b: IntMatrix, slots: "_Slots | None" = None) -> tuple["_Slots", list[int]]:
     """The rows of ``a @ b``, each one integer of signed digits, and their slot layout.
 
     Row t of ``b`` becomes one integer with entry j in slot j (``_Slots``).
     Row i of the product is then the one integer sum over t of ``a[i][t]``
     times packed row t.  Every entry of ``b`` and of the product has absolute
-    value at most ``k * max(max|a|, 1) * max|b|`` < 2**e, and a slot has
-    e + 1 bits or more, so each row is the sum of its entries x_j 2**(bits j)
-    with no carry between slots.  An integer has one set of digits that
-    small, so two rows are equal exactly when their entries are, and with
-    2**e added to every slot each entry reads back exactly.
+    value at most ``k * max(max|a|, 1) * max|b|`` < 2**e (k = ``a.cols``), and
+    a slot (``_product_slots``) has e + 1 bits or more, so each row is the sum
+    of its entries x_j 2**(bits j) with no carry between slots.  An integer has
+    one set of digits that small, so two rows are equal exactly when their
+    entries are, and with 2**e added to every slot each entry reads back exactly.
     """
-    k, n = a.cols, b.cols
-    e = (k * (max(map(abs, a.entries)) or 1) * max(map(abs, b.entries))).bit_length()
-    width = (e + 8) // 8
-    slots = _Slots(next((w for w in _STRUCT_CODES if w >= width), width), n, e)  # struct reads the narrow slots
-    _, packed = slots.pack_rows(b.row(t) for t in range(k))
+    slots = slots or _product_slots(a, b)
+    _, packed = slots.pack_rows(b.row(t) for t in range(a.cols))
     return slots, [sum(map(mul, a.row(i), packed)) for i in range(a.rows)]
 
 
@@ -296,30 +331,32 @@ class _Slots:
 # inertia and Smith form containers
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(Frozen):
     """Counts of positive, negative and zero eigenvalues of a symmetric matrix."""
 
-    n_plus: int
-    n_minus: int
-    n_zero: int
+    __slots__ = _fields = ("n_plus", "n_minus", "n_zero")
 
-    def __post_init__(self) -> None:
-        if min(self.n_plus, self.n_minus, self.n_zero) < 0:
+    def __init__(self, n_plus: int, n_minus: int, n_zero: int) -> None:
+        if min(n_plus, n_minus, n_zero) < 0:
             raise ValueError("inertia counts must be nonnegative")
+        object.__setattr__(self, "n_plus", n_plus)
+        object.__setattr__(self, "n_minus", n_minus)
+        object.__setattr__(self, "n_zero", n_zero)
 
     @property
     def sigma(self) -> int:
         return self.n_plus - self.n_minus
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Frozen):
     """U @ A @ V = D with U, V unimodular and D diagonal, nonnegative, d1 | d2 | ..."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    __slots__ = _fields = ("u", "d", "v")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "v", v)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols)))

@@ -9,7 +9,6 @@ zero-diagonal model obtained from an isotropic change of basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -17,6 +16,7 @@ from typing import Optional
 from .exactlinalg import (
     Congruence,
     DimensionError,
+    Frozen,
     Inertia,
     IntMatrix,
     SymmetryError,
@@ -46,8 +46,7 @@ E8_MATRIX = IntMatrix.from_rows(
 H_MATRIX = IntMatrix.from_rows([[0, 1], [1, 0]])
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Frozen):
     """Square integer matrix with symmetry sign epsilon in {+1, -1}.
 
     The form is immutable, so its one elimination, the congruence
@@ -55,23 +54,20 @@ class BilinearForm:
     Determinant, integer inverse, inertia and kernel are all read from it.
     """
 
-    matrix: IntMatrix
-    epsilon: int
+    _fields = ("matrix", "epsilon")
 
-    def __post_init__(self) -> None:
-        if self.epsilon not in (1, -1):
+    def __init__(self, matrix: IntMatrix, epsilon: int) -> None:
+        if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        if not self.matrix.is_square:
+        if not matrix.is_square:
             raise DimensionError("bilinear form matrix must be square")
-        m = self.matrix
-        if not (m.is_symmetric() if self.epsilon == 1 else m.is_skew_symmetric()):
+        m = matrix
+        if not (m.is_symmetric() if epsilon == 1 else m.is_skew_symmetric()):
             # the first failing (i, j), i <= j, is located only on failure; j = i covers a skew diagonal
-            i, j = next(
-                (i, j) for i in range(m.rows) for j in range(i, m.cols) if m.at(j, i) != self.epsilon * m.at(i, j)
-            )
-            raise SymmetryError(
-                f"matrix is not {'symmetric' if self.epsilon == 1 else 'skew-symmetric'} at ({i},{j})"
-            )
+            i, j = next((i, j) for i in range(m.rows) for j in range(i, m.cols) if m.at(j, i) != epsilon * m.at(i, j))
+            raise SymmetryError(f"matrix is not {'symmetric' if epsilon == 1 else 'skew-symmetric'} at ({i},{j})")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def dim(self) -> int:
@@ -109,15 +105,18 @@ class BilinearForm:
         return self.matrix.has_zero_diagonal()
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(Frozen):
     """Coarse invariants of a form; (p, q) only for even indefinite unimodular."""
 
-    parity: str  # "even" | "odd"
-    definiteness: str  # "positive" | "negative" | "indefinite" | "degenerate"
-    unimodular: bool
-    p: Optional[int] = None
-    q: Optional[int] = None
+    __slots__ = _fields = ("parity", "definiteness", "unimodular", "p", "q")
+
+    def __init__(self, parity: str, definiteness: str, unimodular: bool,
+                 p: Optional[int] = None, q: Optional[int] = None) -> None:
+        object.__setattr__(self, "parity", parity)  # "even" | "odd"
+        object.__setattr__(self, "definiteness", definiteness)  # "positive" | "negative" | "indefinite" | "degenerate"
+        object.__setattr__(self, "unimodular", unimodular)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 def symmetric(rows) -> BilinearForm:

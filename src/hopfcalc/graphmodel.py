@@ -9,20 +9,20 @@ checked by ``validate_graph`` when it is built, so every graph that exists
 is valid and its black decorations share one (n, k); ``family_dimensions``
 is the one rule that a family of graphs shares it too.  This module
 computes the counting invariants (edges, loops, handle count), decides the
-projected (k >= 1) shape once (``projected_pair``), and reads the Euler
-characteristic of the glued generic fiber off the shape and these counts
-(``fiber_euler``), checked by inclusion-exclusion over the graph's pieces.
-Each fact is kept on the frozen ``DecoratedGraph`` the first time it is
-read.
+projected (k >= 1) shape once (``projected_pair``) and whether its white
+piece is the filler that caps the link (``DecoratedGraph.capped``), and
+reads the Euler characteristic of the glued generic fiber off the shape and
+these counts (``fiber_euler``), checked by inclusion-exclusion over the
+graph's pieces.  Each fact is kept on the frozen ``DecoratedGraph`` the
+first time it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from .exactlinalg import AlgorithmMismatchError
+from .exactlinalg import AlgorithmMismatchError, Frozen
 from .hopflink import (
     FiberDescriptor,
     HopfLinkSpec,
@@ -43,25 +43,27 @@ class UnsupportedShapeError(ValueError):
 Vertex = Union[HopfLinkSpec, FiberDescriptor]  # a black vertex is its link, a white one its fiber
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Frozen):
     """Undirected edge; twist is an opaque gluing annotation, never computed with."""
 
-    u: int
-    v: int
-    u_comp: int
-    v_comp: int
-    twist: Optional[str] = None
+    __slots__ = _fields = ("u", "v", "u_comp", "v_comp", "twist")
+
+    def __init__(self, u: int, v: int, u_comp: int, v_comp: int, twist: Optional[str] = None) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u_comp", u_comp)
+        object.__setattr__(self, "v_comp", v_comp)
+        object.__setattr__(self, "twist", twist)
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
+class DecoratedGraph(Frozen):
     """A decorated bicolored graph; ``validate_graph`` checks it when it is built."""
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         validate_graph(self)
 
     @cached_property
@@ -85,13 +87,21 @@ class DecoratedGraph:
         """``projected_pair`` of this graph, decided once and kept."""
         return projected_pair(self)
 
+    @cached_property
+    def capped(self) -> bool:
+        """Whether the white piece of this projected graph is the filler capping its link: the one rule for it."""
+        link, other = self.projected
+        return isinstance(other, FiberDescriptor) and other == projection_filler(*self.dimensions, link.d)
 
-@dataclass(frozen=True)
-class GraphCounts:
-    m: int  # edges
-    s_black: int  # black vertices
-    g: int  # first Betti number of the graph
-    t: int  # handle count: sum of decoration sizes over black vertices
+
+class GraphCounts(Frozen):
+    __slots__ = _fields = ("m", "s_black", "g", "t")
+
+    def __init__(self, m: int, s_black: int, g: int, t: int) -> None:
+        object.__setattr__(self, "m", m)  # edges
+        object.__setattr__(self, "s_black", s_black)  # black vertices
+        object.__setattr__(self, "g", g)  # first Betti number of the graph
+        object.__setattr__(self, "t", t)  # handle count: sum of decoration sizes over black vertices
 
 
 def _component_count(v: Vertex) -> int:
@@ -274,7 +284,7 @@ def fiber_euler(graph: DecoratedGraph) -> int:
         glue = 1 - top + d * (low + middle)  # the link: d copies of S^{n-1} x S^k, connected-summed
         if isinstance(other, HopfLinkSpec):
             chi = 1 + top + d * (middle - low)  # d copies of S^{n-1} x S^{k+1}, connected-summed
-        elif other != projection_filler(n, k, d):
+        elif not graph.capped:
             raise UnsupportedShapeError(
                 "white decoration does not match the trivial piece capping the projected link"
             )

@@ -15,27 +15,26 @@ filler that caps a projected link) is a ``FiberDescriptor`` of Betti data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .exactlinalg import IntMatrix
+from .exactlinalg import Frozen, IntMatrix
 from .forms import BilinearForm
 
 
-@dataclass(frozen=True)
-class FiberDescriptor:
+class FiberDescriptor(Frozen):
     """Rational Betti data of a compact manifold piece: ``betti`` lists b_0 .. b_dim."""
 
-    betti: tuple[int, ...]
-    boundary_components: int
+    __slots__ = _fields = ("betti", "boundary_components")
 
-    def __post_init__(self) -> None:
-        if any(b < 0 for b in self.betti):
+    def __init__(self, betti: tuple[int, ...], boundary_components: int) -> None:
+        if any(b < 0 for b in betti):
             raise ValueError("betti numbers are nonnegative")
-        if self.betti and self.betti[0] < 1:
+        if betti and betti[0] < 1:
             raise ValueError("a nonempty piece has b_0 >= 1")
-        if self.boundary_components < 0:
+        if boundary_components < 0:
             raise ValueError("boundary component count is nonnegative")
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "boundary_components", boundary_components)
 
     @property
     def dim(self) -> int:
@@ -98,8 +97,7 @@ def check_dimensions(n: int, k: int, theta: int) -> None:
         raise ValueError("theta: positive integer required")
 
 
-@dataclass(frozen=True)
-class HopfLinkSpec:
+class HopfLinkSpec(Frozen):
     """Decoration matrix plus dimension data for a generalized Hopf link.
 
     The link has form.dim + 1 sphere components for k = 0 and is connected
@@ -109,21 +107,20 @@ class HopfLinkSpec:
     0 <= k <= n - 2 and theta >= 1.
     """
 
-    form: BilinearForm
-    n: int
-    k: int = 0
-    theta: int = 1
+    _fields = ("form", "n", "k", "theta")
 
-    def __post_init__(self) -> None:
-        check_dimensions(self.n, self.k, self.theta)
-        if self.form.epsilon != (-1) ** self.n:
-            raise ValueError(
-                f"decoration symmetry sign must be (-1)^n = {(-1) ** self.n} for n = {self.n}"
-            )
-        if not self.form.has_zero_diagonal():
+    def __init__(self, form: BilinearForm, n: int, k: int = 0, theta: int = 1) -> None:
+        check_dimensions(n, k, theta)
+        if form.epsilon != (-1) ** n:
+            raise ValueError(f"decoration symmetry sign must be (-1)^n = {(-1) ** n} for n = {n}")
+        if not form.has_zero_diagonal():
             raise ValueError("decoration matrix must have zero diagonal")
-        if self.form.dim < 1:
+        if form.dim < 1:
             raise ValueError("decoration must be at least 1x1")
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def d(self) -> int:
@@ -201,14 +198,17 @@ def presentation_oracle(a: BilinearForm, lk: IntMatrix) -> tuple[bool, ...]:
 # admissibility
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    determinant: int
-    unimodular: bool
-    skew_rank_even: bool
-    admissible: bool
-    directly_fibered: bool
-    notes: tuple[str, ...]
+class AdmissibilityReport(Frozen):
+    __slots__ = _fields = ("determinant", "unimodular", "skew_rank_even", "admissible", "directly_fibered", "notes")
+
+    def __init__(self, determinant: int, unimodular: bool, skew_rank_even: bool, admissible: bool,
+                 directly_fibered: bool, notes: tuple[str, ...]) -> None:
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "unimodular", unimodular)
+        object.__setattr__(self, "skew_rank_even", skew_rank_even)
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "directly_fibered", directly_fibered)
+        object.__setattr__(self, "notes", notes)
 
 
 def admissibility_check(link: HopfLinkSpec) -> AdmissibilityReport:

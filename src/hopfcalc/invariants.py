@@ -10,12 +10,11 @@ number of critical points of maps to spheres, and of products to S^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Optional, Sequence
 
-from .exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, _checked_kernel
+from .exactlinalg import AlgorithmMismatchError, Frozen, Inertia, IntMatrix, _checked_kernel
 from .forms import BilinearForm
 from .graphmodel import (
     DecoratedGraph,
@@ -30,7 +29,6 @@ from .hopflink import (
     HopfLinkSpec,
     check_dimensions,
     is_disk,
-    projection_filler,
 )
 
 EVEN_K0 = "even-k0"
@@ -104,15 +102,15 @@ def cup_form_for_family(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
     return assemble_cup_form_k(graphs[0])
 
 
-@dataclass(frozen=True)
-class CupFormAnalysis:
-    inertia: Optional[Inertia]  # None for skew forms
-    kernel_basis: tuple[tuple[Fraction, ...], ...]
+class CupFormAnalysis(Frozen):
+    __slots__ = _fields = ("inertia", "kernel_basis")
 
-    def __post_init__(self) -> None:
+    def __init__(self, inertia: Optional[Inertia], kernel_basis: tuple[tuple[Fraction, ...], ...]) -> None:
         # read off the decorations or from the form's congruence, the nullity and the checked kernel must agree
-        if self.inertia is not None and self.inertia.n_zero != self.kernel_dim:
+        if inertia is not None and inertia.n_zero != len(kernel_basis):
             raise AlgorithmMismatchError("inertia nullity must match the kernel dimension")
+        object.__setattr__(self, "inertia", inertia)  # None for skew forms
+        object.__setattr__(self, "kernel_basis", kernel_basis)
 
     @property
     def sigma(self) -> int:
@@ -245,15 +243,15 @@ def canonical_homology_ranks(family: str, n: int, k: int, d: int) -> dict[int, i
 # bounds on critical-point counts
 
 
-@dataclass(frozen=True)
-class PhiBounds:
-    lower: int
-    upper: int
-    notes: tuple[str, ...]
+class PhiBounds(Frozen):
+    __slots__ = _fields = ("lower", "upper", "notes")
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:  # phi_bounds derived both; a contradiction is an internal fault
+    def __init__(self, lower: int, upper: int, notes: tuple[str, ...]) -> None:
+        if lower > upper:  # phi_bounds derived both; a contradiction is an internal fault
             raise AlgorithmMismatchError("phi bounds out of order")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "notes", notes)
 
 
 def detect_canonical_family(graphs: Sequence[DecoratedGraph]) -> Optional[tuple[str, int]]:
@@ -264,7 +262,7 @@ def detect_canonical_family(graphs: Sequence[DecoratedGraph]) -> Optional[tuple[
     white piece, with at least five link components.  (n, k) is the
     family's (``family_dimensions``).
     """
-    n, k = family_dimensions(graphs)
+    k = family_dimensions(graphs)[1]
     if len(graphs) != 1:
         return None
     graph = graphs[0]
@@ -274,12 +272,10 @@ def detect_canonical_family(graphs: Sequence[DecoratedGraph]) -> Optional[tuple[
         tree = counts.s_black == 1 and counts.g == 0 and len(whites) == counts.t + 1
         return (EVEN_K0, counts.t) if tree and all(map(is_disk, whites)) else None
     try:
-        link, other = graph.projected
+        d = graph.projected[0].d
     except UnsupportedShapeError:
         return None
-    if link.d >= 4 and other == projection_filler(n, k, link.d):
-        return (EVEN_KPOS, link.d)
-    return None
+    return (EVEN_KPOS, d) if d >= 4 and graph.capped else None
 
 
 def euler_obstructs(chi: int, target: int) -> bool:
@@ -323,19 +319,19 @@ def phi_bounds(
     return PhiBounds(1, s, (note,))
 
 
-@dataclass(frozen=True)
-class ProductFactor:
+class ProductFactor(Frozen):
     """A factor of a product manifold: the 4-sphere or a connected sum of
     r copies of S^2 x S^2."""
 
-    kind: str  # "S4" | "connsum"
-    r: int = 0
+    __slots__ = _fields = ("kind", "r")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("S4", "connsum"):
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.kind == "connsum" and self.r < 0:
+    def __init__(self, kind: str, r: int = 0) -> None:
+        if kind not in ("S4", "connsum"):
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if kind == "connsum" and r < 0:
             raise ValueError("connected-sum multiplicity must be nonnegative")
+        object.__setattr__(self, "kind", kind)  # "S4" | "connsum"
+        object.__setattr__(self, "r", r)
 
     def phi_to_s3(self) -> int:
         # minimal critical-point counts of the factors mapped to the 3-sphere
@@ -345,12 +341,14 @@ class ProductFactor:
         return 2 if self.kind == "S4" else 2 * self.r + 2
 
 
-@dataclass(frozen=True)
-class ProductBound:
-    lower: int
-    upper: int
-    euler: int
-    notes: tuple[str, ...]
+class ProductBound(Frozen):
+    __slots__ = _fields = ("lower", "upper", "euler", "notes")
+
+    def __init__(self, lower: int, upper: int, euler: int, notes: tuple[str, ...]) -> None:
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "notes", notes)
 
 
 def product_phi_bound(factors: Sequence[ProductFactor]) -> ProductBound:
@@ -379,15 +377,18 @@ def product_phi_bound(factors: Sequence[ProductFactor]) -> ProductBound:
 # aggregate report
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    cup_form: BilinearForm
-    analysis: CupFormAnalysis
-    chi: int
-    homology_ranks: Optional[dict[int, int]]
-    phi: Optional[PhiBounds]  # None unless cobounding is asserted
-    notes: tuple[str, ...]  # the phi bounds keep their own notes
-    verdicts: tuple[str, ...]
+class InvariantReport(Frozen):
+    __slots__ = _fields = ("cup_form", "analysis", "chi", "homology_ranks", "phi", "notes", "verdicts")
+
+    def __init__(self, cup_form: BilinearForm, analysis: CupFormAnalysis, chi: int, homology_ranks: Optional[dict[int, int]],
+                 phi: Optional[PhiBounds], notes: tuple[str, ...], verdicts: tuple[str, ...]) -> None:
+        object.__setattr__(self, "cup_form", cup_form)
+        object.__setattr__(self, "analysis", analysis)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "homology_ranks", homology_ranks)
+        object.__setattr__(self, "phi", phi)  # None unless cobounding is asserted
+        object.__setattr__(self, "notes", notes)  # the phi bounds keep their own notes
+        object.__setattr__(self, "verdicts", verdicts)
 
 
 def invariant_report(graphs: Sequence[DecoratedGraph], assume_cobounding: bool) -> InvariantReport:

@@ -566,10 +566,12 @@ class TestMain:
 
     def test_import_loads_only_the_stdlib_it_names(self):
         # what a fresh interpreter loads to import hopfcalc.cli: hopfcalc's modules, __future__ (each one
-        # starts with ``from __future__ import annotations``) and what these four stdlib imports load
+        # starts with ``from __future__ import annotations``) and what the stdlib modules it imports load;
+        # struct and typing are named because not every site loads them at start-up; the value classes are
+        # written out, so neither dataclasses nor the inspect it imports is loaded
         src = os.path.dirname(os.path.dirname(hopfcalc.__file__))
         loaded = {}
-        for imports in ("hopfcalc.cli", "__future__, argparse, dataclasses, fractions, json"):
+        for imports in ("hopfcalc.cli", "__future__, argparse, fractions, json, struct, typing"):
             code = f"import sys; import {imports}; print(*sorted(sys.modules))"
             proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                                   capture_output=True, text=True, check=True)
@@ -577,6 +579,7 @@ class TestMain:
         cli_modules, stdlib = loaded.values()
         assert {name for name in cli_modules - stdlib if name.partition(".")[0] != "hopfcalc"} == set()
         assert {"hopfcalc.cli", "hopfcalc.exactlinalg"} <= cli_modules
+        assert {"dataclasses", "inspect"}.isdisjoint(cli_modules)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_decoration_linking_matrix_matches_oracle(self, seed, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcalc import exactlinalg
+from hopfcalc import cli, exactlinalg, forms, graphmodel, hopflink, invariants
 from hopfcalc.cli import build_report, parse_spec_data
 from hopfcalc.exactlinalg import (
     AlgorithmMismatchError,
@@ -385,6 +385,21 @@ class TestKernelsMatchReferences:
         assert (a @ b).entries == expected
         assert exactlinalg._packed_product(a, b) == expected
 
+    @pytest.mark.parametrize("a_max, packed", [((1 << 60) - 1, True), (1 << 60, False), (10**100, False)])
+    def test_product_kernel_chosen_by_slot_width(self, monkeypatch, a_max, packed):
+        # 8 * (2**60 - 1) < 2**63 fills an eight-byte slot, the widest the elimination packs too; 8 * 2**60 and
+        # 100-digit entries need wider ones, so their products take the dot products; both kernels agree either way
+        rng = random.Random(a_max)
+        k = exactlinalg._PACKED_MIN_DIM
+        a = IntMatrix(k, k, (a_max,) + tuple(rng.randint(-a_max, a_max) for _ in range(k * k - 1)))
+        b = IntMatrix(k, k, tuple(rng.choice((-1, 0, 1)) for _ in range(k * k)))
+        expected = reference_product(a, b)
+        assert exactlinalg._packed_product(a, b) == expected
+        calls, packed_product = [], exactlinalg._packed_product
+        monkeypatch.setattr(exactlinalg, "_packed_product", lambda *args: calls.append(args) or packed_product(*args))
+        assert (a @ b).entries == expected
+        assert len(calls) == packed
+
     @pytest.mark.parametrize("shape", [(0, 9, 3), (3, 9, 0), (0, 0, 0), (2, 0, 3), (3, 9, 2), (9, 9, 9)])
     def test_product_of_empty_and_zero_shapes(self, shape):
         r, k, c = shape
@@ -644,6 +659,73 @@ class TestIntMatrix:
                     total += a.at(i, t) * b.at(t, j)
                 flat.append(total)
         assert a @ b == IntMatrix(a.rows, b.cols, tuple(flat))
+
+
+def _value_instances():
+    """One new instance of every ``exactlinalg.Frozen`` class, built from fresh but equal fields on every call."""
+    h = IntMatrix.from_rows([[0, 1], [1, 0]])
+    form = forms.BilinearForm(h, 1)
+    link = hopflink.HopfLinkSpec(form, n=4)
+    edges = tuple(graphmodel.Edge(0, c + 1, c, 0) for c in range(3))
+    analysis = invariants.CupFormAnalysis(Inertia(1, 1, 1), ((Fraction(1), Fraction(-1)),))
+    return [
+        h,
+        Inertia(1, 1, 1),
+        exactlinalg.SmithForm(IntMatrix.identity(2), IntMatrix.diagonal([1, 1]), h),
+        form,
+        forms.FormClass("even", "indefinite", True, 1, 0),
+        graphmodel.Edge(0, 1, 0, 0, "twist"),
+        graphmodel.DecoratedGraph((link, *[hopflink.disk(4)] * 3), edges),
+        graphmodel.GraphCounts(3, 1, 0, 2),
+        hopflink.disk(4),
+        link,
+        hopflink.AdmissibilityReport(-1, True, True, True, False, ("a note",)),
+        analysis,
+        invariants.PhiBounds(0, 1, ("a note",)),
+        invariants.ProductFactor("connsum", 2),
+        invariants.ProductBound(1, 4, 6, ("a note",)),
+        invariants.InvariantReport(form, analysis, 4, None, None, ("a note",), ("a verdict",)),
+        cli.SpecFile(False, (), (invariants.ProductFactor("S4"),), {"factors": [{"kind": "S4"}]}, "a.json"),
+    ]
+
+
+class TestValueClasses:
+    def test_every_value_class_is_listed(self):
+        assert {type(v) for v in _value_instances()} == set(exactlinalg.Frozen.__subclasses__())
+        assert len(_value_instances()) == 17
+
+    @pytest.mark.parametrize("index", range(17), ids=[type(v).__name__ for v in _value_instances()])
+    def test_equality_hashing_and_immutability(self, index):
+        value, twin = _value_instances()[index], _value_instances()[index]
+        assert value is not twin and value == twin and not value != twin
+        if isinstance(value, cli.SpecFile):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):  # its data is the decoded document
+                hash(value)
+        else:
+            assert hash(value) == hash(twin)
+        assert all(value != other for other in _value_instances() if type(other) is not type(value))
+        fields = type(value)._fields
+        assert value != tuple(getattr(value, f) for f in fields)
+        assert repr(value).startswith(f"{type(value).__name__}({fields[0]}={getattr(value, fields[0])!r}, ")
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == twin
+
+    def test_spec_file_equality_ignores_source_and_repr_omits_data(self):
+        spec = _value_instances()[-1]
+        elsewhere = cli.SpecFile(spec.assume_cobounding, spec.graphs, spec.factors, dict(spec.data), "b.json")
+        assert spec == elsewhere and spec.source != elsewhere.source
+        assert spec != cli.SpecFile(spec.assume_cobounding, spec.graphs, spec.factors, {}, spec.source)
+        assert repr(spec) == "SpecFile(assume_cobounding=False, graphs=(), factors=(ProductFactor(kind='S4', r=0),), " \
+                             "source='a.json')"
+
+    def test_cached_facts_survive_the_frozen_fields(self):
+        graph = _value_instances()[6]
+        assert graph.counts is graph.counts and graph.vertices[0].linking_matrix is graph.vertices[0].linking_matrix
+        assert graph.vertices[0].form.inverse == IntMatrix.from_rows([[0, 1], [1, 0]])
 
 
 class TestDeterminant:

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -233,10 +232,10 @@ class TestCounts:
         assert (counts.m, counts.g, counts.t) == (1, 0, 8)
 
     def test_invalid_graph_raises(self):
-        # graph_counts needs no gate: every way of building a graph, replace included, validates it
+        # graph_counts needs no gate: every way of building a graph, a rebuilt one included, validates it
         tree = single_black_tree(HopfLinkSpec(J, n=3))
         assert_rejected(
-            lambda: dataclasses.replace(tree, edges=tree.edges[:-1]),
+            lambda: DecoratedGraph(tree.vertices, tree.edges[:-1]),
             "vertices[0]: black vertex has degree 2, expected 3 (one edge per component)",
         )
 

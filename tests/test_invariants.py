@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import signal
 from fractions import Fraction
@@ -34,6 +33,7 @@ from hopfcalc.invariants import (
     EVEN_KPOS,
     ODD_K0,
     ODD_KPOS,
+    CupFormAnalysis,
     PhiBounds,
     ProductFactor,
     analyze_cup_form,
@@ -521,7 +521,7 @@ class TestInvariantReport:
         ine = report.analysis.inertia
         assert ine is not None and ine.n_zero == report.analysis.kernel_dim == 1
         with pytest.raises(AlgorithmMismatchError, match="nullity"):
-            dataclasses.replace(report.analysis, inertia=Inertia(ine.n_plus, ine.n_minus, ine.n_zero + 1))
+            CupFormAnalysis(Inertia(ine.n_plus, ine.n_minus, ine.n_zero + 1), report.analysis.kernel_basis)
 
     def test_without_cobounding_flag(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
