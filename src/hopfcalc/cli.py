@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable, Collection, Sequence
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Collection, Optional, Sequence
 
 from .exactlinalg import AlgorithmMismatchError, DimensionError, Frozen, IntMatrix
 from .forms import (
@@ -68,7 +68,8 @@ class SpecFile(Frozen):
         object.__setattr__(self, "assume_cobounding", assume_cobounding)
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "factors", factors)
-        # copy of the validated input document (``_copy_json``), theta and assume_cobounding filled in
+        # the validated input document, theta and assume_cobounding filled in; a copy (``_copy_json``)
+        # unless ``parse_spec`` decoded it
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "source", source)  # the file name each locus leads with
 
@@ -77,7 +78,7 @@ class SpecFile(Frozen):
                 f"factors={self.factors!r}, source={self.source!r})")
 
 
-def _copy_json(value: Any) -> Any:
+def _copy_json(value: object) -> object:
     """A copy of a decoded document: new dicts and lists, the scalars shared; a list of scalars is one C-level copy."""
     if type(value) is dict:
         return {key: _copy_json(item) for key, item in value.items()}
@@ -86,7 +87,7 @@ def _copy_json(value: Any) -> Any:
     return value
 
 
-def _int_or_error(text: str) -> Any:
+def _int_or_error(text: str) -> object:
     """An integer literal, or the error of one past the interpreter's digit limit."""
     try:
         return int(text)
@@ -94,7 +95,7 @@ def _int_or_error(text: str) -> Any:
         return exc
 
 
-def _load_json(path: str, parse: Callable[[Any], Any], parse_int: Optional[Callable[[str], Any]] = None) -> Any:
+def _load_json(path: str, parse: Callable[[object], object], parse_int: Callable[[str], object] | None = None) -> object:
     """``parse`` of the decoded file; every input error is raised with its locus.
 
     Only when an integer past the interpreter's digit limit fails the decode is
@@ -116,7 +117,7 @@ def _load_json(path: str, parse: Callable[[Any], Any], parse_int: Optional[Calla
     return parse(data)
 
 
-def _expect_keys(obj: Any, required: Sequence[str], locus: str, optional: Collection[str] = ()) -> None:
+def _expect_keys(obj: object, required: Sequence[str], locus: str, optional: Collection[str] = ()) -> None:
     """``obj`` must be an object of listed fields; the first missing ``required`` one is named."""
     if not isinstance(obj, dict):
         raise SpecFileError(f"{locus}: expected an object")
@@ -128,14 +129,14 @@ def _expect_keys(obj: Any, required: Sequence[str], locus: str, optional: Collec
             raise SpecFileError(f"{locus}: missing field {key!r}")
 
 
-def _expect_int(value: Any, locus: str) -> int:
+def _expect_int(value: object, locus: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         detail = value if isinstance(value, ValueError) else f"expected an integer, got {value!r}"
         raise SpecFileError(f"{locus}: {detail}")
     return value
 
 
-def _parse_matrix(value: Any, locus: str) -> IntMatrix:
+def _parse_matrix(value: object, locus: str) -> IntMatrix:
     if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
         raise SpecFileError(f"{locus}: expected a nonempty array of arrays of integers")
     try:
@@ -164,7 +165,7 @@ def _printable(value: int, locus: str) -> int:
     return value
 
 
-def _parse_link(value: Any, n: int, k: int, theta: int, locus: str) -> HopfLinkSpec:
+def _parse_link(value: object, n: int, k: int, theta: int, locus: str) -> HopfLinkSpec:
     """Link decorated by the matrix ``value``; n, k and theta passed ``_check_dimensions``."""
     matrix = _parse_matrix(value, locus)
     try:
@@ -177,7 +178,7 @@ def _parse_link(value: Any, n: int, k: int, theta: int, locus: str) -> HopfLinkS
     return link
 
 
-def _parse_fiber(value: Any, locus: str) -> FiberDescriptor:
+def _parse_fiber(value: object, locus: str) -> FiberDescriptor:
     _expect_keys(value, ("betti", "boundary_components"), locus)
     betti = value["betti"]
     if not isinstance(betti, list) or not betti:
@@ -190,7 +191,7 @@ def _parse_fiber(value: Any, locus: str) -> FiberDescriptor:
         raise SpecFileError(f"{locus}: {exc}") from exc
 
 
-def _parse_vertex(value: Any, n: int, k: int, theta: int, locus: str) -> Vertex:
+def _parse_vertex(value: object, n: int, k: int, theta: int, locus: str) -> Vertex:
     """A black vertex is its link, a white vertex its fiber."""
     if not isinstance(value, dict):
         raise SpecFileError(f"{locus}: expected an object")
@@ -208,7 +209,7 @@ def _parse_vertex(value: Any, n: int, k: int, theta: int, locus: str) -> Vertex:
     raise SpecFileError(f"{locus}.color: expected 'black' or 'white', got {color!r}")
 
 
-def _parse_edge(value: Any, locus: str) -> Edge:
+def _parse_edge(value: object, locus: str) -> Edge:
     _expect_keys(value, ("u", "v", "u_comp", "v_comp"), locus, optional=("twist",))
     twist = value.get("twist")
     if "twist" in value and not isinstance(twist, str):
@@ -222,7 +223,7 @@ def _parse_edge(value: Any, locus: str) -> Edge:
     )
 
 
-def _parse_factor(value: Any, locus: str) -> ProductFactor:
+def _parse_factor(value: object, locus: str) -> ProductFactor:
     if not isinstance(value, dict):
         raise SpecFileError(f"{locus}: expected an object")
     kind = value.get("kind")
@@ -239,8 +240,8 @@ def _parse_factor(value: Any, locus: str) -> ProductFactor:
     raise SpecFileError(f"{locus}.kind: expected 'S4' or 'connsum', got {kind!r}")
 
 
-def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
-    """Validate a decoded spec document; raises SpecFileError with a locus."""
+def _parse_spec_data(data: object, source: str) -> SpecFile:
+    """Validate a decoded spec document, which the spec keeps uncopied; raises SpecFileError with a locus."""
     allowed = {"n", "k", "theta", "assume_cobounding", "graphs", "factors"}
     _expect_keys(data, (), source, optional=allowed)
 
@@ -257,7 +258,7 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             if key in data:
                 raise SpecFileError(f"{source}.{key}: not used with 'factors'")
         factors = tuple(_parse_factor(f, f"{source}.factors[{i}]") for i, f in enumerate(factors_raw))
-        return SpecFile(False, (), factors, _copy_json(data), source)
+        return SpecFile(False, (), factors, data, source)
 
     _expect_keys(data, ("n", "k"), source, optional=allowed)
     n = _expect_int(data["n"], f"{source}.n")
@@ -288,13 +289,19 @@ def parse_spec_data(data: Any, source: str = "<data>") -> SpecFile:
             graphs.append(DecoratedGraph(vertices, edges))
         except GraphValidationError as exc:
             raise SpecFileError(f"{locus}.{exc}") from exc
-    echo = {**_copy_json(data), "theta": theta, "assume_cobounding": cobound}
+    echo = {**data, "theta": theta, "assume_cobounding": cobound}
     return SpecFile(cobound, tuple(graphs), (), echo, source)
 
 
+def parse_spec_data(data: object, source: str = "<data>") -> SpecFile:
+    """Validate a decoded spec document; raises SpecFileError with a locus.  The spec keeps a copy of ``data``."""
+    spec = _parse_spec_data(data, source)  # copied once valid: a copy of deep input could itself hit RecursionError
+    return SpecFile(spec.assume_cobounding, spec.graphs, spec.factors, _copy_json(spec.data), source)
+
+
 def parse_spec(path: str) -> SpecFile:
-    """Parse and fully validate a spec file."""
-    return _load_json(path, lambda data: parse_spec_data(data, source=path))
+    """Parse and fully validate a spec file; the spec keeps the document it decoded, uncopied."""
+    return _load_json(path, lambda data: _parse_spec_data(data, path))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +334,7 @@ def _link_section(spec: SpecFile) -> list[dict]:
             locus = f"{spec.source}.graphs[{g_idx}].vertices[{v_idx}].matrix: linking matrix"
             linking_matrix = _printable_rows(link.linking_matrix, locus)
             klass = classified_form_type(link.form)
-            classification: Optional[dict] = (
+            classification: dict | None = (
                 {"p": klass.p, "q": klass.q} if klass.p is not None else None
             )
             out.append(
@@ -373,7 +380,7 @@ def build_report(spec: SpecFile, oracle: bool = False) -> dict:
 
     report = invariant_report(list(spec.graphs), spec.assume_cobounding)
     cup, analysis = report.cup_form, report.analysis
-    doc: dict[str, Any] = {
+    doc: dict[str, object] = {
         "kind": "graphs",
         "spec": spec.data,
         "graphs": [{"index": g_idx, "m": c.m, "s_black": c.s_black, "g": c.g, "t": c.t}
@@ -473,7 +480,7 @@ def _oracle_lines(checks: list[dict], indent: str) -> list[str]:
 
 
 # the scalars a report holds, each as ``json.dumps`` writes it
-_SCALAR_JSON: dict[type, Callable[[Any], str]] = {
+_SCALAR_JSON: dict[type, Callable[[object], str]] = {
     int: int.__repr__,
     str: encode_basestring_ascii,
     bool: {False: "false", True: "true"}.__getitem__,
@@ -481,7 +488,7 @@ _SCALAR_JSON: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _json(value: Any, indent: str = "") -> str:
+def _json(value: object, indent: str = "") -> str:
     """``value`` byte for byte as ``json.dumps(value, sort_keys=True, indent=2)`` writes it at ``indent``.
 
     That call runs the pure-Python encoder.  Here a scalar is formatted
@@ -575,7 +582,7 @@ def _cmd_classify(args) -> int:
     form = BilinearForm(matrix, eps)
     det = _printable(form.det(), f"{args.matrix}: determinant")
     klass = form_type(form)
-    doc: dict[str, Any] = {
+    doc: dict[str, object] = {
         "size": form.dim,
         "epsilon": eps,
         "determinant": det,
@@ -713,7 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

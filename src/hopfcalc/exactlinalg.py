@@ -25,19 +25,19 @@ runs in CPython's big-integer code; the check A A^-1 = I compares such
 packed rows of the product with those of I, unpacking none.  The symmetric
 elimination is one pivot loop over one row layout (``_symmetric_bareiss``)
 on lists or, with many rows and small entries, on integers of byte-aligned
-slots (``_Slots``), where an exact guard redoes at twice the width a step
-that outgrew them.
+slots (``_Slots``): a step's exact quotient reads back exactly when each of
+its digits fits its slot, and a step that leaves the guard is redone wider.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 from operator import attrgetter, mul, or_
-from typing import Iterable, Sequence
 
 
 class DimensionError(ValueError):
@@ -249,27 +249,29 @@ _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # signed: two's complement slo
 
 
 class _Slots:
-    """Layout of a packed elimination row: ``n`` signed digits in ``width``-byte slots of one integer.
+    """Layout of a packed row: ``n`` signed digits in ``width``-byte slots of one integer.
 
     A row x_0 .. x_{n-1} is the integer P = sum x_j 2**(w j), with w = 8 *
-    width bits per slot and width a power of two.  Between steps every digit
-    lies in the guard interval [-2**e, 2**e), e = (w - 3) // 2.  A 1x1-pivot
-    update ``x p - f y`` of such digits is then at most 2**(2e + 1) < 2**(w - 1)
-    in absolute value in every slot, unreduced, and so is its exact quotient.
-    An integer has one set of digits of that size, so the packed quotient
-    holds each entry in its own slot, with no carry between slots.  The
-    biased form P + ``biases`` holds x_j + 2**e in slot j: ``digits`` reads a
-    slot with one shift and one mask, and ``biased`` tests every digit of a
-    step's quotients against the guard interval with one add, one AND against
-    ``high`` (the bits above e of every slot) and one sign test.  Slots of at
-    most eight bytes are packed and read by ``struct`` in two's complement:
-    with every slot's top bit flipped (``top``) a slot holds x_j + 2**(w - 1),
-    one subtraction away from the biased form, so no digit is touched in
-    Python.
+    width bits per slot and width a power of two.  An integer has one set of
+    digits below 2**(w - 1) in absolute value, so a packed result reads back
+    exactly when every digit of it is that small; carries before that point
+    do not matter.  An elimination step computes U = sum u_j 2**(w j) by
+    integer-linear operations on packed rows, with every u_j divisible by the
+    step's divisor s (Bareiss), so U // s is exactly sum (u_j / s) 2**(w j):
+    it reads back exactly when every u_j / s is below 2**(w - 1), however far
+    u_j itself overflows.  Between steps every digit lies in the guard
+    interval [-2**e, 2**e), e = (w - 3) // 2.  The biased form P + ``biases``
+    holds x_j + 2**e in slot j: ``digits`` reads a slot with one shift and one
+    mask, and ``biased`` tests every digit of a step's quotients against the
+    guard interval with one add, one AND against ``high`` (the bits above e of
+    every slot) and one sign test.  Slots of at most eight bytes are packed
+    and read by ``struct`` in two's complement: with every slot's top bit
+    flipped (``top``) a slot holds x_j + 2**(w - 1), one subtraction away from
+    the biased form, so no digit is touched in Python.
     """
 
     def __init__(self, width: int, n: int, e: int | None = None) -> None:
-        """``e`` narrows the guard interval below the default, as a 2x2 step's check does."""
+        """``e`` replaces the guard exponent; ``_product_slots`` sets it to the bound of a product's entries."""
         self.width, self.n, self.bits = width, n, 8 * width
         self.e = (self.bits - 3) // 2 if e is None else e
         self.bias = 1 << self.e
@@ -777,12 +779,14 @@ class _ListRows:
 class _PackedRows:
     """The live rows of ``_symmetric_bareiss`` as packed integers (``_Slots``), so a row update runs in C.
 
-    With the digits and ``scale`` at most 2**e in absolute value, a 1x1 update
-    is at most 2**(2e + 1) in every slot, as in ``_Slots``, and a 2x2 update
-    below 3 * 2**(3e), which needs 3e + 3 bits.  So a step first widens when
-    ``scale``, or for a 2x2 step a digit, is outside the interval its update
-    allows; a step whose quotient leaves the guard interval is redone on its
-    unchanged input rows at twice the slot width.
+    A step's quotient reads back exactly while its digits are below 2**(w - 1)
+    (``_Slots``).  With every digit in the guard interval, a 1x1 step's is -f
+    in the pivot column p and at most 2**(2e + 1) / |scale| elsewhere, so it
+    needs no check.  A 2x2 step's is at most |b f / scale| <= 2**(2e) in
+    columns p and q and (b**2 + 2 |b| max|f|) 2**e / scale**2 elsewhere, over
+    the multipliers f it reads, so it first widens until that is below
+    2**(w - 1).  A step whose quotient leaves the guard interval is redone on
+    its unchanged input rows at twice the slot width.
     """
 
     def __init__(self, a: IntMatrix, slots: _Slots) -> None:
@@ -800,10 +804,6 @@ class _PackedRows:
     def widen(self) -> None:
         self.slots, self.biased, self.rows = self.slots.widened(self.biased)
 
-    def fit(self, scale: int) -> None:
-        while abs(scale) > self.slots.bias:
-            self.widen()
-
     def keep(self, new: list[int]) -> bool:
         """Take ``new`` as the live rows if every digit is inside the guard interval; else widen for a redo."""
         biased = self.slots.biased(new)
@@ -814,24 +814,22 @@ class _PackedRows:
         return True
 
     def pivot(self, k: int, p: int, d: int, scale: int) -> None:
-        self.fit(scale)
+        fs = self.slots.digits(self.biased[:k] + self.biased[k + 1 :], p)
         while True:
-            fs = self.slots.digits(self.biased[:k] + self.biased[k + 1 :], p)
             y = self.rows[k] + (scale << self.slots.bits * p)
             if self.keep([(w * d - f * y) // scale for w, f in zip(self.rows[:k] + self.rows[k + 1 :], fs)]):
                 return
 
     def pivot2(self, k: int, l: int, p: int, q: int, b: int, scale: int, epsilon: int) -> None:
-        self.fit(scale)
-        narrow = _Slots(self.slots.width, self.slots.n, (self.slots.bits - 3) // 3)
-        if abs(scale) > narrow.bias or narrow.biased(self.rows) is None:
-            self.widen()
-        b2, s2 = b * b, scale * scale
         kept = [t for t in range(len(self.rows)) if t not in (k, l)]
+        kept_biased = [self.biased[t] for t in kept]
+        fps, fqs = self.slots.digits(kept_biased, p), self.slots.digits(kept_biased, q)
+        b2, s2 = b * b, scale * scale
+        bound = b2 + 2 * abs(b) * max(map(abs, fps + fqs), default=0)  # times 2**e, off columns p and q
+        while bound << self.slots.e >= s2 << self.slots.bits - 1:
+            self.widen()
         while True:
             slots, rows = self.slots, [self.rows[t] for t in kept]
-            kept_biased = [self.biased[t] for t in kept]
-            fps, fqs = slots.digits(kept_biased, p), slots.digits(kept_biased, q)
             y, z = self.rows[k] + (scale << slots.bits * p), self.rows[l] + (scale << slots.bits * q)
             if self.keep([(b2 * w - b * (fq * y + epsilon * fp * z)) // s2 for w, fp, fq in zip(rows, fps, fqs)]):
                 return

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .exactlinalg import (
     Congruence,
@@ -111,7 +110,7 @@ class FormClass(Frozen):
     __slots__ = _fields = ("parity", "definiteness", "unimodular", "p", "q")
 
     def __init__(self, parity: str, definiteness: str, unimodular: bool,
-                 p: Optional[int] = None, q: Optional[int] = None) -> None:
+                 p: int | None = None, q: int | None = None) -> None:
         object.__setattr__(self, "parity", parity)  # "even" | "odd"
         object.__setattr__(self, "definiteness", definiteness)  # "positive" | "negative" | "indefinite" | "degenerate"
         object.__setattr__(self, "unimodular", unimodular)

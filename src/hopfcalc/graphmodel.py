@@ -19,8 +19,8 @@ first time it is read.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
 
 from .exactlinalg import AlgorithmMismatchError, Frozen
 from .hopflink import (
@@ -40,7 +40,7 @@ class UnsupportedShapeError(ValueError):
     """The graph shape is outside what this computation supports."""
 
 
-Vertex = Union[HopfLinkSpec, FiberDescriptor]  # a black vertex is its link, a white one its fiber
+Vertex = HopfLinkSpec | FiberDescriptor  # a black vertex is its link, a white one its fiber
 
 
 class Edge(Frozen):
@@ -48,7 +48,7 @@ class Edge(Frozen):
 
     __slots__ = _fields = ("u", "v", "u_comp", "v_comp", "twist")
 
-    def __init__(self, u: int, v: int, u_comp: int, v_comp: int, twist: Optional[str] = None) -> None:
+    def __init__(self, u: int, v: int, u_comp: int, v_comp: int, twist: str | None = None) -> None:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u_comp", u_comp)
@@ -83,7 +83,7 @@ class DecoratedGraph(Frozen):
         return link.n, link.k
 
     @cached_property
-    def projected(self) -> tuple[HopfLinkSpec, Union[HopfLinkSpec, FiberDescriptor]]:
+    def projected(self) -> tuple[HopfLinkSpec, HopfLinkSpec | FiberDescriptor]:
         """``projected_pair`` of this graph, decided once and kept."""
         return projected_pair(self)
 
@@ -222,7 +222,7 @@ def family_dimensions(graphs: Sequence[DecoratedGraph]) -> tuple[int, int]:
     return graphs[0].dimensions
 
 
-def projected_pair(graph: DecoratedGraph) -> tuple[HopfLinkSpec, Union[HopfLinkSpec, FiberDescriptor]]:
+def projected_pair(graph: DecoratedGraph) -> tuple[HopfLinkSpec, HopfLinkSpec | FiberDescriptor]:
     """The one projected (k >= 1) shape rule: the two pieces its one edge joins.
 
     In a projected graph every vertex has a single component, so one

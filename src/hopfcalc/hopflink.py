@@ -45,21 +45,15 @@ class FiberDescriptor(Frozen):
         return sum(b if i % 2 == 0 else -b for i, b in enumerate(self.betti))
 
 
-def _from_betti_map(pairs, dim: int, boundary: int) -> FiberDescriptor:
-    """Descriptor from (index, count) pairs; counts at the same index add up."""
-    betti = [0] * (dim + 1)
-    for idx, b in pairs:
-        betti[idx] += b
-    return FiberDescriptor(tuple(betti), boundary)
-
-
 def disk(dim: int) -> FiberDescriptor:
-    return _from_betti_map({0: 1}.items(), dim, 1)
+    return FiberDescriptor((1,) + (0,) * dim, 1)
 
 
 def cylinder(dim: int) -> FiberDescriptor:
-    """S^{dim-1} x [0, 1]: the trivial connector with two boundary spheres."""
-    return _from_betti_map({0: 1, dim - 1: 1}.items(), dim, 2)
+    """S^{dim-1} x [0, 1]: the trivial connector with two boundary spheres; S^0 x [0, 1] has two components."""
+    betti = [1] + [0] * dim
+    betti[dim - 1] += 1
+    return FiberDescriptor(tuple(betti), 2)
 
 
 def projection_filler(n: int, k: int, d: int) -> FiberDescriptor:
@@ -71,7 +65,7 @@ def projection_filler(n: int, k: int, d: int) -> FiberDescriptor:
     """
     if k < 1 or d < 1:
         raise ValueError("need k >= 1 and d >= 1")
-    return _from_betti_map({0: 1, k: d}.items(), n + k, 1)
+    return FiberDescriptor((1,) + (0,) * (k - 1) + (d,) + (0,) * n, 1)
 
 
 def is_disk(f: FiberDescriptor) -> bool:

@@ -10,9 +10,9 @@ number of critical points of maps to spheres, and of products to S^3.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Optional, Sequence
 
 from .exactlinalg import AlgorithmMismatchError, Frozen, Inertia, IntMatrix, _checked_kernel
 from .forms import BilinearForm
@@ -105,7 +105,7 @@ def cup_form_for_family(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
 class CupFormAnalysis(Frozen):
     __slots__ = _fields = ("inertia", "kernel_basis")
 
-    def __init__(self, inertia: Optional[Inertia], kernel_basis: tuple[tuple[Fraction, ...], ...]) -> None:
+    def __init__(self, inertia: Inertia | None, kernel_basis: tuple[tuple[Fraction, ...], ...]) -> None:
         # read off the decorations or from the form's congruence, the nullity and the checked kernel must agree
         if inertia is not None and inertia.n_zero != len(kernel_basis):
             raise AlgorithmMismatchError("inertia nullity must match the kernel dimension")
@@ -254,7 +254,7 @@ class PhiBounds(Frozen):
         object.__setattr__(self, "notes", notes)
 
 
-def detect_canonical_family(graphs: Sequence[DecoratedGraph]) -> Optional[tuple[str, int]]:
+def detect_canonical_family(graphs: Sequence[DecoratedGraph]) -> tuple[str, int] | None:
     """Recognize the one-graph canonical shapes; returns (family, d) or None.
 
     Unprojected: a tree with a single black vertex whose leaves are white
@@ -291,7 +291,7 @@ def phi_bounds(
     graphs: Sequence[DecoratedGraph],
     chi: int,
     sigma: int,
-    canonical: Optional[tuple[str, int]],
+    canonical: tuple[str, int] | None,
 ) -> PhiBounds:
     """Bounds on the minimal number of critical points of maps to S^{n-k}, given cobounding.
 
@@ -380,8 +380,8 @@ def product_phi_bound(factors: Sequence[ProductFactor]) -> ProductBound:
 class InvariantReport(Frozen):
     __slots__ = _fields = ("cup_form", "analysis", "chi", "homology_ranks", "phi", "notes", "verdicts")
 
-    def __init__(self, cup_form: BilinearForm, analysis: CupFormAnalysis, chi: int, homology_ranks: Optional[dict[int, int]],
-                 phi: Optional[PhiBounds], notes: tuple[str, ...], verdicts: tuple[str, ...]) -> None:
+    def __init__(self, cup_form: BilinearForm, analysis: CupFormAnalysis, chi: int, homology_ranks: dict[int, int] | None,
+                 phi: PhiBounds | None, notes: tuple[str, ...], verdicts: tuple[str, ...]) -> None:
         object.__setattr__(self, "cup_form", cup_form)
         object.__setattr__(self, "analysis", analysis)
         object.__setattr__(self, "chi", chi)

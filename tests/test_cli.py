@@ -567,19 +567,23 @@ class TestMain:
     def test_import_loads_only_the_stdlib_it_names(self):
         # what a fresh interpreter loads to import hopfcalc.cli: hopfcalc's modules, __future__ (each one
         # starts with ``from __future__ import annotations``) and what the stdlib modules it imports load;
-        # struct and typing are named because not every site loads them at start-up; the value classes are
-        # written out, so neither dataclasses nor the inspect it imports is loaded
+        # struct is named because not every site loads it at start-up; the value classes are written out
+        # and the annotations name only builtins and collections.abc, so neither dataclasses, the inspect
+        # it imports, nor typing is loaded, which a run without the site module (-S) shows where a site
+        # file loads typing itself
         src = os.path.dirname(os.path.dirname(hopfcalc.__file__))
         loaded = {}
-        for imports in ("hopfcalc.cli", "__future__, argparse, fractions, json, struct, typing"):
+        for flags, imports in (((), "hopfcalc.cli"), ((), "__future__, argparse, fractions, json, struct"),
+                               (("-S",), "hopfcalc.cli")):
             code = f"import sys; import {imports}; print(*sorted(sys.modules))"
-            proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            proc = subprocess.run([sys.executable, *flags, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                                   capture_output=True, text=True, check=True)
-            loaded[imports] = set(proc.stdout.split())
-        cli_modules, stdlib = loaded.values()
+            loaded[flags, imports] = set(proc.stdout.split())
+        cli_modules, stdlib, site_free = loaded.values()
         assert {name for name in cli_modules - stdlib if name.partition(".")[0] != "hopfcalc"} == set()
         assert {"hopfcalc.cli", "hopfcalc.exactlinalg"} <= cli_modules
         assert {"dataclasses", "inspect"}.isdisjoint(cli_modules)
+        assert "hopfcalc.cli" in site_free and {"dataclasses", "inspect", "typing"}.isdisjoint(site_free)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_decoration_linking_matrix_matches_oracle(self, seed, tmp_path, capsys):

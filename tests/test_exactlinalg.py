@@ -408,6 +408,7 @@ class TestKernelsMatchReferences:
 
 
 GUARD_ROWS = 8  # the size of the guard tests' matrices; they force packed rows at any size
+SWEEP = 800  # matrices per slot width in the pinned sweep
 PACKED_ROWS = exactlinalg._PACKED_ROWS_MIN_DIM
 
 
@@ -476,21 +477,30 @@ def eliminate_on(packed, a, epsilon):
 
 
 def pinned_slots(monkeypatch, width=1):
-    """Force packed rows, pin their first layout to ``width``-byte slots and count widenings.
+    """Force packed rows, pin their first layout to ``width``-byte slots and record each widening by its cause.
 
-    One-byte slots guard [-4, 4) and two-byte slots [-64, 64).
+    A widening is ``"redo"`` when ``keep`` found a quotient digit outside the
+    guard interval and ``"bound"`` when a 2x2 step's bound asked for it before
+    the step.  One-byte slots guard [-4, 4) and two-byte slots [-64, 64).
     """
     assert (exactlinalg._Slots(1, 1).e, exactlinalg._Slots(2, 1).e) == (2, 6)
     force_packed_rows(monkeypatch)
     monkeypatch.setattr(exactlinalg._Slots, "for_entries", classmethod(lambda cls, entries, n: cls(width, n)))
-    widened = exactlinalg._Slots.widened
+    widened, keep = exactlinalg._Slots.widened, exactlinalg._PackedRows.keep
     calls = []
 
     def counted(self, packed):
-        calls.append(self.n)
+        calls.append("bound")
         return widened(self, packed)
 
+    def kept(self, new):
+        if keep(self, new):
+            return True
+        calls[-1] = "redo"
+        return False
+
     monkeypatch.setattr(exactlinalg._Slots, "widened", counted)
+    monkeypatch.setattr(exactlinalg._PackedRows, "keep", kept)
     return calls
 
 
@@ -523,7 +533,7 @@ class TestPackedKernels:
     def test_symmetric_bareiss_at_guard_edge(self, monkeypatch, a, c, g, widenings):
         # [[1, a], [a, c]] + diag(g, 1, ...): after the pivot 1, row 1's diagonal is t = c - a**2, and |t| >= 3
         # loses to every |g| = 1, so the second pivot is g, which leaves g t on row 1's diagonal: -4 and -3
-        # are inside one-byte slots' guard [-4, 4) and 4 is not; t is the last pivot
+        # are inside one-byte slots' guard [-4, 4) and 4 is not, so its 1x1 step is redone; t is the last pivot
         calls = pinned_slots(monkeypatch)
         rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
         rows[0][:2], rows[1][:2] = [1, a], [a, c]
@@ -534,11 +544,12 @@ class TestPackedKernels:
         assert (order, x, blocks) == reference_symmetric_bareiss(m, 1)
         assert order == [0, 2, *range(3, GUARD_ROWS), 1]
         assert (blocks[1], blocks[-1]) == ([[g]], [[c - a * a]])  # g at scale 1, then t at scale g = +-1
-        assert len(calls) == widenings
+        assert calls == ["redo"] * widenings
 
     def test_two_by_two_pivot_first_checks_its_wider_bound(self, monkeypatch):
         # two-byte slots: b = -64 and 16 are in [-64, 64), but b**2 * 16 = 2**16 would carry
-        # into the next slot and read back as a guard-passing 1 there
+        # into the next slot and read back as a guard-passing 1 there.  The bound b**2 2**6 >= 2**15 widens
+        # first, and the step's 16 b**2 = 2**16, past four-byte slots' guard of 2**14, is then redone at eight
         calls = pinned_slots(monkeypatch, width=2)
         for epsilon in (1, -1):
             rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
@@ -547,14 +558,32 @@ class TestPackedKernels:
             a = IntMatrix.from_rows(rows)
             calls.clear()
             assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
-            assert calls
+            assert calls == ["bound", "redo"]
 
-    def test_scale_past_the_guard_widens_before_the_next_step(self, monkeypatch):
+    @pytest.mark.parametrize("b, f, widenings", [(-20, 2, 0), (-16, 8, 1), (-20, 3, 1)])
+    def test_two_by_two_bound_at_its_edge(self, monkeypatch, b, f, widenings):
+        # two-byte slots, scale 1: the pivot b of rows 0 and 1 with the multiplier f in row 2 gives the bound
+        # (b**2 + 2 |b| f) 2**6 against 2**15, that is 480 (just below), 512 (at) and 520 against 512.  The
+        # step leaves -b f in row 2: 40 and 60 inside the guard [-64, 64), so the last widening is the
+        # bound's alone, and 128 past it
+        calls = pinned_slots(monkeypatch, width=2)
+        for epsilon in (1, -1):
+            rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
+            rows[0][1], rows[1][0] = b, epsilon * b
+            rows[1][2], rows[2][1] = f, epsilon * f
+            a = IntMatrix.from_rows(rows)
+            calls.clear()
+            assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon)
+            assert calls == ["bound"] * widenings
+
+    def test_scale_past_the_guard_needs_no_widening(self, monkeypatch):
         # a 2x2 pivot b = -12 makes the scale b**2 = 144, past two-byte slots' guard of 64, while every
-        # digit stays inside it, and +-b inside the 2x2 step's narrower [-16, 16): rows 2 and 3, tied to
-        # rows 0 and 1 by ones, come out with coefficients of 12, and the next pivot is the 1x1 pivot 24
-        # (symmetric) or the 2x2 pivot 12 (skew).  The elimination itself takes the tie 1 in row 0
-        # before b, the least entry first, so both steps are driven here, on packed rows and on lists
+        # digit stays inside it: rows 2 and 3, tied to rows 0 and 1 by ones, come out with coefficients
+        # of 12, and the next pivot is the 1x1 pivot 24 (symmetric) or the 2x2 pivot 12 (skew).  The 1x1
+        # step's pivot row holds 24 + 144 in column 2 and its dividend -12 * 144 there, both past the
+        # guard, yet the quotient -12 reads back exactly, so neither step widens.  The elimination itself
+        # takes the tie 1 in row 0 before b, the least entry first, so both steps are driven here, on
+        # packed rows and on lists
         calls = pinned_slots(monkeypatch, width=2)
         for epsilon in (1, -1):
             rows = [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
@@ -578,15 +607,16 @@ class TestPackedKernels:
                 else:
                     live.pivot2(0, 1, 2, 3, 12, 144, epsilon)
             assert [packed.row(t) for t in range(len(lists.rows))] == lists.rows
-            assert len(calls) == 1
+            assert calls == []
 
     def test_overflow_mid_elimination_redoes_one_step(self, monkeypatch):
         calls = pinned_slots(monkeypatch)
         a = zero_diagonal_model(1, 1).matrix
         assert exactlinalg._symmetric_bareiss(a, 1) == reference_symmetric_bareiss(a, 1)
-        assert calls
+        assert calls == ["redo"]
         calls.clear()
-        # entries in {-1, 0, 1} pass the first 2x2 step's narrower guard of one-byte slots, [-2, 2)
+        # entries in {-1, 0, 1} keep the first 2x2 step's bound, at scale 1, below one-byte slots' 2**7:
+        # (1 + 2) 2**2 = 12, so what widens is a redo
         rng, rows = random.Random(0), [[0] * GUARD_ROWS for _ in range(GUARD_ROWS)]
         for i in range(GUARD_ROWS):
             for j in range(i + 1, GUARD_ROWS):
@@ -594,6 +624,24 @@ class TestPackedKernels:
                 rows[j][i] = -rows[i][j]
         skew = IntMatrix.from_rows(rows)
         assert exactlinalg._symmetric_bareiss(skew, -1) == reference_symmetric_bareiss(skew, -1)
+        assert calls == ["redo"]
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_sweep_at_pinned_widths(self, monkeypatch, width):
+        # small epsilon-symmetric matrices, general, zero-diagonal or sparse, with entries inside the guard
+        # interval (at most 200), against the reference; some of them widen
+        calls = pinned_slots(monkeypatch, width)
+        rng, top = random.Random(width), min(200, (1 << exactlinalg._Slots(width, 1).e) - 1)
+        for _ in range(SWEEP):
+            n, epsilon, size = rng.randint(2, 6), rng.choice((1, -1)), rng.randint(1, top)
+            kind = rng.choice(("general", "zero_diagonal", "sparse"))
+            flat = [0 if kind == "sparse" and rng.random() < 0.6 else rng.randint(-size, size) for _ in range(n * n)]
+            rows = epsilon_rows(flat, n, epsilon)
+            for i in range(n):
+                if epsilon == -1 or kind == "zero_diagonal":
+                    rows[i][i] = 0
+            a = IntMatrix.from_rows(rows)
+            assert exactlinalg._symmetric_bareiss(a, epsilon) == reference_symmetric_bareiss(a, epsilon), rows
         assert calls
 
     def test_300_bit_entries(self):

@@ -491,3 +491,9 @@ class TestDescriptors:
         assert disk(3).euler == 1
         assert cylinder(4).boundary_components == 2
         assert projection_filler(5, 1, 4).betti == (1, 4, 0, 0, 0, 0, 0)
+
+    def test_cylinder_over_the_zero_sphere_has_two_components(self):
+        # S^0 x [0, 1] is two intervals; S^{d-1} x [0, 1] has the Betti numbers of S^{d-1}
+        assert cylinder(1).betti == (2, 0)
+        assert cylinder(4).betti == (1, 0, 0, 1, 0)
+        assert (disk(3).betti, projection_filler(2, 3, 5).betti) == ((1, 0, 0, 0), (1, 0, 0, 5, 0, 0))
