@@ -61,7 +61,10 @@ class Frozen:
 
     Each subclass checks its input in its own ``__init__`` and sets each field
     by ``object.__setattr__``.  ``cached_property`` writes the ``__dict__`` of
-    a subclass without ``__slots__`` directly, so it still works.
+    a subclass without ``__slots__`` directly, so it still works.  The fields
+    are set one by one, not by one shared ``__init__`` looping over
+    ``_fields``: through ``super().__init__`` that costs 1.3 to 1.8 times as
+    much per object, and every matrix, edge and vertex is one.
     """
 
     __slots__ = ()

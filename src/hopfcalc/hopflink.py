@@ -51,6 +51,8 @@ def disk(dim: int) -> FiberDescriptor:
 
 def cylinder(dim: int) -> FiberDescriptor:
     """S^{dim-1} x [0, 1]: the trivial connector with two boundary spheres; S^0 x [0, 1] has two components."""
+    if dim < 1:
+        raise ValueError(f"a cylinder has dimension >= 1, got {dim}")
     betti = [1] + [0] * dim
     betti[dim - 1] += 1
     return FiberDescriptor(tuple(betti), 2)
@@ -73,7 +75,7 @@ def is_disk(f: FiberDescriptor) -> bool:
 
 
 def is_cylinder(f: FiberDescriptor) -> bool:
-    return f.boundary_components == 2 and f == cylinder(f.dim)
+    return f.boundary_components == 2 and f.dim >= 1 and f == cylinder(f.dim)
 
 
 MAX_N = 10_000  # past this, descriptors of length n + 1 cost seconds and hundreds of megabytes

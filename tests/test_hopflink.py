@@ -31,6 +31,7 @@ from hopfcalc.hopflink import (
     cylinder,
     derived_linking_matrix,
     disk,
+    is_cylinder,
     presentation_oracle,
     projection_filler,
 )
@@ -497,3 +498,11 @@ class TestDescriptors:
         assert cylinder(1).betti == (2, 0)
         assert cylinder(4).betti == (1, 0, 0, 1, 0)
         assert (disk(3).betti, projection_filler(2, 3, 5).betti) == ((1, 0, 0, 0), (1, 0, 0, 5, 0, 0))
+
+    @pytest.mark.parametrize("dim, betti", [(0, (2,)), (-1, ())])
+    def test_no_cylinder_below_dimension_one(self, dim, betti):
+        # S^{dim-1} x [0, 1] is empty at dim = 0, where betti[dim - 1] would wrap to b_0 and count it twice
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            cylinder(dim)
+        assert not is_cylinder(FiberDescriptor(betti, 2))
+        assert is_cylinder(FiberDescriptor((2, 0), 2)) and is_cylinder(cylinder(4))
