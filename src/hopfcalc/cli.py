@@ -68,23 +68,13 @@ class SpecFile(Frozen):
         object.__setattr__(self, "assume_cobounding", assume_cobounding)
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "factors", factors)
-        # the validated input document, theta and assume_cobounding filled in; a copy (``_copy_json``)
-        # unless ``parse_spec`` decoded it
+        # the validated input document, theta and assume_cobounding filled in, kept as the caller gave it
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "source", source)  # the file name each locus leads with
 
     def __repr__(self) -> str:  # without the data
         return (f"SpecFile(assume_cobounding={self.assume_cobounding!r}, graphs={self.graphs!r}, "
                 f"factors={self.factors!r}, source={self.source!r})")
-
-
-def _copy_json(value: object) -> object:
-    """A copy of a decoded document: new dicts and lists, the scalars shared; a list of scalars is one C-level copy."""
-    if type(value) is dict:
-        return {key: _copy_json(item) for key, item in value.items()}
-    if type(value) is list:
-        return value[:] if {dict, list}.isdisjoint(map(type, value)) else [_copy_json(x) for x in value]
-    return value
 
 
 def _int_or_error(text: str) -> object:
@@ -240,7 +230,7 @@ def _parse_factor(value: object, locus: str) -> ProductFactor:
     raise SpecFileError(f"{locus}.kind: expected 'S4' or 'connsum', got {kind!r}")
 
 
-def _parse_spec_data(data: object, source: str) -> SpecFile:
+def parse_spec_data(data: object, source: str = "<data>") -> SpecFile:
     """Validate a decoded spec document, which the spec keeps uncopied; raises SpecFileError with a locus."""
     allowed = {"n", "k", "theta", "assume_cobounding", "graphs", "factors"}
     _expect_keys(data, (), source, optional=allowed)
@@ -293,15 +283,9 @@ def _parse_spec_data(data: object, source: str) -> SpecFile:
     return SpecFile(cobound, tuple(graphs), (), echo, source)
 
 
-def parse_spec_data(data: object, source: str = "<data>") -> SpecFile:
-    """Validate a decoded spec document; raises SpecFileError with a locus.  The spec keeps a copy of ``data``."""
-    spec = _parse_spec_data(data, source)  # copied once valid: a copy of deep input could itself hit RecursionError
-    return SpecFile(spec.assume_cobounding, spec.graphs, spec.factors, _copy_json(spec.data), source)
-
-
 def parse_spec(path: str) -> SpecFile:
     """Parse and fully validate a spec file; the spec keeps the document it decoded, uncopied."""
-    return _load_json(path, lambda data: _parse_spec_data(data, path))
+    return _load_json(path, lambda data: parse_spec_data(data, path))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ gives a congruence X A X^T = D (``Congruence``), and the determinant, the
 integer inverse, the inertia and the rational kernel are all read from it
 behind one exact certificate: a unimodular form is proved by its exactly
 divided inverse, checked by A A^-1 = I, and any other form by X A X^T = D
-with X invertible; every kernel vector is checked by A v = 0.  The least
-pivots keep D's entries, and the lcm the inverse is divided by, a few bits
-wide.  The references are kept for the selftest, the tests and
+with X invertible; every kernel vector is checked nonzero and by A v = 0.
+The least pivots keep D's entries, and the lcm the inverse is divided by, a
+few bits wide.  The references are kept for the selftest, the tests and
 ``perfbench/tracer.py``: fraction-free Gauss-Jordan elimination behind
 ``det_bareiss``, ``inverse_unimodular`` and ``nullspace_rational``, Smith
 normal form with transforms (the tests' reference for the filling
@@ -454,8 +454,7 @@ def nullspace_rational(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of the right nullspace over Q, verified by one integer product.
 
     Each basis vector is normalized so its first nonzero coordinate is 1;
-    vectors are ordered by their free column.  Use ``clear_denominators`` for
-    the primitive integer form of a vector.
+    vectors are ordered by their free column.
     """
     m = a.to_rows()
     pivots, scale, _ = _gauss_jordan(m)
@@ -470,27 +469,13 @@ def nullspace_rational(a: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _checked_kernel(a: IntMatrix, vecs: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """``vecs`` each divided by its first nonzero entry, once ``A v = 0`` is verified for every one."""
-    basis = [tuple(Fraction(x, next(y for y in vec if y)) for x in vec) for vec in vecs]
-    ints = IntMatrix(len(basis), a.cols, tuple(chain.from_iterable(map(clear_denominators, basis))))
-    if ints @ a.transpose() != IntMatrix.zeros(len(basis), a.rows):
+    """``vecs`` each divided by its first nonzero entry, once each is verified nonzero and A V = 0, V their columns."""
+    if not all(map(any, vecs)):
+        raise AlgorithmMismatchError("kernel verification failed: a zero vector")
+    if any((a @ IntMatrix(a.cols, len(vecs), tuple(chain.from_iterable(zip(*vecs))))).entries):
         raise AlgorithmMismatchError("kernel verification failed")
-    return tuple(basis)
-
-
-def clear_denominators(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Primitive integer vector proportional to ``vec``, first nonzero entry positive."""
-    scale = math.lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (scale // x.denominator) for x in vec]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    firsts = [next(filter(None, vec)) for vec in vecs]
+    return tuple(tuple(Fraction(x, first) for x in vec) for vec, first in zip(vecs, firsts))
 
 
 # ---------------------------------------------------------------------------

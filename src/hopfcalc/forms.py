@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactlinalg import (
+    AlgorithmMismatchError,
     Congruence,
     DimensionError,
     Frozen,
@@ -174,9 +175,9 @@ def classify_indefinite(f: BilinearForm) -> tuple[int, int]:
 
     The form is equivalent to p copies of the E8 block (negated when p < 0)
     plus q hyperbolic planes; signature = 8p, rank = 8|p| + 2q, q >= 1.
-    Anything outside that domain raises ClassificationError; in particular a
-    signature not divisible by 8 certifies that an even form is not
-    unimodular.
+    Anything outside that domain raises ClassificationError.  Inside it, a
+    signature off 8Z (van der Blij) or a rank below 8|p| + 2 can only come
+    from a wrong determinant, inertia or parity: AlgorithmMismatchError.
     """
     if f.epsilon != 1:
         raise ClassificationError("classification applies to symmetric forms only")
@@ -191,13 +192,13 @@ def classify_indefinite(f: BilinearForm) -> tuple[int, int]:
         raise ClassificationError(f"form has determinant {f.det()}, not unimodular")
     sigma = ine.sigma
     if sigma % 8 != 0:
-        raise ClassificationError(
+        raise AlgorithmMismatchError(
             f"signature {sigma} is not divisible by 8; an even unimodular form cannot have it"
         )
     p = sigma // 8
     q, rem = divmod(f.dim - 8 * abs(p), 2)
     if rem or q < 1:
-        raise ClassificationError(f"rank {f.dim} and signature {sigma} are incompatible")
+        raise AlgorithmMismatchError(f"rank {f.dim} and signature {sigma} are incompatible")
     return p, q
 
 

@@ -56,19 +56,17 @@ def assemble_cup_form(graphs: Sequence[DecoratedGraph]) -> BilinearForm:
     n, k = family_dimensions(graphs)
     if k != 0:
         raise UnsupportedShapeError("edge-indexed cup form applies to unprojected graphs")
-    blocks: list[IntMatrix] = []
-    for graph in graphs:
-        m = len(graph.edges)
-        block = [[0] * m for _ in range(m)]
+    size = sum(len(graph.edges) for graph in graphs)
+    rows = [[0] * size for _ in range(size)]
+    for graph, offset in zip(graphs, accumulate((len(graph.edges) for graph in graphs), initial=0)):
         for v, here in zip(graph.vertices, _incidences(graph)):
             if isinstance(v, HopfLinkSpec):
                 lk = v.linking_matrix
                 for e_idx, e_comp in here:
-                    row, lk_row = block[e_idx], lk.row(e_comp)
+                    row, lk_row = rows[offset + e_idx], lk.row(e_comp)
                     for f_idx, f_comp in here:
-                        row[f_idx] += lk_row[f_comp]
-        blocks.append(IntMatrix(m, m, tuple(chain.from_iterable(block))))
-    return BilinearForm(IntMatrix.block_diagonal(blocks), (-1) ** n)
+                        row[offset + f_idx] += lk_row[f_comp]
+    return BilinearForm(IntMatrix(size, size, tuple(chain.from_iterable(rows))), (-1) ** n)
 
 
 def assemble_cup_form_k(graph: DecoratedGraph) -> BilinearForm:
@@ -433,9 +431,7 @@ def invariant_report(graphs: Sequence[DecoratedGraph], assume_cobounding: bool) 
     if euler_obstructs(chi, target):
         kind = "nonzero" if target % 2 else "odd"
         verdicts.append(f"chi = {chi} is {kind}: the manifold does not fiber over S^{target}")
-    elif target % 2:
-        verdicts.append(f"chi = 0: no Euler-characteristic obstruction to fibering over S^{target}")
-    else:
+    else:  # an even sphere: over an odd one chi = (-1)^n t, and t >= 1
         verdicts.append(f"chi = {chi} is even: no Euler-characteristic obstruction over S^{target}")
     if analysis.sigma != 0:
         verdicts.append(

@@ -1,10 +1,8 @@
 import copy
 import json
-import os
 import random
 import re
 import signal
-import subprocess
 import sys
 from collections import Counter
 
@@ -12,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import hopfcalc
 from hopfcalc import cli, exactlinalg, graphmodel, hopflink, invariants
 from hopfcalc.cli import (
     SpecFileError,
@@ -25,21 +22,11 @@ from hopfcalc.fixtures import fixture_names, fixture_path
 from hopfcalc.forms import BilinearForm, zero_diagonal_model
 from hopfcalc.sampling import random_congruence, random_zero_diagonal_form, skew_seed
 
+from golden_cases import fresh_python
+
 TREE = fixture_path("tree_h.json")
 TREE_E8H = fixture_path("tree_e8h.json")
 PRODUCTS = fixture_path("products.json")
-SRC = os.path.dirname(os.path.dirname(hopfcalc.__file__))
-
-
-def fresh_python(*args, timeout=None, text=True, **env):
-    """Run ``python -X dev -W error *args`` in a fresh interpreter that imports hopfcalc from ``SRC``.
-
-    Development mode with warnings as errors: the shipped entry points must run clean under it.  ``env``
-    adds environment variables, and ``timeout`` bounds the wall time in seconds.
-    """
-    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args],
-                          env=dict(os.environ, PYTHONPATH=SRC, **env), capture_output=True, text=text,
-                          timeout=timeout, check=False)
 
 
 def one_vertex_tree(matrix, n):
@@ -125,6 +112,45 @@ CYLINDER_LOOP = {"n": 4, "k": 0, "assume_cobounding": True, "graphs": [{"vertice
     {"u": 0, "v": 1, "u_comp": 0, "v_comp": 0},
     {"u": 0, "v": 2, "u_comp": 1, "v_comp": 0},
     {"u": 0, "v": 2, "u_comp": 2, "v_comp": 1}]}]}
+
+
+def graph_twice(name):
+    """Spec document: the fixture ``name`` with its graphs given twice over."""
+    doc = load(fixture_path(name))
+    doc["graphs"] *= 2
+    return doc
+
+
+def edited(name, keys, value):
+    """Spec document: the fixture ``name`` with the field that ``keys`` lead to set to ``value``."""
+    doc = load(fixture_path(name))
+    container = doc
+    for key in keys[:-1]:
+        container = container[key]
+    container[keys[-1]] = value
+    return doc
+
+
+# (fixture, keys of one field, its new value, the error line after the file name): the document-shape errors
+FIELD_ERRORS = [
+    ("tree_h.json", ("graphs",), [], ".graphs: expected a nonempty array"),
+    ("tree_h.json", ("graphs", 0), 5, ".graphs[0]: expected an object"),
+    ("tree_h.json", ("graphs", 0, "edges"), {}, ".graphs[0].edges: expected an array"),
+    ("tree_h.json", ("graphs", 0, "edges", 0), 5, ".graphs[0].edges[0]: expected an object"),
+    ("tree_h.json", ("graphs", 0, "edges", 0, "u_comp"), -1, ".graphs[0].edges[0]: negative component -1"),
+    ("tree_h.json", ("graphs", 0, "vertices", 0), 5, ".graphs[0].vertices[0]: expected an object"),
+    ("tree_h.json", ("graphs", 0, "vertices", 0, "color"), "red",
+     ".graphs[0].vertices[0].color: expected 'black' or 'white', got 'red'"),
+    ("tree_h.json", ("graphs", 0, "vertices", 0, "matrix"), 5,
+     ".graphs[0].vertices[0].matrix: expected a nonempty array of arrays of integers"),
+    ("tree_h.json", ("graphs", 0, "vertices", 1, "fiber", "betti"), [],
+     ".graphs[0].vertices[1].fiber.betti: expected a nonempty array of integers"),
+    ("tree_h.json", ("assume_cobounding",), 1, ".assume_cobounding: expected a boolean"),
+    ("tree_h.json", ("theta",), 0, ".theta: positive integer required"),
+    ("products.json", ("n",), 3, ".n: not used with 'factors'"),
+    ("products.json", ("factors", 0), 5, ".factors[0]: expected an object"),
+    ("products.json", ("factors", 0, "kind"), "T2", ".factors[0].kind: expected 'S4' or 'connsum', got 'T2'"),
+]
 
 
 def cylinder_loop(matrix):
@@ -274,15 +300,6 @@ class TestParse:
         spec = parse_spec_data(data)
         assert spec.graphs[0].edges[0].twist == "half-turn"
         assert spec.data["graphs"][0]["edges"][0]["twist"] == "half-turn"
-
-    @pytest.mark.parametrize("path", [TREE, PRODUCTS])
-    def test_data_is_a_copy_of_the_input(self, path):
-        data = load(path)
-        spec = parse_spec_data(data)
-        before = json.dumps(spec.data)
-        data["graphs" if "graphs" in data else "factors"][0].clear()
-        data["n"] = 99
-        assert json.dumps(spec.data) == before
 
 
 def report_stdout(argv, capsys):
@@ -494,35 +511,69 @@ class TestMain:
             {"n": 5, "k": 1, "graphs": [{"vertices": [{"color": "black", "matrix": J_ROWS},
                                                       {"color": "black", "matrix": JJ_ROWS}],
                                          "edges": [{"u": 0, "v": 1, "u_comp": 0, "v_comp": 0}]}]},
-            "the two projected decorations must have equal size", id="unequal-projected-pair"),
+            ": the two projected decorations must have equal size", id="unequal-projected-pair"),
         pytest.param(
             tree_with_whites([WHITE_DISK3, WHITE_DISK3, white([1, 2, 0, 0])]),
-            "non-trivial white decoration: glued Betti numbers are not determined by Betti data alone",
+            ": non-trivial white decoration: glued Betti numbers are not determined by Betti data alone",
             id="non-trivial-white"),
         pytest.param(
             {"n": 3, "k": 0, "graphs": [
                 tree_with_whites([WHITE_DISK3] * 3)["graphs"][0],
                 {"vertices": [{"color": "black", "matrix": J_ROWS}] * 2,
                  "edges": [{"u": 0, "v": 1, "u_comp": c, "v_comp": c} for c in range(3)]}]},
-            "graphs have mismatched loop counts [0, 2]; fibers cannot agree", id="mismatched-loops"),
+            ": graphs have mismatched loop counts [0, 2]; fibers cannot agree", id="mismatched-loops"),
         pytest.param(
             tree_with_whites([white([1, 0]), WHITE_DISK3, WHITE_DISK3]),
-            "white fiber at vertex 1 has dimension 1, expected 3", id="white-dimension"),
+            ": white fiber at vertex 1 has dimension 1, expected 3", id="white-dimension"),
         pytest.param(
             {"n": 3, "k": 0, "graphs": [{
                 "vertices": [{"color": "black", "matrix": J_ROWS}, *[WHITE_DISK3] * 3] * 2,
                 "edges": [{"u": u, "v": u + c + 1, "u_comp": c, "v_comp": 0} for u in (0, 4) for c in range(3)]}]},
-            "fiber assembly needs a connected graph", id="disconnected"),
+            ": fiber assembly needs a connected graph", id="disconnected"),
         pytest.param(
             {"n": 5, "k": 1, "graphs": [{"vertices": [{"color": "black", "matrix": JJ_ROWS}, white([1, 5, 0, 0, 0, 0, 0])],
                                          "edges": [{"u": 0, "v": 1, "u_comp": 0, "v_comp": 0}]}]},
-            "white decoration does not match the trivial piece capping the projected link", id="filler-mismatch"),
+            ": white decoration does not match the trivial piece capping the projected link", id="filler-mismatch"),
+        pytest.param(graph_twice("proj_blackwhite.json"), ": projected families support a single graph",
+                     id="projected-family"),
+        *[pytest.param(edited(name, keys, value), line, id="-".join(map(str, keys)))
+          for name, keys, value, line in FIELD_ERRORS],
     ])
     def test_shape_error_names_spec_file(self, data, message, tmp_path, capsys):
+        # ``message`` is the error line after the file name
         path = tmp_path / "shape.json"
         path.write_text(json.dumps(data))
         assert main(["report", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {path}{message}\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["check-link", "--n", "4", "--theta", "0", "--matrix", "{matrix}"], "--theta: positive integer required"),
+        (["classify", "--matrix", "{matrix}"], "{matrix}: matrix is neither symmetric nor skew-symmetric"),
+        (["selftest", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    ], ids=["check-link-theta", "classify-asymmetric", "selftest-trials"])
+    def test_argument_error_exit_one(self, argv, line, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[[0, 1], [2, 0]]" if argv[0] == "classify" else "[[0, 1], [1, 0]]")
+        assert main([str(path) if a == "{matrix}" else a for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {line.format(matrix=path)}\n")
+
+    def test_zero_kernel_vector_exit_two(self, tmp_path, monkeypatch, capsys):
+        # two black pairs: each closes a cycle of arcs, so the cup form is eliminated, and its kernel is
+        # two-dimensional, so the kernel's reduction runs; a reduction that zeroes a vector is hopfcalc's fault
+        elimination = exactlinalg._gauss_jordan
+
+        def corrupted(m):
+            result = elimination(m)
+            m[0] = [0] * len(m[0])
+            return result
+
+        monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
+        data = black_pair(4)
+        data["graphs"] *= 2
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr() == ("", "internal invariant violation: kernel verification failed: a zero vector\n")
 
     @pytest.mark.parametrize("name", GRAPH_FIXTURES)
     def test_deleting_any_edge_names_a_vertex(self, name, tmp_path, capsys):

@@ -18,7 +18,6 @@ from hopfcalc.exactlinalg import (
     NotUnimodularError,
     SymmetryError,
     charpoly,
-    clear_denominators,
     congruence_apply,
     det_bareiss,
     inertia,
@@ -958,8 +957,7 @@ class TestNullspace:
     def test_normalization_and_clearing(self):
         a = IntMatrix.from_rows([[2, 4], [1, 2]])
         (vec,) = nullspace_rational(a)
-        assert next(x for x in vec if x) == 1
-        assert clear_denominators(vec) == (2, -1)
+        assert vec == (Fraction(1), Fraction(-1, 2))
 
     def test_dimension_matches_nullity(self):
         rng = random.Random(9)
@@ -991,6 +989,18 @@ class TestNullspace:
         a = IntMatrix.from_rows([[2, -1, -1], [-1, 0, 1], [-1, 1, 0]])
         with pytest.raises(AlgorithmMismatchError, match="kernel verification failed"):
             nullspace_rational(a)
+
+    def test_zero_vector_is_caught(self, monkeypatch):
+        # a zero scale makes each free column's vector zero, which A v = 0 alone would pass
+        elimination = exactlinalg._gauss_jordan
+
+        def corrupted(m):
+            pivots, _, sign = elimination(m)
+            return pivots, 0, sign
+
+        monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
+        with pytest.raises(AlgorithmMismatchError, match="kernel verification failed: a zero vector"):
+            nullspace_rational(IntMatrix.zeros(2, 2))
 
 
 def corrupt_elimination(monkeypatch, corrupt):
@@ -1205,6 +1215,19 @@ class TestEpsilonCongruence:
         monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
         a = IntMatrix.block_diagonal([H_MATRIX, IntMatrix.zeros(2, 2)])  # a two-dimensional kernel
         with pytest.raises(AlgorithmMismatchError, match="kernel verification failed"):
+            exactlinalg.Congruence(a, 1).kernel
+
+    def test_zeroed_kernel_vector_is_caught(self, monkeypatch):
+        elimination = exactlinalg._gauss_jordan
+
+        def corrupted(m):
+            result = elimination(m)
+            m[0] = [0] * len(m[0])  # the last kernel vector, once the rows are reversed back
+            return result
+
+        monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
+        a = IntMatrix.block_diagonal([H_MATRIX, IntMatrix.zeros(2, 2)])
+        with pytest.raises(AlgorithmMismatchError, match="kernel verification failed: a zero vector"):
             exactlinalg.Congruence(a, 1).kernel
 
 

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
-from hopfcalc.exactlinalg import IntMatrix, SymmetryError, det_bareiss, inertia
+from hopfcalc.cli import main
+from hopfcalc.exactlinalg import AlgorithmMismatchError, Inertia, IntMatrix, SymmetryError, det_bareiss, inertia
 from hopfcalc.forms import (
     BilinearForm,
     ClassificationError,
@@ -100,10 +102,27 @@ class TestClassify:
             classify_indefinite(symmetric([[0, 0], [0, 0]]))
 
     def test_bad_signature_certifies_non_unimodular(self):
-        # even indefinite with signature 2: cannot be unimodular
+        # even indefinite with signature 2: cannot be unimodular, which the determinant shows first
         f = symmetric([[2, 0, 0], [0, 2, 0], [0, 0, -2]])
-        with pytest.raises(ClassificationError):
+        with pytest.raises(ClassificationError, match="form has determinant -8, not unimodular"):
             classify_indefinite(f)
+
+    @pytest.mark.parametrize("form, wrong, message", [
+        (build_standard(0, 3), Inertia(5, 1, 0),
+         "signature 4 is not divisible by 8; an even unimodular form cannot have it"),
+        (build_standard(1, 1), Inertia(17, 1, 0), "rank 10 and signature 16 are incompatible"),
+    ], ids=["HHH", "E8H"])
+    def test_theorem_check_failure_is_a_fault(self, form, wrong, message, monkeypatch, tmp_path, capsys):
+        # an even, nondegenerate, indefinite, unimodular form has a signature divisible by 8 (van der Blij) and
+        # rank - |signature| = 2 min(n+, n-) >= 2, so only a wrong inertia fails either check: exit 2, not 0
+        monkeypatch.setattr(BilinearForm, "inertia", property(lambda self: wrong))
+        with pytest.raises(AlgorithmMismatchError) as err:
+            classify_indefinite(form)
+        assert str(err.value) == message
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(form.matrix.to_rows()))
+        assert main(["classify", "--matrix", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"internal invariant violation: {message}\n")
 
     def test_classified_form_type(self):
         from hopfcalc.forms import classified_form_type

@@ -8,40 +8,20 @@ fiber shapes that no fixture has: a projected pair of black vertices, a
 cylinder looping back to its black vertex, and two trees joined by a
 cylinder.  They stay out of the shipped fixtures, which the benchmark's
 corpus reads.  Any change to a report's bytes or exit code fails here.
+The cases are ``golden_cases.REPORT_CASES``.
 """
 
 import os
 
 import pytest
 
-from hopfcalc.cli import main
-from hopfcalc.fixtures import fixture_names, fixture_path
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-SPECS = os.path.join(os.path.dirname(__file__), "golden_specs")
-
-INPUTS = {name: fixture_path(name) for name in fixture_names()}
-INPUTS.update((name, os.path.join(SPECS, name)) for name in sorted(os.listdir(SPECS)))
-
-CASES = [
-    (name, fmt, oracle)
-    for name in INPUTS
-    for fmt in ("text", "json")
-    for oracle in (False, True)
-]
+from golden_cases import REPORT_CASES, REPORTS_GOLDEN, read_golden, report_argv, report_golden, run_main
 
 
 def test_every_golden_file_has_a_case():
-    names = {f"{name[:-5]}.{fmt}{'.oracle' if oracle else ''}.out" for name, fmt, oracle in CASES}
-    assert names == set(os.listdir(GOLDEN))
+    assert {os.path.basename(report_golden(*case)) for case in REPORT_CASES} == set(os.listdir(REPORTS_GOLDEN))
 
 
-@pytest.mark.parametrize("name,fmt,oracle", CASES)
-def test_report_matches_golden(name, fmt, oracle, capsys):
-    path = os.path.join(GOLDEN, f"{name[:-5]}.{fmt}{'.oracle' if oracle else ''}.out")
-    with open(path, "rb") as fh:
-        header, expected = fh.read().split(b"\n", 1)
-    argv = ["report", INPUTS[name], "--format", fmt] + (["--oracle"] if oracle else [])
-    code = main(argv)
-    assert f"exit {code}".encode() == header
-    assert capsys.readouterr().out.encode("utf-8") == expected
+@pytest.mark.parametrize("name,fmt,oracle", REPORT_CASES)
+def test_report_matches_golden(name, fmt, oracle):
+    assert run_main(report_argv(name, fmt, oracle)) == read_golden(report_golden(name, fmt, oracle))

@@ -2,28 +2,35 @@
 
 Each file in ``tests/golden_scripts`` is named after a script, with ``.out``
 for ``.py``, and holds the exact stdout of ``python scripts/<script>.py``
-run without arguments, in development mode with warnings as errors.
+run without arguments, in development mode with warnings as errors.  The
+last test runs ``scripts/golden_check.py``, which checks every golden case
+without pytest, the same way.
 """
 
 import os
 
 import pytest
 
-from test_cli import fresh_python
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_scripts")
-SCRIPTS = ("homology_sweep", "signature_examples")
+from golden_cases import (
+    COMMAND_CASES, REPORT_CASES, ROOT, SCRIPTS, SCRIPTS_GOLDEN, fresh_python, run_script, script_golden,
+)
 
 
 def test_every_golden_file_has_a_script():
-    assert {f"{script}.out" for script in SCRIPTS} == set(os.listdir(GOLDEN))
+    assert {os.path.basename(script_golden(script)) for script in SCRIPTS} == set(os.listdir(SCRIPTS_GOLDEN))
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_script_matches_golden(script):
-    with open(os.path.join(GOLDEN, f"{script}.out"), "rb") as fh:
+    with open(script_golden(script), "rb") as fh:
         expected = fh.read()
-    proc = fresh_python(os.path.join(ROOT, "scripts", f"{script}.py"), text=False)
+    proc = run_script(script)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == expected
+
+
+def test_golden_check_passes():
+    # the stdlib-only runner of every golden case, for interpreters without pytest; it must pass wherever these do
+    proc = fresh_python(os.path.join(ROOT, "scripts", "golden_check.py"), timeout=120)
+    cases = len(COMMAND_CASES) + len(REPORT_CASES) + len(SCRIPTS)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{cases} golden cases match\n", "")

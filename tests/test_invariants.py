@@ -50,6 +50,7 @@ from hopfcalc.invariants import (
 )
 from hopfcalc.sampling import random_tree, random_zero_diagonal_form
 
+from golden_cases import REPORT_INPUTS
 from test_cli import GRAPH_FIXTURES
 from test_graphmodel import parallel_pair, single_black_tree
 
@@ -522,6 +523,23 @@ class TestInvariantReport:
         assert ine is not None and ine.n_zero == report.analysis.kernel_dim == 1
         with pytest.raises(AlgorithmMismatchError, match="nullity"):
             CupFormAnalysis(Inertia(ine.n_plus, ine.n_minus, ine.n_zero + 1), report.analysis.kernel_basis)
+
+    def test_odd_target_verdict_is_nonzero_chi(self):
+        # over an odd sphere chi(S^{n-k}) = 0 leaves chi = (-1)^n t, with t >= 1 handles, so the first verdict
+        # always finds the obstruction
+        families = [spec.graphs for spec in map(parse_spec, REPORT_INPUTS.values()) if spec.graphs]
+        rng = random.Random(39)
+        families += [[random_tree(rng, -1, 1 + i % 4)] for i in range(25)]
+        odd = 0
+        for graphs in families:
+            n, k = family_dimensions(graphs)
+            if (n - k) % 2:
+                odd += 1
+                report = invariant_report(graphs, False)
+                assert report.chi != 0
+                assert report.verdicts[0] == (
+                    f"chi = {report.chi} is nonzero: the manifold does not fiber over S^{n - k}")
+        assert odd == 25 + 3  # the random skew trees, pair_allblack.json, proj_sig.json and tree_h.json
 
     def test_without_cobounding_flag(self):
         tree = single_black_tree(HopfLinkSpec(J, n=3))
