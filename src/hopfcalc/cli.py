@@ -16,6 +16,7 @@ import json
 import sys
 from collections.abc import Callable, Collection, Sequence
 from functools import cache
+from itertools import chain, pairwise
 from json.encoder import encode_basestring_ascii
 
 from .exactlinalg import AlgorithmMismatchError, DimensionError, Frozen, IntMatrix
@@ -181,8 +182,8 @@ def _parse_fiber(value: object, locus: str) -> FiberDescriptor:
         raise SpecFileError(f"{locus}: {exc}") from exc
 
 
-def _parse_vertex(value: object, n: int, k: int, theta: int, locus: str) -> Vertex:
-    """A black vertex is its link, a white vertex its fiber."""
+def _parse_vertex(value: object, n: int, k: int, theta: int, locus: str, fibers: dict[str, FiberDescriptor]) -> Vertex:
+    """A black vertex is its link, a white vertex its fiber, parsed once per ``repr`` of its document (``fibers``)."""
     if not isinstance(value, dict):
         raise SpecFileError(f"{locus}: expected an object")
     color = value.get("color")
@@ -194,8 +195,10 @@ def _parse_vertex(value: object, n: int, k: int, theta: int, locus: str) -> Vert
             raise SpecFileError(f"{locus}.matrix: determinant {det}, decoration must be unimodular")
         return link
     if color == "white":
-        _expect_keys(value, ("color", "fiber"), locus)
-        return _parse_fiber(value["fiber"], f"{locus}.fiber")
+        if (key := repr(value)) not in fibers:  # repr, unlike ==, tells 1, 1.0 and True apart
+            _expect_keys(value, ("color", "fiber"), locus)
+            fibers[key] = _parse_fiber(value["fiber"], f"{locus}.fiber")
+        return fibers[key]
     raise SpecFileError(f"{locus}.color: expected 'black' or 'white', got {color!r}")
 
 
@@ -271,9 +274,8 @@ def parse_spec_data(data: object, source: str = "<data>") -> SpecFile:
             raise SpecFileError(f"{locus}.vertices: expected a nonempty array")
         if not isinstance(eraw, list):
             raise SpecFileError(f"{locus}.edges: expected an array")
-        vertices = tuple(
-            _parse_vertex(v, n, k, theta, f"{locus}.vertices[{i}]") for i, v in enumerate(vraw)
-        )
+        fibers: dict[str, FiberDescriptor] = {}  # the graph's white vertices parsed so far
+        vertices = tuple(_parse_vertex(v, n, k, theta, f"{locus}.vertices[{i}]", fibers) for i, v in enumerate(vraw))
         edges = tuple(_parse_edge(e, f"{locus}.edges[{i}]") for i, e in enumerate(eraw))
         try:
             graphs.append(DecoratedGraph(vertices, edges))
@@ -476,8 +478,10 @@ def _json(value: object, indent: str = "") -> str:
     """``value`` byte for byte as ``json.dumps(value, sort_keys=True, indent=2)`` writes it at ``indent``.
 
     That call runs the pure-Python encoder.  Here a scalar is formatted
-    inline, without a call of its own, and a list of scalars of one type is
-    one C-level ``map`` and join.
+    inline, a list of scalars of one type is one C-level ``map`` and join, and
+    a list of lists of ``int`` reads each entry off a table of the reprs of its
+    distinct entries.  An item equal to the one before it, by ``==`` and then
+    by ``repr``, which tells 1, 1.0 and True apart, is written once.
     """
     scalar = _SCALAR_JSON.get(type(value))
     if scalar:
@@ -490,12 +494,19 @@ def _json(value: object, indent: str = "") -> str:
             for key, v in sorted(value.items())
         ]
         return f"{{\n{inner}{sep.join(items)}\n{indent}}}" if items else "{}"
-    if isinstance(value, list):
-        types = set(map(type, value))
-        fmt = _SCALAR_JSON.get(types.pop()) if len(types) == 1 else None
-        items = map(fmt, value) if fmt else [_json(x, inner) for x in value]
-        return f"[\n{inner}{sep.join(items)}\n{indent}]" if value else "[]"
-    return json.dumps(value)
+    if not isinstance(value, list) or not value:
+        return json.dumps(value)
+    kinds = set(map(type, value))
+    if len(kinds) == 1 and (fmt := _SCALAR_JSON.get(*kinds)):
+        items = map(fmt, value)
+    elif kinds == {list} and {int}.issuperset(map(type, chain.from_iterable(value))):
+        reprs, start = {x: int.__repr__(x) for x in set(chain.from_iterable(value))}, f"\n{inner}  "
+        items = [f"[{start}{(',' + start).join(map(reprs.get, row))}\n{inner}]" if row else "[]" for row in value]
+    else:
+        items = [_json(value[0], inner)]
+        for last, x in pairwise(value):
+            items.append(items[-1] if x == last and repr(x) == repr(last) else _json(x, inner))
+    return f"[\n{inner}{sep.join(items)}\n{indent}]"
 
 
 def _render(doc: dict, fmt: str, render_text: Callable[[dict], str] = _render_text) -> str:

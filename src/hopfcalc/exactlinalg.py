@@ -1,32 +1,23 @@
 """Exact dense linear algebra over the integers and rationals.
 
-Every computation in this package is exact: entries are Python ints
-(arbitrary precision) or ``fractions.Fraction``.  No floating point enters
-anywhere.  Each epsilon-symmetric form is eliminated once: a fraction-free
-symmetric elimination with 1x1 and 2x2 pivots, each the least one available,
-gives a congruence X A X^T = D (``Congruence``), and the determinant, the
-integer inverse, the inertia and the rational kernel are all read from it
-behind one exact certificate: a unimodular form is proved by its exactly
-divided inverse, checked by A A^-1 = I, and any other form by X A X^T = D
-with X invertible; every kernel vector is checked nonzero and by A v = 0.
-The least pivots keep D's entries, and the lcm the inverse is divided by, a
-few bits wide.  The references are kept for the selftest, the tests and
-``perfbench/tracer.py``: fraction-free Gauss-Jordan elimination behind
-``det_bareiss``, ``inverse_unimodular`` and ``nullspace_rational``, Smith
-normal form with transforms (the tests' reference for the filling
-presentations behind the oracle, which itself reads the certified inverse
-and makes one matrix-vector product), and the inertia from the
-characteristic polynomial.
+Every computation here is exact: entries are Python ints or
+``fractions.Fraction``, and no floating point enters.  Each
+epsilon-symmetric form is eliminated once: a fraction-free symmetric
+elimination with 1x1 and 2x2 pivots, each the least one available, gives a
+congruence X A X^T = D (``Congruence``), and the determinant, the integer
+inverse, the inertia and the rational kernel are all read from it behind
+one exact certificate: a unimodular form is proved by its exactly divided
+inverse, checked by A A^-1 = I, and any other form by X A X^T = D with X
+invertible; every kernel vector is checked nonzero and by A v = 0.  The
+references are kept for the selftest, the tests and ``perfbench/tracer.py``:
+fraction-free Gauss-Jordan elimination behind ``det_bareiss``,
+``inverse_unimodular`` and ``nullspace_rational``, Smith normal form with
+transforms, and the inertia from the characteristic polynomial.
 
 The kernels stay exact and spend their Python bytecode on live entries
-only.  A product with every dimension large enough packs each row of the
-right factor into one integer (Kronecker substitution), so the inner loop
-runs in CPython's big-integer code; the check A A^-1 = I compares such
-packed rows of the product with those of I, unpacking none.  The symmetric
-elimination is one pivot loop over one row layout (``_symmetric_bareiss``)
-on lists or, with many rows and small entries, on integers of byte-aligned
-slots (``_Slots``): a step's exact quotient reads back exactly when each of
-its digits fits its slot, and a step that leaves the guard is redone wider.
+only: a row is packed into one integer of byte-aligned slots (``_Slots``,
+Kronecker substitution), so products, the inverse, the check A A^-1 = I and
+the elimination steps run in CPython's big-integer code.
 """
 
 from __future__ import annotations
@@ -36,7 +27,7 @@ import struct
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import attrgetter, mul, or_
 
 
@@ -130,15 +121,6 @@ class IntMatrix(Frozen):
         return cls(n, n, ((1,) + (0,) * n) * (n - 1) + (1,) if n else ())
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def block_diagonal(cls, blocks: Iterable["IntMatrix"]) -> "IntMatrix":
         blocks = list(blocks)
         rows = sum(b.rows for b in blocks)
@@ -190,11 +172,6 @@ class IntMatrix(Frozen):
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
-    def trace(self) -> int:
-        if not self.is_square:
-            raise DimensionError("trace of non-square matrix")
-        return sum(self.at(i, i) for i in range(self.rows))
-
     def is_symmetric(self) -> bool:
         n = self.cols
         return self.is_square and all(self.entries[i * n : i * n + n] == self.entries[i::n] for i in range(n))
@@ -234,14 +211,10 @@ def _product_slots(a: IntMatrix, b: IntMatrix) -> "_Slots":
 def _packed_product_rows(a: IntMatrix, b: IntMatrix, slots: "_Slots | None" = None) -> tuple["_Slots", list[int]]:
     """The rows of ``a @ b``, each one integer of signed digits, and their slot layout.
 
-    Row t of ``b`` becomes one integer with entry j in slot j (``_Slots``).
-    Row i of the product is then the one integer sum over t of ``a[i][t]``
-    times packed row t.  Every entry of ``b`` and of the product has absolute
-    value at most ``k * max(max|a|, 1) * max|b|`` < 2**e (k = ``a.cols``), and
-    a slot (``_product_slots``) has e + 1 bits or more, so each row is the sum
-    of its entries x_j 2**(bits j) with no carry between slots.  An integer has
-    one set of digits that small, so two rows are equal exactly when their
-    entries are, and with 2**e added to every slot each entry reads back exactly.
+    Row i is the sum over t of ``a[i][t]`` times row t of ``b`` packed
+    (``_Slots``).  Its entries are at most ``k * max(max|a|, 1) * max|b|`` <
+    2**e in absolute value (k = ``a.cols``), and a slot (``_product_slots``)
+    has e + 1 bits or more, so they are its digits, with no carry between slots.
     """
     slots = slots or _product_slots(a, b)
     _, packed = slots.pack_rows(b.row(t) for t in range(a.cols))
@@ -255,7 +228,7 @@ class _Slots:
     """Layout of a packed row: ``n`` signed digits in ``width``-byte slots of one integer.
 
     A row x_0 .. x_{n-1} is the integer P = sum x_j 2**(w j), with w = 8 *
-    width bits per slot and width a power of two.  An integer has one set of
+    width bits per slot.  An integer has one set of
     digits below 2**(w - 1) in absolute value, so a packed result reads back
     exactly when every digit of it is that small; carries before that point
     do not matter.  An elimination step computes U = sum u_j 2**(w j) by
@@ -267,14 +240,14 @@ class _Slots:
     holds x_j + 2**e in slot j: ``digits`` reads a slot with one shift and one
     mask, and ``biased`` tests every digit of a step's quotients against the
     guard interval with one add, one AND against ``high`` (the bits above e of
-    every slot) and one sign test.  Slots of at most eight bytes are packed
-    and read by ``struct`` in two's complement: with every slot's top bit
-    flipped (``top``) a slot holds x_j + 2**(w - 1), one subtraction away from
-    the biased form, so no digit is touched in Python.
+    every slot) and one sign test.  Slots are packed and read in two's
+    complement, by one precompiled ``struct`` of at most eight-byte slots or
+    per slot: with every slot's top bit flipped (``top``) a slot holds x_j +
+    2**(w - 1), one subtraction away from the biased form.
     """
 
     def __init__(self, width: int, n: int, e: int | None = None) -> None:
-        """``e`` replaces the guard exponent; ``_product_slots`` sets it to the bound of a product's entries."""
+        """``e`` replaces the guard exponent: a product's entry bound (``_product_slots``) or a quotient's guard."""
         self.width, self.n, self.bits = width, n, 8 * width
         self.e = (self.bits - 3) // 2 if e is None else e
         self.bias = 1 << self.e
@@ -282,6 +255,7 @@ class _Slots:
         self.biases = int.from_bytes(self.bias.to_bytes(width, "little") * n, "little")
         self.high = int.from_bytes((self.mask + 1 - 2 * self.bias).to_bytes(width, "little") * n, "little")
         self.top = int.from_bytes((1 << self.bits - 1).to_bytes(width, "little") * n, "little")
+        self.struct = width in _STRUCT_CODES and struct.Struct(f"<{n}{_STRUCT_CODES[width]}")
 
     @classmethod
     def for_entries(cls, entries: Iterable[int], n: int) -> "_Slots":
@@ -303,22 +277,20 @@ class _Slots:
         return biased, [g - self.biases for g in biased]
 
     def pack(self, row: Sequence[int]) -> int:
-        """The biased packed form of ``row``, whose digits must lie in the guard interval."""
-        code = _STRUCT_CODES.get(self.width)
-        if code:
-            flipped = int.from_bytes(struct.pack(f"<{len(row)}{code}", *row), "little") ^ self.top  # x_j + 2**(w - 1)
-            return flipped - self.top + self.biases
-        return int.from_bytes(b"".join([(x + self.bias).to_bytes(self.width, "little") for x in row]), "little")
+        """The biased packed form of ``row``, whose digits must be below 2**(w - 1) in absolute value."""
+        if self.struct:
+            data = self.struct.pack(*row)
+        else:
+            data = b"".join([x.to_bytes(self.width, "little", signed=True) for x in row])
+        return (int.from_bytes(data, "little") ^ self.top) - self.top + self.biases  # flipped: x_j + 2**(w - 1)
 
     def unpack(self, g: int) -> list[int]:
         """The digits of the biased packed row ``g``."""
-        code = _STRUCT_CODES.get(self.width)
-        if code:
-            data = ((g - self.biases + self.top) ^ self.top).to_bytes(self.width * self.n, "little")
-            return list(struct.unpack(f"<{self.n}{code}", data))
-        data = g.to_bytes(self.width * self.n, "little")
-        step = self.width
-        return [int.from_bytes(data[s : s + step], "little") - self.bias for s in range(0, len(data), step)]
+        data = ((g - self.biases + self.top) ^ self.top).to_bytes(self.width * self.n, "little")  # two's complement
+        if self.struct:
+            return list(self.struct.unpack(data))
+        w = self.width
+        return [int.from_bytes(data[s : s + w], "little", signed=True) for s in range(0, len(data), w)]
 
     def biased(self, rows: list[int]) -> list[int] | None:
         """The biased forms of ``rows``, or None when a digit leaves the guard interval."""
@@ -431,19 +403,23 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     return _checked_inverse(a, IntMatrix(n, n, tuple(scale * x for row in m for x in row[n:])))  # 1 / scale == scale
 
 
-def _checked_inverse(a: IntMatrix, inv: IntMatrix) -> IntMatrix:
+def _checked_inverse(a: IntMatrix, inv: IntMatrix, packed: tuple[_Slots, Sequence[int]] | None = None) -> IntMatrix:
     """``inv`` once ``A inv = I`` is verified.
 
-    From ``_PACKED_MIN_DIM`` rows on, row i of the product is read as one
-    packed integer (``_packed_product_rows``): its digits are unique, so it
-    is the row e_i exactly when it equals ``1 << bits * i``.  No row is
-    unpacked and no identity matrix is built.
+    From ``_PACKED_MIN_DIM`` rows on, row i of the product is one packed
+    integer: the sum of a_it times row t of ``inv``, packed in ``packed``'s
+    slots, which hold every entry of ``A inv``, or by ``_packed_product_rows``.
+    Its digits are unique, so it is the row e_i exactly when it equals ``1 <<
+    bits * i``.  No row is unpacked and no identity matrix is built.
     """
     n = a.rows
     if n < _PACKED_MIN_DIM:
         verified = a @ inv == IntMatrix.identity(n)
     else:
-        slots, rows = _packed_product_rows(a, inv)
+        if packed:
+            slots, rows = packed[0], [sum(map(mul, a.row(i), packed[1])) for i in range(n)]
+        else:
+            slots, rows = _packed_product_rows(a, inv)
         verified = rows == [1 << slots.bits * i for i in range(n)]
     if not verified:
         raise AlgorithmMismatchError("inverse verification failed")
@@ -517,22 +493,14 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         for r in range(n):
             v[r][i], v[r][j] = v[r][j], v[r][i]
 
-    def pivot_at(t: int) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
     t = 0
     while t < min(m, n):
-        best = pivot_at(t)
+        # (|x|, i, j) of the least nonzero entry x of the live block, the first in row-major order on a tie
+        best = min(((abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j]), default=None)
         if best is None:
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
+        row_swap(t, best[1])
+        col_swap(t, best[2])
         while True:
             dirty = False
             for i in range(m):
@@ -557,14 +525,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
             break
         # divisibility chain: pivot must divide every remaining entry
         p = d[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, m) if any(d[i][j] % p for j in range(t + 1, n))), None)
         if offender is None:
             t += 1
         else:
@@ -572,10 +533,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 
     for i in range(min(m, n)):
         if d[i][i] < 0:
-            for t2 in range(n):
-                d[i][t2] = -d[i][t2]
-            for t2 in range(m):
-                u[i][t2] = -u[i][t2]
+            d[i], u[i] = [-x for x in d[i]], [-x for x in u[i]]
 
     return SmithForm(u=IntMatrix.from_rows(u) if m else IntMatrix(0, 0, ()),
                      d=IntMatrix.from_rows(d) if m else IntMatrix(0, n, ()),
@@ -599,8 +557,7 @@ def charpoly(a: IntMatrix) -> tuple[int, ...]:
     mk = IntMatrix.identity(n)
     for k in range(1, n + 1):
         am = a @ mk
-        tr = am.trace()
-        q, rem = divmod(-tr, k)
+        q, rem = divmod(-sum(am.entries[:: n + 1]), k)
         if rem:
             raise AlgorithmMismatchError("trace recursion produced a non-integer coefficient")
         coeffs.append(q)
@@ -830,10 +787,10 @@ class Congruence:
     0]]``, and X triangular in pivot order with a nonzero diagonal, so det A
     is det D / det(X)**2, an exact division.  The inverse, the inertia and the
     kernel read one certificate.  A form with det = +-1 is proved by its
-    inverse ``X^T D^-1 X``: one packed product over the lcm of D's entries,
-    which the least pivots keep a few bits wide, divided exactly by it and
-    checked by ``A A^-1 = I`` (``_checked_inverse``); any other form by
-    ``X A X^T = D`` and X's shape.
+    inverse ``X^T D^-1 X``: ``X^T (lcm D^-1 X)``, built from X's nonzeros on
+    packed rows over the lcm of D's entries, which the least pivots keep a
+    few bits wide, divided exactly by it and checked by ``A A^-1 = I``
+    (``_congruence_inverse``); any other form by ``X A X^T = D`` and X's shape.
     Either way X is invertible and ``X A X^T = D``, so the inertia is D's,
     rank A = rank D, and the rows t of X at D's zero blocks are independent
     and as many as the nullity; ``X_t A X^T = 0`` gives ``X_t A = 0``, and
@@ -859,20 +816,8 @@ class Congruence:
         n, order, x, blocks = self.a.rows, self.order, self.x, self.blocks
         if not all(len(b) == 1 or len(b) == 2 and b[0][0] == b[1][1] == 0 != b[0][1] for b in blocks):
             raise AlgorithmMismatchError("congruence certificate failed: D has a block not 1x1 or [[0, c], [epsilon c, 0]]")
-        if self.det in (1, -1):  # X^T D^-1 X as one integer product over the lcm of D's entries
-            lcm = math.lcm(*(v for b in blocks for row in b for v in row if v))
-            scaled: list[list[int]] = []  # the rows of lcm D^-1 X
-            for b in blocks:
-                t = len(scaled)
-                if len(b) == 1:
-                    factors = [(lcm // b[0][0], x[t])]
-                else:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
-                    factors = [(lcm // b[1][0], x[t + 1]), (lcm // b[0][1], x[t])]
-                scaled += [[f * v for v in row] for f, row in factors]  # one division per row, not per entry
-            product = IntMatrix(n, n, tuple(chain.from_iterable(zip(*x)))) @ IntMatrix(n, n, tuple(chain(*scaled)))
-            if any(v % lcm for v in product.entries):
-                raise AlgorithmMismatchError("congruence certificate failed: X^T D^-1 X is not an integer matrix")
-            return blocks, _checked_inverse(self.a, IntMatrix(n, n, tuple(v // lcm for v in product.entries)))
+        if self.det in (1, -1):
+            return blocks, _congruence_inverse(self.a, x, blocks)
         xm = IntMatrix(len(x), n, tuple(chain.from_iterable(x)))
         d = IntMatrix.block_diagonal(IntMatrix(len(b), len(b), tuple(chain(*b))) for b in blocks)
         if (xm.rows, xm.cols) != (n, n) or congruence_apply(xm, self.a) != d:
@@ -911,6 +856,48 @@ class Congruence:
             _gauss_jordan(m)
             rows = [row[::-1] for row in reversed(m)]
         return _checked_kernel(self.a, rows)
+
+
+def _congruence_inverse(a: IntMatrix, x: list[list[int]], blocks: list[list[list[int]]]) -> IntMatrix:
+    """``X^T D^-1 X``, D of nonzero blocks: ``X^T (lcm D^-1 X)`` divided exactly by the lcm, once ``A`` times it is I.
+
+    Row t of ``lcm D^-1 X`` is f_t = lcm / D_t times row s(t) of X (s swaps
+    the rows of a 2x2 block).  From ``_PACKED_MIN_DIM`` rows on, X's rows are
+    packed once in w-bit slots and each is scaled with one product; row i of
+    the product sums x_ti times scaled row t over the nonzero x_ti only.  Its
+    digits u_j are below B = sum_t |f_t| max|x_t| max|x_s(t)| < 2**(w - 2),
+    and each digit v_j of its quotient by the lcm is checked in [-2**g, 2**g),
+    with B / lcm < 2**g and lcm 2**g <= 2**(w - 1): then u_j and lcm v_j are
+    digits of one integer less than 2**w apart, so u_j = lcm v_j.  As n max|a|
+    2**g <= 2**(w - 1) too, the quotient rows are the packed rows of ``A^-1``
+    that ``_checked_inverse`` multiplies.
+    """
+    n = len(x)
+    lcm = math.lcm(*(v for b in blocks for row in b for v in row if v))
+    factors, sources = [], []  # row t of lcm D^-1 X is factors[t] times x[sources[t]]
+    for b in blocks:  # [[0, c], [c', 0]]^-1 = [[0, 1 / c'], [1 / c, 0]]
+        t = len(factors)
+        factors += [lcm // b[0][0]] if len(b) == 1 else [lcm // b[1][0], lcm // b[0][1]]
+        sources += [t] if len(b) == 1 else [t + 1, t]
+    if n < _PACKED_MIN_DIM:
+        scaled = [[f * v for v in x[s]] for f, s in zip(factors, sources)]
+        product = [sum(map(mul, col, other)) for col in zip(*x) for other in zip(*scaled)]
+        if any(v % lcm for v in product):
+            raise AlgorithmMismatchError("congruence certificate failed: X^T D^-1 X is not an integer matrix")
+        return _checked_inverse(a, IntMatrix(n, n, tuple(v // lcm for v in product)))
+    tops = [max(max(row), -min(row)) for row in x]
+    bound = sum(abs(f) * tops[s] * top for f, s, top in zip(factors, sources, tops))
+    g = (bound // lcm).bit_length()
+    e = max(bound.bit_length() + 2, g + 1 + max(lcm, n * max(max(a.entries), -min(a.entries)), *tops).bit_length())
+    slots = _Slots(next((w for w in _STRUCT_CODES if 8 * w >= e), (e + 7) // 8), n, g)
+    packed = slots.pack_rows(x)[1]
+    scaled = [f * packed[s] for f, s in zip(factors, sources)]
+    rows = [sum(map(mul, compress(col, col), compress(scaled, col))) for col in zip(*x)]
+    quotients, rests = zip(*map(divmod, rows, repeat(lcm)))
+    if any(rests) or (biased := slots.biased(list(quotients))) is None:
+        raise AlgorithmMismatchError("congruence certificate failed: X^T D^-1 X is not an integer matrix")
+    inv = IntMatrix(n, n, tuple(chain.from_iterable(map(slots.unpack, biased))))
+    return _checked_inverse(a, inv, (slots, quotients))
 
 
 def inertia_ldlt(a: IntMatrix) -> Inertia:

@@ -20,6 +20,7 @@ from hopfcalc.forms import E8_MATRIX, H_MATRIX, zero_diagonal_model
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
+SPECS = os.path.join(TESTS, "golden_specs")
 SRC = os.path.dirname(os.path.dirname(hopfcalc.__file__))
 
 
@@ -90,6 +91,8 @@ def _command_cases():
             )
         for matrix in MATRICES:
             cases[f"classify.{matrix}.{fmt}"] = ["classify", "--matrix", "{matrix}", "--format", fmt]
+    # a scrambled d = 40 decoration whose certified inverse is divided by an lcm of D past 64 bits
+    cases["oracle.scrambled_d40.json"] = ["oracle", os.path.join(SPECS, "scrambled_d40.json"), "--format", "json"]
     cases["selftest.seed0.trials5"] = ["selftest", "--seed", "0", "--trials", "5"]
     return cases
 
@@ -117,7 +120,6 @@ def command_golden(case):
 # ``tests/golden_specs``, one file ``<spec>.<format>[.oracle].out`` each
 
 REPORTS_GOLDEN = os.path.join(TESTS, "golden")
-SPECS = os.path.join(TESTS, "golden_specs")
 
 REPORT_INPUTS = {name: fixture_path(name) for name in fixture_names()}
 REPORT_INPUTS.update((name, os.path.join(SPECS, name)) for name in sorted(os.listdir(SPECS)))

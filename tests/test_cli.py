@@ -294,6 +294,37 @@ class TestParse:
             parse_spec(str(path))
         assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("field", ["boundary_components", "betti[0]"])
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_fiber_equal_to_a_parsed_one_is_still_checked(self, field, value, tmp_path, capsys):
+        # vertices[2] equals the disk at vertices[1] under ==, which reads True and 1.0 as 1
+        data = one_vertex_tree(zero_diagonal_model(0, 1).matrix, 4)
+        vertices = data["graphs"][0]["vertices"]
+        vertices[2] = copy.deepcopy(vertices[2])
+        fiber = vertices[2]["fiber"]
+        if field == "betti[0]":
+            fiber["betti"][0] = value
+        else:
+            fiber[field] = value
+        assert vertices[2] == vertices[1]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}.graphs[0].vertices[2].fiber.{field}: expected an integer, got {value!r}\n"
+        )
+
+    def test_each_distinct_fiber_is_parsed_once_per_graph(self, monkeypatch):
+        data = one_vertex_tree(zero_diagonal_model(0, 2).matrix, 4)
+        data["graphs"][0]["vertices"] = [copy.deepcopy(v) for v in data["graphs"][0]["vertices"]]
+        data["graphs"][0]["vertices"][3]["fiber"]["betti"][2] = 1  # a second fiber type among the five disks
+        calls = counted_calls(monkeypatch, [(cli, "_parse_fiber")])
+        spec = parse_spec_data(data)
+        assert calls == Counter({"_parse_fiber": 2})
+        assert spec.graphs[0].vertices[1:] == tuple(
+            hopflink.FiberDescriptor((1, 0, int(i == 3), 0, 0), 1) for i in range(1, 6)
+        )
+
     def test_twist_annotation_round_trips(self):
         data = load(TREE)
         data["graphs"][0]["edges"][0]["twist"] = "half-turn"
@@ -315,10 +346,28 @@ json_scalars = st.one_of(
     st.floats(),
     st.text(max_size=6),
 )
+# small entries that repeat, and entries past 2**64 and below -2**64
+matrix_entries = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70))
+# matrix-shaped lists, empty rows and one-row matrices included: of integers, or with a True among them
+json_matrices = st.one_of(
+    st.lists(st.lists(matrix_entries, max_size=4), min_size=1, max_size=4),
+    st.lists(st.lists(matrix_entries | st.just(True), max_size=4), min_size=1, max_size=4),
+)
+# runs of siblings equal under == but not of one type: [1, True, 1.0], [{"a": 1}, {"a": True}], [[0], [-0.0]]
+equal_values = st.sampled_from([(1, True, 1.0), (0, False, 0.0, -0.0)]).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=5)
+)
+equal_siblings = st.one_of(
+    equal_values,
+    equal_values.map(lambda values: [{"a": v} for v in values]),
+    equal_values.map(lambda values: [[v] for v in values]),
+)
 json_documents = st.recursive(
     json_scalars,
     lambda inner: st.one_of(
         st.lists(st.integers(-(1 << 40), 1 << 40), max_size=5),
+        json_matrices,
+        equal_siblings,
         st.lists(inner, max_size=4),
         st.dictionaries(st.text(max_size=4), inner, max_size=4),
     ),

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import random
 import signal
 from collections import Counter
@@ -37,7 +39,17 @@ from hopfcalc.sampling import (
     random_unimodular,
     skew_seed,
 )
+from golden_cases import SPECS
 from test_cli import one_vertex_tree
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def diagonal(values) -> IntMatrix:
+    n = len(values)
+    return IntMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
 
 
 def det_cofactor(a: IntMatrix) -> int:
@@ -402,8 +414,8 @@ class TestKernelsMatchReferences:
     @pytest.mark.parametrize("shape", [(0, 9, 3), (3, 9, 0), (0, 0, 0), (2, 0, 3), (3, 9, 2), (9, 9, 9)])
     def test_product_of_empty_and_zero_shapes(self, shape):
         r, k, c = shape
-        assert IntMatrix.zeros(r, k) @ IntMatrix.zeros(k, c) == IntMatrix.zeros(r, c)
-        assert IntMatrix.zeros(r, k) @ IntMatrix(k, c, tuple(range(k * c))) == IntMatrix.zeros(r, c)
+        assert zeros(r, k) @ zeros(k, c) == zeros(r, c)
+        assert zeros(r, k) @ IntMatrix(k, c, tuple(range(k * c))) == zeros(r, c)
 
 
 GUARD_ROWS = 8  # the size of the guard tests' matrices; they force packed rows at any size
@@ -718,7 +730,7 @@ def _value_instances():
     return [
         h,
         Inertia(1, 1, 1),
-        exactlinalg.SmithForm(IntMatrix.identity(2), IntMatrix.diagonal([1, 1]), h),
+        exactlinalg.SmithForm(IntMatrix.identity(2), diagonal([1, 1]), h),
         form,
         forms.FormClass("even", "indefinite", True, 1, 0),
         graphmodel.Edge(0, 1, 0, 0, "twist"),
@@ -787,7 +799,7 @@ class TestDeterminant:
 
     def test_non_square(self):
         with pytest.raises(DimensionError):
-            det_bareiss(IntMatrix.zeros(2, 3))
+            det_bareiss(zeros(2, 3))
 
     @settings(deadline=None, max_examples=60)
     @given(small_square)
@@ -827,7 +839,7 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix.from_rows([[2]])).diagonal() == (2,)
 
     def test_already_chain(self):
-        assert smith_normal_form(IntMatrix.diagonal([2, 4])).diagonal() == (2, 4)
+        assert smith_normal_form(diagonal([2, 4])).diagonal() == (2, 4)
 
     def test_postconditions_random(self):
         rng = random.Random(5)
@@ -871,7 +883,7 @@ class TestInverse:
 
     def test_not_unimodular(self):
         with pytest.raises(NotUnimodularError):
-            inverse_unimodular(IntMatrix.diagonal([1, 2]))
+            inverse_unimodular(diagonal([1, 2]))
 
     @pytest.mark.parametrize("slot", [0, 37, -1])
     def test_corrupted_packed_product_is_caught(self, monkeypatch, slot):
@@ -945,7 +957,7 @@ class TestNullspace:
         assert nullspace_rational(E8_MATRIX) == ()
 
     def test_zero_matrix(self):
-        basis = nullspace_rational(IntMatrix.zeros(2, 2))
+        basis = nullspace_rational(zeros(2, 2))
         assert len(basis) == 2
 
     def test_bordered_hyperbolic(self):
@@ -1000,7 +1012,7 @@ class TestNullspace:
 
         monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
         with pytest.raises(AlgorithmMismatchError, match="kernel verification failed: a zero vector"):
-            nullspace_rational(IntMatrix.zeros(2, 2))
+            nullspace_rational(zeros(2, 2))
 
 
 def corrupt_elimination(monkeypatch, corrupt):
@@ -1028,7 +1040,7 @@ class TestInertia:
         assert inertia(E8_MATRIX) == Inertia(8, 0, 0)
 
     def test_zero(self):
-        assert inertia(IntMatrix.zeros(3, 3)) == Inertia(0, 0, 3)
+        assert inertia(zeros(3, 3)) == Inertia(0, 0, 3)
 
     def test_requires_symmetry(self):
         with pytest.raises(SymmetryError):
@@ -1064,7 +1076,7 @@ class TestInertia:
     )
     def test_corrupted_certificate_is_caught(self, monkeypatch, corrupt, message):
         corrupt_elimination(monkeypatch, corrupt)
-        a = IntMatrix.zeros(3, 3) if corrupt == "singular_transform" else zero_diagonal_model(1, 1).matrix
+        a = zeros(3, 3) if corrupt == "singular_transform" else zero_diagonal_model(1, 1).matrix
         with pytest.raises(AlgorithmMismatchError, match=message):
             inertia_ldlt(a)
 
@@ -1173,29 +1185,69 @@ class TestEpsilonCongruence:
 
     @staticmethod
     def eliminate_to(monkeypatch, x, blocks):
-        """Make ``_symmetric_bareiss`` return pivot order [0, 1], ``x`` and ``blocks``."""
-        monkeypatch.setattr(exactlinalg, "_symmetric_bareiss", lambda m, epsilon: ([0, 1], x, blocks))
+        """Make ``_symmetric_bareiss`` return pivot order [0, 1, ...], ``x`` and ``blocks``."""
+        monkeypatch.setattr(exactlinalg, "_symmetric_bareiss", lambda m, epsilon: (list(range(len(x))), x, blocks))
 
     def test_determinant_division_is_exact(self, monkeypatch):
         # det D / det(X)**2 = -3 / 4 is no integer: floor division read it as -1, the true determinant
         self.eliminate_to(monkeypatch, [[-2, 0], [0, 1]], [[[3]], [[-1]]])
         with pytest.raises(AlgorithmMismatchError, match=r"det\(X\)\*\*2 does not divide det D"):
-            exactlinalg.Congruence(IntMatrix.diagonal([1, -1]), 1).det
+            exactlinalg.Congruence(diagonal([1, -1]), 1).det
         self.eliminate_to(monkeypatch, [[-2, 0], [0, 1]], [[[3]], [[0]]])
-        assert exactlinalg.Congruence(IntMatrix.diagonal([1, -1]), 1).det == 0
+        assert exactlinalg.Congruence(diagonal([1, -1]), 1).det == 0
 
     def test_inverse_must_divide_exactly(self, monkeypatch):
         # det = (2 * -2) / (-2)**2 = -1 exactly and X A X^T = [[4, 2], [2, 0]] != D, but X^T D^-1 X is
         # [[3/2, 1/2], [1/2, -1/2]], whose floor is A^-1: only the exact division catches it
         self.eliminate_to(monkeypatch, [[-2, 0], [-1, 1]], [[[2]], [[-2]]])
-        a = IntMatrix.diagonal([1, -1])
+        a = diagonal([1, -1])
         assert exactlinalg.Congruence(a, 1).det == -1
         for fact in ("inverse", "inertia"):
             with pytest.raises(AlgorithmMismatchError, match=r"X\^T D\^-1 X is not an integer matrix"):
                 getattr(exactlinalg.Congruence(a, 1), fact)
 
+    @pytest.mark.parametrize(
+        "corner, d, det",
+        [
+            # the 2x2 case above plus I_8: rows 0 and 1 of lcm X^T D^-1 X, (3, 1, 0, ...) and (1, -1, 0, ...),
+            # each leave a remainder when divided by the lcm 2 as one packed integer
+            ([[-2, 0], [-1, 1]], [2, -2], -1),
+            # X = diag(1, 2, ...), D = diag(2, 2, 1, ...): row 0 is (1, 0, ...), whose quotient 0 passes the
+            # check of its digits; only the remainder catches it
+            ([[1, 0], [0, 2]], [2, 2], 1),
+            # X = [[3, 0], [2, 1]], D = diag(3, 3, 1, ...): rows 0 and 1 are (13, 2, 0, ...) and (2, 1, 0, ...).
+            # Slots of w bits, w even, have 2**w = 1 mod 3, so 13 + 2 * 2**w and 2 + 2**w divide by 3 with no
+            # remainder; only the check of the quotient's digits catches it
+            ([[3, 0], [2, 1]], [3, 3], 1),
+        ],
+        ids=["remainders", "remainder_in_slot_0", "digits"],
+    )
+    def test_inverse_must_divide_exactly_on_packed_rows(self, monkeypatch, corner, d, det):
+        n = 10
+        assert n >= exactlinalg._PACKED_MIN_DIM
+        x = [row + [0] * 8 for row in corner] + [[int(i == j) for j in range(n)] for i in range(2, n)]
+        self.eliminate_to(monkeypatch, x, [[[v]] for v in d] + [[[1]]] * 8)
+        a = diagonal([det] + [1] * 9)
+        assert exactlinalg.Congruence(a, 1).det == det
+        for fact in ("inverse", "inertia"):
+            with pytest.raises(AlgorithmMismatchError, match=r"X\^T D\^-1 X is not an integer matrix"):
+                getattr(exactlinalg.Congruence(a, 1), fact)
+
+    @pytest.mark.parametrize("source", ["golden scrambled_d40", "random congruence"])
+    def test_inverse_divided_by_an_lcm_past_64_bits(self, source):
+        # the certificate's slots are wider than 8 bytes here; the golden spec's decoration is a scrambled
+        # zero-diagonal model at d = 40
+        if source == "random congruence":
+            a = random_congruence(random.Random(1), zero_diagonal_model(4, 4)).matrix
+        else:
+            with open(os.path.join(SPECS, "scrambled_d40.json"), encoding="utf-8") as fh:
+                a = IntMatrix.from_rows(json.load(fh)["graphs"][0]["vertices"][0]["matrix"])
+        congruence = exactlinalg.Congruence(a, 1)
+        assert math.lcm(*(v for b in congruence.blocks for row in b for v in row if v)).bit_length() > 64
+        assert congruence.inverse == inverse_unimodular(a)
+
     def test_inverse_of_non_unimodular_form_runs_no_product(self, monkeypatch):
-        congruence = exactlinalg.Congruence(IntMatrix.diagonal([1, 2]), 1)
+        congruence = exactlinalg.Congruence(diagonal([1, 2]), 1)
         calls = Counter()
         for home, name in ((exactlinalg, "congruence_apply"), (IntMatrix, "__matmul__")):
             original = getattr(home, name)
@@ -1213,7 +1265,7 @@ class TestEpsilonCongruence:
             return result
 
         monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
-        a = IntMatrix.block_diagonal([H_MATRIX, IntMatrix.zeros(2, 2)])  # a two-dimensional kernel
+        a = IntMatrix.block_diagonal([H_MATRIX, zeros(2, 2)])  # a two-dimensional kernel
         with pytest.raises(AlgorithmMismatchError, match="kernel verification failed"):
             exactlinalg.Congruence(a, 1).kernel
 
@@ -1226,7 +1278,7 @@ class TestEpsilonCongruence:
             return result
 
         monkeypatch.setattr(exactlinalg, "_gauss_jordan", corrupted)
-        a = IntMatrix.block_diagonal([H_MATRIX, IntMatrix.zeros(2, 2)])
+        a = IntMatrix.block_diagonal([H_MATRIX, zeros(2, 2)])
         with pytest.raises(AlgorithmMismatchError, match="kernel verification failed: a zero vector"):
             exactlinalg.Congruence(a, 1).kernel
 
@@ -1236,7 +1288,7 @@ class TestCharpoly:
         assert charpoly(H_MATRIX) == (1, 0, -1)
 
     def test_diagonal(self):
-        assert charpoly(IntMatrix.diagonal([2, 3])) == (1, -5, 6)
+        assert charpoly(diagonal([2, 3])) == (1, -5, 6)
 
     @settings(deadline=None, max_examples=40)
     @given(small_square)

@@ -38,6 +38,7 @@ from hopfcalc.hopflink import (
 from hopfcalc.sampling import random_zero_diagonal_form
 
 from test_cli import counted_calls
+from test_exactlinalg import diagonal, zeros
 from test_graphmodel import inclusion_exclusion, reference_pieces, single_black_tree
 
 J = skew([[0, 1], [-1, 0]])
@@ -244,14 +245,14 @@ class TestPresentationOracle:
     def test_non_unimodular_reports_torsion(self):
         form = symmetric([[0, 2], [2, 0]])
         with pytest.raises(NotUnimodularError):
-            presentation_oracle(form, IntMatrix.zeros(3, 3))
+            presentation_oracle(form, zeros(3, 3))
         # the reference presents Z + Z/2 for component 1: the torsion the oracle refuses to certify
         assert reference_presentation(form, 1) == ((1, 1, 1, 2), 1, None)
 
     def test_non_unimodular_raises_before_any_product(self, monkeypatch):
         calls = counted_calls(monkeypatch, ((IntMatrix, "__matmul__"),))
         with pytest.raises(NotUnimodularError, match="determinant 2$"):
-            presentation_oracle(BilinearForm(IntMatrix.diagonal([1, 2]), 1), IntMatrix.zeros(3, 3))
+            presentation_oracle(BilinearForm(diagonal([1, 2]), 1), zeros(3, 3))
         assert calls == Counter()
 
     @pytest.mark.parametrize("form", [HF, zero_diagonal_model(1, 1), zero_diagonal_model(3, 2)], ids=["d2", "d10", "d28"])
@@ -289,7 +290,7 @@ class TestPresentationOracle:
             kinds.add(form.is_unimodular())
             if not form.is_unimodular():
                 with pytest.raises(NotUnimodularError):
-                    presentation_oracle(form, IntMatrix.zeros(d + 1, d + 1))
+                    presentation_oracle(form, zeros(d + 1, d + 1))
                 continue
             lk = derived_linking_matrix(form).to_rows()
             for s in range(d + 1):
